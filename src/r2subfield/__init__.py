@@ -39,6 +39,7 @@ from .codegen import (
     CodeSummary,
     DefiningSetSpec,
     DegenerateConfigurationError,
+    InvariantError,
     build_defining_set,
     codeword,
     generator_matrix_subfield,

@@ -26,21 +26,18 @@ self-orthogonality (``table10_conditions``).
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import ProcessPoolExecutor
 from typing import NamedTuple
 
 from .algebra import f2_gram_is_zero
 from .codegen import (
+    CodePipeline,
     DefiningSetSpec,
     DegenerateConfigurationError,
-    build_defining_set,
-    code_words_from_rows,
-    message_weights_from_rows,
+    InvariantError,
+    charsum_message_weights,
     min_distance,
-    subfield_defining_set,
-    subfield_generator_rows,
-    summarize_message_weights,
-    weight_via_charsum,
 )
 from .simplicial import ComplexSpec, Subset
 
@@ -64,6 +61,7 @@ __all__ = [
     "sweep_configuration",
     "run_sweep",
     "summarize_sweep",
+    "sweep_workers",
 ]
 
 FAMILIES = tuple(range(1, 10))
@@ -204,15 +202,19 @@ def _instantiate(family: int, m: int, sl: int, sm: int, sn: int):
     rows, n, nominal_k = _table_rows(family, m, sl, sm, sn)
     merged = {0: 1}
     for dw, count in rows:
-        assert count >= 0, "table counts must be non-negative"
+        if count < 0:
+            raise InvariantError("table counts must be non-negative")
         if count == 0:
             continue
-        assert dw >= 0 and dw % 2 == 0, "positive-count row with fractional weight"
+        if dw < 0 or dw % 2:
+            raise InvariantError("positive-count row with fractional weight")
         merged[dw] = merged.get(dw, 0) + count
     total = sum(merged.values())
-    assert total == 1 << nominal_k, "table counts must sum to 2^k"
+    if total != 1 << nominal_k:
+        raise InvariantError("table counts must sum to 2^k")
     kappa = merged[0]
-    assert kappa & (kappa - 1) == 0, "kernel multiplicity must be a 2-power"
+    if kappa & (kappa - 1):
+        raise InvariantError("kernel multiplicity must be a 2-power")
     if n == 0 or total == kappa:
         raise DegenerateConfigurationError(
             f"family {family} with |L|,|M|,|N| = {sl},{sm},{sn} at m = {m} "
@@ -220,9 +222,11 @@ def _instantiate(family: int, m: int, sl: int, sm: int, sn: int):
         )
     table = {}
     for dw, count in sorted(merged.items()):
-        assert count % kappa == 0, "counts must be divisible by the kernel multiplicity"
+        if count % kappa:
+            raise InvariantError("counts must be divisible by the kernel multiplicity")
         table[dw >> 1] = count // kappa
-    assert max(table) <= n, "predicted weight exceeds length"
+    if max(table) > n:
+        raise InvariantError("predicted weight exceeds length")
     return n, (total // kappa).bit_length() - 1, table
 
 
@@ -383,18 +387,13 @@ def _evaluate(family: int, lset: Subset, mset: Subset, nset: Subset,
         raise ValueError(f"bad minimality policy {minimality!r}")
     spec = spec_for_family(family, lset, mset, nset)
     m = spec.m
-    masks = subfield_defining_set(build_defining_set(spec), m)
-    if not masks:
-        raise DegenerateConfigurationError("empty defining set")
-    n = len(masks)
-    rows = subfield_generator_rows(masks, m)
-    weights_by_message = message_weights_from_rows(rows, m)
-    measured = summarize_message_weights(weights_by_message, n, m)
+    code = CodePipeline(spec)
+    measured = code.summary
 
     try:
         pn, pk, ptable = _instantiate(family, m, lset.size, mset.size, nset.size)
     except DegenerateConfigurationError:
-        raise AssertionError(
+        raise InvariantError(
             "prediction says degenerate but enumeration found a nontrivial code"
         ) from None
     match = (pn, pk, ptable) == (measured.n, measured.k, dict(measured.weights))
@@ -404,7 +403,7 @@ def _evaluate(family: int, lset: Subset, mset: Subset, nset: Subset,
     wanted = minimality == "auto" or (minimality == "when_claimed" and conditions.minimal)
     minimal_exact = None
     if wanted and (1 << measured.k) <= MINIMALITY_CAP:
-        minimal_exact = exact_minimality(code_words_from_rows(rows, n), n)
+        minimal_exact = exact_minimality(code.words(), code.n)
     opt = None if family == 8 else optimality_condition(family, m, lset.size, mset.size, nset.size)
 
     report = {
@@ -431,7 +430,7 @@ def _evaluate(family: int, lset: Subset, mset: Subset, nset: Subset,
             "optimality_condition": opt,
             "minimal_exact": minimal_exact,
             "minimal_ab": minimal_ab,
-            "self_orth_exact": f2_gram_is_zero(rows),
+            "self_orth_exact": f2_gram_is_zero(code.rows),
             "self_orth_mod4": self_orth_mod4(measured.weights),
             "table10_minimal": conditions.minimal,
             "table10_self_orth": conditions.self_orthogonal,
@@ -441,11 +440,7 @@ def _evaluate(family: int, lset: Subset, mset: Subset, nset: Subset,
 
     charsum_ok = None
     if check_charsum:
-        charsum_ok = all(
-            weight_via_charsum(v & ((1 << m) - 1), v >> m & ((1 << m) - 1), v >> 2 * m, spec)
-            == weights_by_message[v]
-            for v in range(1 << 3 * m)
-        )
+        charsum_ok = charsum_message_weights(spec) == code.message_weights
     extras = {"charsum_ok": charsum_ok}
     return report, extras
 
@@ -524,11 +519,18 @@ def _sweep_star(args: tuple[int, int, int, int, int]) -> dict:
     return sweep_configuration(*args)
 
 
+def sweep_workers(jobs: int, configurations: int) -> int:
+    """Worker processes for a sweep: ``jobs``, capped by the work and the cores."""
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
+    return max(1, min(jobs, configurations, os.cpu_count() or 1))
+
+
 def run_sweep(ms, families=FAMILIES, jobs: int = 1):
     """Evaluate every (family, L, M, N) configuration for each m.
 
     Returns (rows, summary); rows are ordered by (m, family, L, M, N) masks
-    regardless of the worker count.
+    regardless of the worker count, which :func:`sweep_workers` caps.
     """
     configs = [
         (family, m, lmask, mmask, nmask)
@@ -538,8 +540,9 @@ def run_sweep(ms, families=FAMILIES, jobs: int = 1):
         for mmask in range(1 << m)
         for nmask in range(1 << m)
     ]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    workers = sweep_workers(jobs, len(configs))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_sweep_star, configs, chunksize=64))
     else:
         rows = [sweep_configuration(*config) for config in configs]

@@ -37,7 +37,12 @@ from .analysis import (
 from .codegen import BRUTE_FORCE_M_CAP, DefiningSetSpec
 from .simplicial import ComplexSpec, Subset
 
-__all__ = ["BUNDLED_MANIFEST", "main"]
+__all__ = ["BUNDLED_MANIFEST", "TABLES_M_CAP", "main"]
+
+# Largest m accepted by `tables`.  The tables are closed form, so this sits
+# far above the enumeration cap; it only keeps the 3m-bit table entries (and
+# their decimal output) small enough that bad input cannot exhaust memory.
+TABLES_M_CAP = 256
 
 # Expected parameters of the distance-optimal reference codes, one row per
 # (family, m, L, M, N, n, k, d).  `scan` recomputes every row from scratch.
@@ -377,6 +382,8 @@ def cmd_scan(args) -> int:
 def cmd_tables(args) -> int:
     if args.family not in FAMILIES:
         raise ValueError(f"family must be 1..9, got {args.family}")
+    if args.m > TABLES_M_CAP:
+        raise ValueError(f"tables are capped at m <= {TABLES_M_CAP}, got m = {args.m}")
     table = predicted_weight_table(args.family, args.m, args.sL, args.sM, args.sN)
     n, k, d = predicted_parameters(args.family, args.m, args.sL, args.sM, args.sN)
     payload = {
@@ -412,6 +419,16 @@ def cmd_tables(args) -> int:
 # ---------------------------------------------------------------- parser
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="r2subfield",
@@ -421,7 +438,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_common(p: argparse.ArgumentParser) -> None:
         p.add_argument("--format", choices=("json", "csv", "md"), default="md")
-        p.add_argument("--jobs", type=int, default=1, help="worker processes for sweeps")
+        p.add_argument(
+            "--jobs", type=_positive_int, default=1,
+            help="worker processes for sweeps (at most one per configuration and core)",
+        )
         p.add_argument("--out", default=None, help="write output to this path")
 
     p_code = sub.add_parser("code", help="report on a single configuration")

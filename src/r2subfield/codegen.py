@@ -13,32 +13,61 @@ Since (e1, e2, e3) is an F2-basis of R the triple map is injective, so
 
 Each element x of R^m is flattened to the 3m-bit mask whose blocks are the
 coordinatewise values of (tau(x*e1), tau(x*e2), tau(x*e3)); the binary code
-is generated by the 3m rows of bit j across these masks.  Equivalently the
+is generated by the 3m rows of bit j across these masks.  For the element
+built from (d1, d2, d3) that mask is d1 | (d2 + d3) << m | d2 << 2m, so the
 codeword of a message (alpha, beta, gamma) in (F2^m)^3 has, at the position
 indexed by (d1, d2, d3), the bit
 
     alpha . d1 + beta . (d2 + d3) + gamma . d2,
 
 i.e. the plain F2 parity of the message mask ANDed with the position mask.
-Weights of all 2^(3m) messages are enumerated with a Gray-code walk (one row
-XOR and one popcount per message); dividing the weight histogram by the
-kernel size yields the exact weight distribution of the code.
+
+:class:`CodePipeline` builds one code stage by stage, each stage once:
+
+* n and the 3m generator rows.  For families 1-8 the columns are the
+  product D1 x D2 x D3, D1 outermost and D3 innermost, each complex in
+  increasing bitmask order, and the rows are repeated bit patterns of the
+  three member lists: row j (j < m) repeats bit j of each d1 over a block
+  of |D2|*|D3| columns, row 2m+j repeats bit j of each d2 over |D3| columns
+  and that pattern |D1| times, and row m+j is row 2m+j XOR the pattern of
+  bit j of each d3 repeated |D1|*|D2| times.  For a global complement the
+  columns are the vectors of R^m outside the product set in increasing
+  vector encoding (coordinate 1 the least significant base-8 digit); the
+  flatten map is F2-linear in that encoding, so the masks of all of R^m are
+  spanned from the images of the 3m basis vectors and transposed to rows.
+* The weights of all 2^(3m) messages, by a Gray-code walk (one row XOR and
+  one popcount per message).
+* The weight distribution: the weight histogram divided by the kernel size.
+
+:func:`build_defining_set`, :func:`subfield_defining_set` and
+:func:`subfield_generator_rows` are the literal construction of the paper
+(R-vectors, trace triples, transposition); they give the same columns in the
+same order and serve as the reference the tests compare the pipeline with.
+
+The character-sum route is independent of the enumeration: the weight of
+(alpha, beta, gamma) is (|D| - S1[alpha] * S2[beta + gamma] * S3[beta]) / 2
+with Si the character-sum spectrum of the i-th complex, so the whole message
+table follows from three spectra of length 2^m
+(:func:`charsum_message_weights`).
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 from collections.abc import Mapping, Sequence
 
 from .algebra import from_basis_coords, trace_triple
-from .simplicial import ComplexSpec, char_sum, complex_size, enumerate_members
+from .simplicial import ComplexSpec, char_sum, complex_size, enumerate_members, spectrum
 
 __all__ = [
     "BRUTE_FORCE_M_CAP",
     "DegenerateConfigurationError",
+    "InvariantError",
     "DefiningSetSpec",
     "CodeSummary",
+    "CodePipeline",
     "build_defining_set",
     "subfield_defining_set",
     "subfield_generator_rows",
@@ -50,6 +79,7 @@ __all__ = [
     "weight_distribution_bruteforce",
     "code_words",
     "code_words_from_rows",
+    "charsum_message_weights",
     "weight_via_charsum",
     "min_distance",
 ]
@@ -59,6 +89,13 @@ BRUTE_FORCE_M_CAP = 5
 
 class DegenerateConfigurationError(ValueError):
     """The requested configuration yields an empty or zero-dimensional code."""
+
+
+class InvariantError(AssertionError):
+    """An internal invariant of the construction failed: a program fault, not bad input.
+
+    Raised explicitly, so the check also runs under ``python -O``.
+    """
 
 
 @dataclass(frozen=True)
@@ -112,7 +149,8 @@ def build_defining_set(spec: DefiningSetSpec) -> list[tuple[int, ...]]:
     vector encoding over all of R^m.
     """
     base = _base_triples(spec)
-    assert len(set(base)) == len(base), "basis expansion must be injective"
+    if len(set(base)) != len(base):
+        raise InvariantError("basis expansion must be injective")
     if not spec.global_complement:
         return base
     skip = set(base)
@@ -193,6 +231,78 @@ def _check_m_cap(m: int) -> None:
         )
 
 
+def _blocks(members: Sequence[int], j: int, width: int) -> int:
+    """Bit j of each member, widened to ``width`` equal bits; first member lowest."""
+    block = (1 << width) - 1
+    out = 0
+    for i, v in enumerate(members):
+        if v >> j & 1:
+            out |= block << (i * width)
+    return out
+
+
+def _repunit(width: int, times: int) -> int:
+    """Bits 0, width, 2*width, ...: times a width-bit pattern repeats it ``times`` times."""
+    return ((1 << (width * times)) - 1) // ((1 << width) - 1)
+
+
+def _product_rows(spec: DefiningSetSpec) -> tuple[int, list[int]]:
+    """n and the generator rows of the product set D1 x D2 x D3 (families 1-8)."""
+    m = spec.m
+    members1, members2, members3 = (enumerate_members(part) for part in spec.parts)
+    n1, n2, n3 = len(members1), len(members2), len(members3)
+    n = n1 * n2 * n3
+    if n == 0:
+        return 0, []
+    repeat2 = _repunit(n2 * n3, n1)
+    repeat3 = _repunit(n3, n1 * n2)
+    rows1 = [_blocks(members1, j, n2 * n3) for j in range(m)]
+    rows2 = [_blocks(members2, j, n3) * repeat2 for j in range(m)]
+    rows3 = [_blocks(members3, j, 1) * repeat3 for j in range(m)]
+    return n, rows1 + [r2 ^ r3 for r2, r3 in zip(rows2, rows3)] + rows2
+
+
+# _BIT_CHARS[j] maps a byte to b"1" when its bit j is set, else to b"0".
+_BIT_CHARS = tuple((b"0" * (1 << j) + b"1" * (1 << j)) * (128 >> j) for j in range(8))
+
+
+def _transpose(masks: Sequence[int], nbits: int) -> list[int]:
+    """Row j = bit j of each mask, first mask lowest (as :func:`subfield_generator_rows`)."""
+    rows = []
+    for low in range(0, nbits, 8):
+        chunk = bytes([mask >> low & 255 for mask in reversed(masks)])
+        rows.extend(int(chunk.translate(_BIT_CHARS[j]), 2) for j in range(min(8, nbits - low)))
+    return rows
+
+
+def _global_complement_rows(spec: DefiningSetSpec) -> tuple[int, list[int]]:
+    """n and the generator rows of R^m minus the product set (family 9).
+
+    Columns run over increasing vector encoding, as in
+    :func:`build_defining_set`; bit 3i+t of the encoding is bit t of
+    coordinate i + 1, and the mask of each basis vector comes from
+    :func:`trace_triple`.
+    """
+    m = spec.m
+    masks = [0]
+    for i in range(m):
+        for t in range(3):
+            t1, t2, t3 = trace_triple(1 << t)
+            image = t1 << i | t2 << (m + i) | t3 << (2 * m + i)
+            masks += [mask ^ image for mask in masks]
+    members1, members2, members3 = (enumerate_members(part) for part in spec.parts)
+    product = {
+        d1 | (d2 ^ d3) << m | d2 << (2 * m)
+        for d1 in members1
+        for d2 in members2
+        for d3 in members3
+    }
+    columns = [mask for mask in masks if mask not in product]
+    if not columns:
+        return 0, []
+    return len(columns), _transpose(columns, 3 * m)
+
+
 def message_weights_from_rows(rows: Sequence[int], m: int) -> list[int]:
     """Codeword weight of every message, indexed by packed message mask.
 
@@ -210,14 +320,6 @@ def message_weights_from_rows(rows: Sequence[int], m: int) -> list[int]:
         word ^= rows[(t & -t).bit_length() - 1]
         weights[t ^ (t >> 1)] = word.bit_count()
     return weights
-
-
-def message_weights(spec: DefiningSetSpec) -> list[int]:
-    """Weights of all 2^(3m) messages of the code defined by ``spec``."""
-    masks = subfield_defining_set(build_defining_set(spec), spec.m)
-    if not masks:
-        raise DegenerateConfigurationError("empty defining set")
-    return message_weights_from_rows(subfield_generator_rows(masks, spec.m), spec.m)
 
 
 @dataclass(frozen=True)
@@ -248,26 +350,19 @@ def summarize_message_weights(weights: Sequence[int], n: int, m: int) -> CodeSum
     hist = Counter(weights)
     kernel = hist[0]
     total = 1 << (3 * m)
-    assert len(weights) == total, "weight table must cover every message"
-    assert total % kernel == 0 and kernel & (kernel - 1) == 0, "kernel must be a 2-power"
+    if len(weights) != total:
+        raise InvariantError("weight table must cover every message")
+    if total % kernel or kernel & (kernel - 1):
+        raise InvariantError("kernel must be a 2-power")
     k = (total // kernel).bit_length() - 1
     if k == 0:
         raise DegenerateConfigurationError("trivial code: every message maps to 0")
     dist = {}
     for w, count in sorted(hist.items()):
-        assert count % kernel == 0, "weight class not a union of kernel cosets"
+        if count % kernel:
+            raise InvariantError("weight class not a union of kernel cosets")
         dist[w] = count // kernel
     return CodeSummary(n=n, k=k, d=min_distance(dist), weights=dist)
-
-
-def weight_distribution_bruteforce(spec: DefiningSetSpec) -> CodeSummary:
-    """Exact parameters of the code by enumerating all 2^(3m) messages."""
-    masks = subfield_defining_set(build_defining_set(spec), spec.m)
-    if not masks:
-        raise DegenerateConfigurationError("empty defining set")
-    rows = subfield_generator_rows(masks, spec.m)
-    weights = message_weights_from_rows(rows, spec.m)
-    return summarize_message_weights(weights, len(masks), spec.m)
 
 
 def code_words_from_rows(rows: Sequence[int], ncols: int) -> list[int]:
@@ -283,17 +378,105 @@ def code_words_from_rows(rows: Sequence[int], ncols: int) -> list[int]:
     return words
 
 
+class CodePipeline:
+    """The binary subfield code of one defining set, built stage by stage.
+
+    Construction computes n and the 3m generator rows (see the module
+    docstring for the column order); the message-weight table and the
+    weight distribution are computed on first use and kept.  Raises
+    :class:`DegenerateConfigurationError` for an empty defining set and
+    ``ValueError`` above :data:`BRUTE_FORCE_M_CAP`.
+    """
+
+    def __init__(self, spec: DefiningSetSpec) -> None:
+        _check_m_cap(spec.m)
+        build = _global_complement_rows if spec.global_complement else _product_rows
+        n, rows = build(spec)
+        if not n:
+            raise DegenerateConfigurationError("empty defining set")
+        self.spec = spec
+        self.n = n
+        self.rows = rows
+
+    @cached_property
+    def message_weights(self) -> list[int]:
+        """Weight of every message, indexed by packed message mask."""
+        return message_weights_from_rows(self.rows, self.spec.m)
+
+    @cached_property
+    def summary(self) -> CodeSummary:
+        return summarize_message_weights(self.message_weights, self.n, self.spec.m)
+
+    def words(self) -> list[int]:
+        """All 2^k distinct codewords, zero word first."""
+        return code_words_from_rows(self.rows, self.n)
+
+
+def message_weights(spec: DefiningSetSpec) -> list[int]:
+    """Weights of all 2^(3m) messages of the code defined by ``spec``."""
+    return CodePipeline(spec).message_weights
+
+
+def weight_distribution_bruteforce(spec: DefiningSetSpec) -> CodeSummary:
+    """Exact parameters of the code by enumerating all 2^(3m) messages."""
+    return CodePipeline(spec).summary
+
+
 def code_words(spec: DefiningSetSpec) -> list[int]:
     """All 2^k distinct codewords of the code defined by ``spec``."""
-    _check_m_cap(spec.m)
-    masks = subfield_defining_set(build_defining_set(spec), spec.m)
-    if not masks:
-        raise DegenerateConfigurationError("empty defining set")
-    return code_words_from_rows(subfield_generator_rows(masks, spec.m), len(masks))
+    return CodePipeline(spec).words()
+
+
+def _charsum_weights(
+    spec: DefiningSetSpec, s1: Sequence[int], s23: int, zero_first: bool = False
+) -> list[int]:
+    """Weights (|D| - s * s23) / 2 for s in ``s1``: the character-sum identity.
+
+    ``s23`` is S2[beta + gamma] * S3[beta] of the messages, whose S1[alpha]
+    values are ``s1``.  For a global complement the product enters with the
+    opposite sign, and the zero message (``s1[0]`` when ``zero_first``)
+    subtracts 2^(3m): the character sum over all of R^m.
+    """
+    base = complex_size(spec.d1) * complex_size(spec.d2) * complex_size(spec.d3)
+    if spec.global_complement:
+        size = (1 << (3 * spec.m)) - base
+        doubled = [size + s * s23 for s in s1]
+        if zero_first:
+            doubled[0] -= 1 << (3 * spec.m)
+    else:
+        doubled = [base - s * s23 for s in s1]
+    if any(d & 1 for d in doubled):
+        raise InvariantError("character sum parity broken")
+    return [d >> 1 for d in doubled]
+
+
+def charsum_message_weights(
+    spec: DefiningSetSpec,
+    spectra: tuple[Sequence[int], Sequence[int], Sequence[int]] | None = None,
+) -> list[int]:
+    """Weight of every message by the character-sum identity, no enumeration.
+
+    Indexed like :func:`message_weights_from_rows`.  For fixed (beta, gamma)
+    the 2^m messages alpha form one contiguous slice, which depends only on
+    S2[beta + gamma] * S3[beta]; each distinct product is evaluated once.
+    ``spectra`` defaults to the spectra of the three complexes.
+    """
+    s1, s2, s3 = spectra or tuple(spectrum(part) for part in spec.parts)
+    full = 1 << spec.m
+    table = _charsum_weights(spec, s1, s2[0] * s3[0], zero_first=True)
+    slices: dict[int, list[int]] = {}
+    for v in range(1, full * full):
+        beta, gamma = v & (full - 1), v >> spec.m
+        s23 = s2[beta ^ gamma] * s3[beta]
+        part = slices.get(s23)
+        if part is None:
+            part = slices[s23] = _charsum_weights(spec, s1, s23)
+        table += part
+    return table
 
 
 def weight_via_charsum(alpha: int, beta: int, gamma: int, spec: DefiningSetSpec) -> int:
-    """Codeword weight from the character-sum identity, no enumeration.
+    """Codeword weight of one message from the character-sum identity.
 
     wt = (|D| - T) / 2 with T the product of the three complex character
     sums at (alpha, beta + gamma, beta); for a global complement T is
@@ -303,20 +486,9 @@ def weight_via_charsum(alpha: int, beta: int, gamma: int, spec: DefiningSetSpec)
     for name, part in (("alpha", alpha), ("beta", beta), ("gamma", gamma)):
         if not 0 <= part < full:
             raise ValueError(f"{name} out of range for F2^{spec.m}: {part}")
-    s1 = char_sum(spec.d1, alpha)
-    s2 = char_sum(spec.d2, beta ^ gamma)
-    s3 = char_sum(spec.d3, beta)
-    product = s1 * s2 * s3
-    if spec.global_complement:
-        base = complex_size(spec.d1) * complex_size(spec.d2) * complex_size(spec.d3)
-        size = (1 << (3 * spec.m)) - base
-        delta = 1 << (3 * spec.m) if alpha == beta == gamma == 0 else 0
-        doubled = size - (delta - product)
-    else:
-        size = complex_size(spec.d1) * complex_size(spec.d2) * complex_size(spec.d3)
-        doubled = size - product
-    assert doubled % 2 == 0, "character sum parity broken"
-    return doubled // 2
+    s23 = char_sum(spec.d2, beta ^ gamma) * char_sum(spec.d3, beta)
+    zero = not (alpha or beta or gamma)
+    return _charsum_weights(spec, [char_sum(spec.d1, alpha)], s23, zero_first=zero)[0]
 
 
 def min_distance(weights: Mapping[int, int]) -> int:

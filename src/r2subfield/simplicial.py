@@ -21,6 +21,7 @@ least significant bit) as in :mod:`r2subfield.algebra`.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 from collections.abc import Sequence
 
@@ -31,6 +32,7 @@ __all__ = [
     "enumerate_members",
     "phi",
     "char_sum",
+    "spectrum",
     "complex_size",
     "generating_function_eval",
 ]
@@ -72,7 +74,7 @@ class Subset:
             raise ValueError(f"duplicate members in subset {text!r}")
         return cls(m, frozenset(members))
 
-    @property
+    @cached_property
     def mask(self) -> int:
         return sum(1 << (i - 1) for i in self.members)
 
@@ -139,6 +141,11 @@ def char_sum(spec: ComplexSpec, w: int) -> int:
         return inside
     total = (1 << spec.m) if w == 0 else 0
     return total - inside
+
+
+def spectrum(spec: ComplexSpec) -> list[int]:
+    """The character sum of the complex at every w in F2^m, indexed by w."""
+    return [char_sum(spec, w) for w in range(1 << spec.m)]
 
 
 @dataclass(frozen=True)

@@ -20,6 +20,7 @@ from r2subfield.analysis import (
     self_orth_mod4,
     spec_for_family,
     summarize_sweep,
+    sweep_workers,
     table10_conditions,
 )
 from r2subfield.codegen import DegenerateConfigurationError
@@ -238,6 +239,20 @@ def test_run_sweep_deterministic_across_jobs():
     par_rows, par_summary = run_sweep([1], jobs=2)
     assert seq_rows == par_rows
     assert seq_summary == par_summary
+
+
+def test_sweep_workers_caps_the_pool(monkeypatch):
+    monkeypatch.setattr("os.cpu_count", lambda: 3)
+    assert sweep_workers(1, 4608) == 1
+    assert sweep_workers(2, 4608) == 2
+    assert sweep_workers(64, 4608) == 3  # at most one worker per core
+    assert sweep_workers(64, 2) == 2  # at most one worker per configuration
+    assert sweep_workers(4, 0) == 1
+    monkeypatch.setattr("os.cpu_count", lambda: None)
+    assert sweep_workers(8, 4608) == 1
+    for jobs in (0, -3):
+        with pytest.raises(ValueError):
+            sweep_workers(jobs, 4608)
 
 
 def test_run_sweep_family_subset():

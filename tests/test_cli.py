@@ -6,7 +6,8 @@ import json
 
 import pytest
 
-from r2subfield.cli import BUNDLED_MANIFEST, MANIFEST_HEADER, main
+from r2subfield import cli
+from r2subfield.cli import BUNDLED_MANIFEST, MANIFEST_HEADER, TABLES_M_CAP, main
 
 
 def run_cli(capsys, *argv):
@@ -146,6 +147,18 @@ def test_verify_bad_family_exits_2(capsys):
     assert "error:" in err
 
 
+@pytest.mark.parametrize("jobs", ["0", "-3", "two"])
+def test_jobs_below_one_rejected_at_parsing(capsys, monkeypatch, jobs):
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("the sweep must not start")
+
+    monkeypatch.setattr(cli, "run_sweep", no_sweep)
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--m", "1", "--jobs", jobs])
+    assert exc.value.code == 2
+    assert "--jobs" in capsys.readouterr().err
+
+
 def test_scan_bundled_manifest_all_pass(capsys):
     rc, out, _ = run_cli(capsys, "scan", "--format", "json")
     assert rc == 0
@@ -242,6 +255,21 @@ def test_tables_degenerate_exits_2(capsys):
     )
     assert rc == 2
     assert "error:" in err
+
+
+@pytest.mark.parametrize("m", [TABLES_M_CAP + 1, 10**12])
+def test_tables_m_above_cap_exits_2_before_any_table(capsys, monkeypatch, m):
+    def no_table(*args, **kwargs):
+        raise AssertionError("no table may be built")
+
+    monkeypatch.setattr(cli, "predicted_weight_table", no_table)
+    monkeypatch.setattr(cli, "predicted_parameters", no_table)
+    rc, out, err = run_cli(
+        capsys, "tables", "--family", "9", "--m", str(m), "--sL", "0", "--sM", "0", "--sN", "0",
+    )
+    assert rc == 2
+    assert out == ""
+    assert f"capped at m <= {TABLES_M_CAP}" in err
 
 
 def test_tables_md(capsys):

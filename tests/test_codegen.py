@@ -1,19 +1,28 @@
 """Unit tests for defining sets, codeword generation, and brute-force sweeps."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from r2subfield.algebra import from_basis_coords, r2_dot, trace
-from r2subfield.analysis import spec_for_family
+from r2subfield.analysis import FAMILIES, spec_for_family
 from r2subfield.codegen import (
     BRUTE_FORCE_M_CAP,
+    CodePipeline,
     CodeSummary,
     DefiningSetSpec,
     DegenerateConfigurationError,
+    InvariantError,
     build_defining_set,
+    charsum_message_weights,
     code_words,
     codeword,
     generator_matrix_subfield,
     message_weights,
+    message_weights_from_rows,
     min_distance,
     subfield_defining_set,
     subfield_generator_rows,
@@ -21,7 +30,7 @@ from r2subfield.codegen import (
     weight_distribution_bruteforce,
     weight_via_charsum,
 )
-from r2subfield.simplicial import ComplexSpec, complex_size, subset
+from r2subfield.simplicial import ComplexSpec, Subset, complex_size, spectrum, subset
 
 
 def spec(family, m, lmembers, mmembers, nmembers):
@@ -255,3 +264,95 @@ def test_code_summary_as_dict():
         "d": 1,
         "weights": [{"w": 0, "count": 1}, {"w": 1, "count": 2}, {"w": 2, "count": 1}],
     }
+
+
+def test_pipeline_rows_match_reference_route():
+    # every configuration of all nine families at m <= 3: same length, same
+    # rows, same column order as R-vectors -> trace masks -> transposition
+    compared = 0
+    for m in (1, 2, 3):
+        subsets = [Subset.from_mask(m, mask) for mask in range(1 << m)]
+        for family in FAMILIES:
+            for lset in subsets:
+                for mset in subsets:
+                    for nset in subsets:
+                        s = spec_for_family(family, lset, mset, nset)
+                        masks = subfield_defining_set(build_defining_set(s), m)
+                        if not masks:
+                            with pytest.raises(DegenerateConfigurationError):
+                                CodePipeline(s)
+                            continue
+                        code = CodePipeline(s)
+                        assert code.n == len(masks), s
+                        assert code.rows == subfield_generator_rows(masks, m), s
+                        compared += 1
+    assert compared == 4326
+
+
+def test_pipeline_stages_agree_with_the_stage_functions():
+    for s, expected in frozen_cases():
+        code = CodePipeline(s)
+        assert code.message_weights == message_weights_from_rows(code.rows, s.m)
+        assert code.message_weights is code.message_weights  # computed once
+        assert code.summary == expected
+        assert message_weights(s) == code.message_weights
+        assert code.words() == code_words(s)
+
+
+def test_charsum_table_equals_enumeration_and_single_messages():
+    for s, _ in frozen_cases():
+        table = charsum_message_weights(s)
+        assert table == CodePipeline(s).message_weights
+        m = s.m
+        low = (1 << m) - 1
+        assert table == [
+            weight_via_charsum(v & low, v >> m & low, v >> 2 * m, s) for v in range(1 << 3 * m)
+        ]
+
+
+def test_charsum_check_rejects_corrupted_table():
+    for s, _ in frozen_cases():
+        weights = CodePipeline(s).message_weights
+        for v in (0, 1, len(weights) - 1):
+            corrupted = list(weights)
+            corrupted[v] += 1
+            assert charsum_message_weights(s) != corrupted, (s, v)
+
+
+def test_charsum_check_rejects_wrong_spectrum_entry():
+    for s, _ in frozen_cases():
+        weights = CodePipeline(s).message_weights
+        spectra = [spectrum(part) for part in s.parts]
+        assert charsum_message_weights(s, tuple(spectra)) == weights
+        for i in range(3):
+            for j in (0, len(spectra[i]) - 1):
+                wrong = [list(values) for values in spectra]
+                # every spectrum value at 0 is nonzero here, so entry j of
+                # any one spectrum reaches the weight of some message
+                assert all(values[0] for values in spectra), s
+                wrong[i][j] += 2
+                assert charsum_message_weights(s, tuple(wrong)) != weights, (s, i, j)
+    # M = N = {} makes every S2 and S3 value 1, so an S1 entry off by one
+    # makes 2 * weight odd: the parity check fires instead of a mismatch
+    s = spec(2, 2, (1,), (), ())
+    s1, s2, s3 = (spectrum(part) for part in s.parts)
+    assert set(s2) == set(s3) == {1}
+    s1[3] += 1
+    with pytest.raises(InvariantError):
+        charsum_message_weights(s, (s1, s2, s3))
+
+
+def test_invariant_checks_survive_optimize_flag():
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    code = (
+        "from r2subfield.codegen import summarize_message_weights; "
+        "print(summarize_message_weights([0, 1, 1], 2, 1))"
+    )
+    result = subprocess.run(
+        [sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True,
+    )
+    assert result.returncode != 0
+    assert "InvariantError: weight table must cover every message" in result.stderr
+    assert "CodeSummary" not in result.stdout

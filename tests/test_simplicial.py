@@ -13,6 +13,7 @@ from r2subfield.simplicial import (
     enumerate_members,
     generating_function_eval,
     phi,
+    spectrum,
     subset,
 )
 
@@ -114,6 +115,14 @@ def test_char_sum_matches_literal_enumeration():
                         1 if (w & v).bit_count() % 2 == 0 else -1 for v in members
                     )
                     assert char_sum(spec, w) == literal, (m, lmask, complemented, w)
+
+
+def test_spectrum_lists_every_char_sum():
+    for m in range(4):
+        for lmask in range(1 << m):
+            for complemented in (False, True):
+                spec = ComplexSpec(Subset.from_mask(m, lmask), complemented)
+                assert spectrum(spec) == [char_sum(spec, w) for w in range(1 << m)]
 
 
 def test_char_sum_input_validation():
