@@ -32,12 +32,15 @@ from typing import NamedTuple
 
 from .algebra import f2_gram_is_zero
 from .codegen import (
-    CodePipeline,
     DefiningSetSpec,
     DegenerateConfigurationError,
     InvariantError,
     charsum_message_weights,
+    code_rows,
+    code_words_from_rows,
+    message_weights_from_rows,
     min_distance,
+    summarize_message_weights,
 )
 from .simplicial import ComplexSpec, Subset
 
@@ -387,8 +390,9 @@ def _evaluate(family: int, lset: Subset, mset: Subset, nset: Subset,
         raise ValueError(f"bad minimality policy {minimality!r}")
     spec = spec_for_family(family, lset, mset, nset)
     m = spec.m
-    code = CodePipeline(spec)
-    measured = code.summary
+    n, rows = code_rows(spec)
+    weights_by_message = message_weights_from_rows(rows, m)
+    measured = summarize_message_weights(weights_by_message, n, m)
 
     try:
         pn, pk, ptable = _instantiate(family, m, lset.size, mset.size, nset.size)
@@ -403,7 +407,7 @@ def _evaluate(family: int, lset: Subset, mset: Subset, nset: Subset,
     wanted = minimality == "auto" or (minimality == "when_claimed" and conditions.minimal)
     minimal_exact = None
     if wanted and (1 << measured.k) <= MINIMALITY_CAP:
-        minimal_exact = exact_minimality(code.words(), code.n)
+        minimal_exact = exact_minimality(code_words_from_rows(rows, n), n)
     opt = None if family == 8 else optimality_condition(family, m, lset.size, mset.size, nset.size)
 
     report = {
@@ -430,7 +434,7 @@ def _evaluate(family: int, lset: Subset, mset: Subset, nset: Subset,
             "optimality_condition": opt,
             "minimal_exact": minimal_exact,
             "minimal_ab": minimal_ab,
-            "self_orth_exact": f2_gram_is_zero(code.rows),
+            "self_orth_exact": f2_gram_is_zero(rows),
             "self_orth_mod4": self_orth_mod4(measured.weights),
             "table10_minimal": conditions.minimal,
             "table10_self_orth": conditions.self_orthogonal,
@@ -440,7 +444,7 @@ def _evaluate(family: int, lset: Subset, mset: Subset, nset: Subset,
 
     charsum_ok = None
     if check_charsum:
-        charsum_ok = charsum_message_weights(spec) == code.message_weights
+        charsum_ok = charsum_message_weights(spec) == weights_by_message
     extras = {"charsum_ok": charsum_ok}
     return report, extras
 

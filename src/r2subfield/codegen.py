@@ -22,27 +22,29 @@ indexed by (d1, d2, d3), the bit
 
 i.e. the plain F2 parity of the message mask ANDed with the position mask.
 
-:class:`CodePipeline` builds one code stage by stage, each stage once:
+:func:`weight_distribution_bruteforce` builds one code in three stages,
+each a function of its own so a caller that needs several computes each once:
 
-* n and the 3m generator rows.  For families 1-8 the columns are the
-  product D1 x D2 x D3, D1 outermost and D3 innermost, each complex in
-  increasing bitmask order, and the rows are repeated bit patterns of the
-  three member lists: row j (j < m) repeats bit j of each d1 over a block
-  of |D2|*|D3| columns, row 2m+j repeats bit j of each d2 over |D3| columns
-  and that pattern |D1| times, and row m+j is row 2m+j XOR the pattern of
-  bit j of each d3 repeated |D1|*|D2| times.  For a global complement the
+* n and the 3m generator rows (:func:`code_rows`).  For families 1-8 the
+  columns are the product D1 x D2 x D3, D1 outermost and D3 innermost, each
+  complex in increasing bitmask order, and the rows are repeated bit
+  patterns of the three member lists: row j (j < m) repeats bit j of each
+  d1 over a block of |D2|*|D3| columns, row 2m+j repeats bit j of each d2
+  over |D3| columns and that pattern |D1| times, and row m+j is row 2m+j
+  XOR the pattern of bit j of each d3 repeated |D1|*|D2| times.  For a global complement the
   columns are the vectors of R^m outside the product set in increasing
   vector encoding (coordinate 1 the least significant base-8 digit); the
   flatten map is F2-linear in that encoding, so the masks of all of R^m are
   spanned from the images of the 3m basis vectors and transposed to rows.
 * The weights of all 2^(3m) messages, by a Gray-code walk (one row XOR and
-  one popcount per message).
-* The weight distribution: the weight histogram divided by the kernel size.
+  one popcount per message; :func:`message_weights_from_rows`).
+* The weight distribution: the weight histogram divided by the kernel size
+  (:func:`summarize_message_weights`).
 
 :func:`build_defining_set`, :func:`subfield_defining_set` and
 :func:`subfield_generator_rows` are the literal construction of the paper
 (R-vectors, trace triples, transposition); they give the same columns in the
-same order and serve as the reference the tests compare the pipeline with.
+same order and serve as the reference the tests compare :func:`code_rows` with.
 
 The character-sum route is independent of the enumeration: the weight of
 (alpha, beta, gamma) is (|D| - S1[alpha] * S2[beta + gamma] * S3[beta]) / 2
@@ -55,7 +57,6 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from functools import cached_property
 from collections.abc import Mapping, Sequence
 
 from .algebra import from_basis_coords, trace_triple
@@ -67,7 +68,7 @@ __all__ = [
     "InvariantError",
     "DefiningSetSpec",
     "CodeSummary",
-    "CodePipeline",
+    "code_rows",
     "build_defining_set",
     "subfield_defining_set",
     "subfield_generator_rows",
@@ -303,6 +304,21 @@ def _global_complement_rows(spec: DefiningSetSpec) -> tuple[int, list[int]]:
     return len(columns), _transpose(columns, 3 * m)
 
 
+def code_rows(spec: DefiningSetSpec) -> tuple[int, list[int]]:
+    """n and the 3m generator rows of the code defined by ``spec``.
+
+    See the module docstring for the column order.  Raises
+    :class:`DegenerateConfigurationError` for an empty defining set and
+    ``ValueError`` above :data:`BRUTE_FORCE_M_CAP`.
+    """
+    _check_m_cap(spec.m)
+    build = _global_complement_rows if spec.global_complement else _product_rows
+    n, rows = build(spec)
+    if not n:
+        raise DegenerateConfigurationError("empty defining set")
+    return n, rows
+
+
 def message_weights_from_rows(rows: Sequence[int], m: int) -> list[int]:
     """Codeword weight of every message, indexed by packed message mask.
 
@@ -378,53 +394,22 @@ def code_words_from_rows(rows: Sequence[int], ncols: int) -> list[int]:
     return words
 
 
-class CodePipeline:
-    """The binary subfield code of one defining set, built stage by stage.
-
-    Construction computes n and the 3m generator rows (see the module
-    docstring for the column order); the message-weight table and the
-    weight distribution are computed on first use and kept.  Raises
-    :class:`DegenerateConfigurationError` for an empty defining set and
-    ``ValueError`` above :data:`BRUTE_FORCE_M_CAP`.
-    """
-
-    def __init__(self, spec: DefiningSetSpec) -> None:
-        _check_m_cap(spec.m)
-        build = _global_complement_rows if spec.global_complement else _product_rows
-        n, rows = build(spec)
-        if not n:
-            raise DegenerateConfigurationError("empty defining set")
-        self.spec = spec
-        self.n = n
-        self.rows = rows
-
-    @cached_property
-    def message_weights(self) -> list[int]:
-        """Weight of every message, indexed by packed message mask."""
-        return message_weights_from_rows(self.rows, self.spec.m)
-
-    @cached_property
-    def summary(self) -> CodeSummary:
-        return summarize_message_weights(self.message_weights, self.n, self.spec.m)
-
-    def words(self) -> list[int]:
-        """All 2^k distinct codewords, zero word first."""
-        return code_words_from_rows(self.rows, self.n)
-
-
 def message_weights(spec: DefiningSetSpec) -> list[int]:
     """Weights of all 2^(3m) messages of the code defined by ``spec``."""
-    return CodePipeline(spec).message_weights
+    _, rows = code_rows(spec)
+    return message_weights_from_rows(rows, spec.m)
 
 
 def weight_distribution_bruteforce(spec: DefiningSetSpec) -> CodeSummary:
     """Exact parameters of the code by enumerating all 2^(3m) messages."""
-    return CodePipeline(spec).summary
+    n, rows = code_rows(spec)
+    return summarize_message_weights(message_weights_from_rows(rows, spec.m), n, spec.m)
 
 
 def code_words(spec: DefiningSetSpec) -> list[int]:
     """All 2^k distinct codewords of the code defined by ``spec``."""
-    return CodePipeline(spec).words()
+    n, rows = code_rows(spec)
+    return code_words_from_rows(rows, n)
 
 
 def _charsum_weights(
@@ -450,18 +435,14 @@ def _charsum_weights(
     return [d >> 1 for d in doubled]
 
 
-def charsum_message_weights(
-    spec: DefiningSetSpec,
-    spectra: tuple[Sequence[int], Sequence[int], Sequence[int]] | None = None,
-) -> list[int]:
+def charsum_message_weights(spec: DefiningSetSpec) -> list[int]:
     """Weight of every message by the character-sum identity, no enumeration.
 
     Indexed like :func:`message_weights_from_rows`.  For fixed (beta, gamma)
     the 2^m messages alpha form one contiguous slice, which depends only on
     S2[beta + gamma] * S3[beta]; each distinct product is evaluated once.
-    ``spectra`` defaults to the spectra of the three complexes.
     """
-    s1, s2, s3 = spectra or tuple(spectrum(part) for part in spec.parts)
+    s1, s2, s3 = (spectrum(part) for part in spec.parts)
     full = 1 << spec.m
     table = _charsum_weights(spec, s1, s2[0] * s3[0], zero_first=True)
     slices: dict[int, list[int]] = {}

@@ -1,7 +1,10 @@
 """Unit tests for predicted tables, bound checks, and the sweep machinery."""
 
+from concurrent.futures import ProcessPoolExecutor
+
 import pytest
 
+from r2subfield import analysis
 from r2subfield.algebra import f2_gram_is_zero
 from r2subfield.analysis import (
     FAMILIES,
@@ -239,6 +242,25 @@ def test_run_sweep_deterministic_across_jobs():
     par_rows, par_summary = run_sweep([1], jobs=2)
     assert seq_rows == par_rows
     assert seq_summary == par_summary
+
+
+def test_run_sweep_pool_matches_serial(monkeypatch):
+    # two cores whatever the machine has, so jobs=2 really starts the pool
+    monkeypatch.setattr("os.cpu_count", lambda: 2)
+    started = []
+
+    class RecordingPool(ProcessPoolExecutor):
+        def __init__(self, max_workers):
+            started.append(max_workers)
+            super().__init__(max_workers=max_workers)
+
+    monkeypatch.setattr(analysis, "ProcessPoolExecutor", RecordingPool)
+    seq_rows, seq_summary = run_sweep([1], jobs=1)
+    assert started == []
+    par_rows, par_summary = run_sweep([1], jobs=2)
+    assert started == [2]
+    assert par_rows == seq_rows
+    assert par_summary == seq_summary
 
 
 def test_sweep_workers_caps_the_pool(monkeypatch):

@@ -7,18 +7,20 @@ from pathlib import Path
 
 import pytest
 
+from r2subfield import codegen
 from r2subfield.algebra import from_basis_coords, r2_dot, trace
 from r2subfield.analysis import FAMILIES, spec_for_family
 from r2subfield.codegen import (
     BRUTE_FORCE_M_CAP,
-    CodePipeline,
     CodeSummary,
     DefiningSetSpec,
     DegenerateConfigurationError,
     InvariantError,
     build_defining_set,
     charsum_message_weights,
+    code_rows,
     code_words,
+    code_words_from_rows,
     codeword,
     generator_matrix_subfield,
     message_weights,
@@ -266,7 +268,7 @@ def test_code_summary_as_dict():
     }
 
 
-def test_pipeline_rows_match_reference_route():
+def test_code_rows_match_reference_route():
     # every configuration of all nine families at m <= 3: same length, same
     # rows, same column order as R-vectors -> trace masks -> transposition
     compared = 0
@@ -280,29 +282,29 @@ def test_pipeline_rows_match_reference_route():
                         masks = subfield_defining_set(build_defining_set(s), m)
                         if not masks:
                             with pytest.raises(DegenerateConfigurationError):
-                                CodePipeline(s)
+                                code_rows(s)
                             continue
-                        code = CodePipeline(s)
-                        assert code.n == len(masks), s
-                        assert code.rows == subfield_generator_rows(masks, m), s
+                        n, rows = code_rows(s)
+                        assert n == len(masks), s
+                        assert rows == subfield_generator_rows(masks, m), s
                         compared += 1
     assert compared == 4326
 
 
-def test_pipeline_stages_agree_with_the_stage_functions():
+def test_spec_functions_compose_the_stages():
     for s, expected in frozen_cases():
-        code = CodePipeline(s)
-        assert code.message_weights == message_weights_from_rows(code.rows, s.m)
-        assert code.message_weights is code.message_weights  # computed once
-        assert code.summary == expected
-        assert message_weights(s) == code.message_weights
-        assert code.words() == code_words(s)
+        n, rows = code_rows(s)
+        weights = message_weights_from_rows(rows, s.m)
+        assert summarize_message_weights(weights, n, s.m) == expected
+        assert message_weights(s) == weights
+        assert weight_distribution_bruteforce(s) == expected
+        assert code_words(s) == code_words_from_rows(rows, n)
 
 
 def test_charsum_table_equals_enumeration_and_single_messages():
     for s, _ in frozen_cases():
         table = charsum_message_weights(s)
-        assert table == CodePipeline(s).message_weights
+        assert table == message_weights(s)
         m = s.m
         low = (1 << m) - 1
         assert table == [
@@ -312,34 +314,47 @@ def test_charsum_table_equals_enumeration_and_single_messages():
 
 def test_charsum_check_rejects_corrupted_table():
     for s, _ in frozen_cases():
-        weights = CodePipeline(s).message_weights
+        weights = message_weights(s)
         for v in (0, 1, len(weights) - 1):
             corrupted = list(weights)
             corrupted[v] += 1
             assert charsum_message_weights(s) != corrupted, (s, v)
 
 
-def test_charsum_check_rejects_wrong_spectrum_entry():
+def with_wrong_entry(i, j, delta):
+    """``spectrum`` with entry j of the i-th complex's spectrum off by delta."""
+    calls = []
+
+    def wrong_spectrum(part):
+        values = spectrum(part)
+        if len(calls) % 3 == i:
+            values[j] += delta
+        calls.append(part)
+        return values
+
+    return wrong_spectrum
+
+
+def test_charsum_check_rejects_wrong_spectrum_entry(monkeypatch):
     for s, _ in frozen_cases():
-        weights = CodePipeline(s).message_weights
+        weights = message_weights(s)
         spectra = [spectrum(part) for part in s.parts]
-        assert charsum_message_weights(s, tuple(spectra)) == weights
+        # every spectrum value at 0 is nonzero here, so entry j of any one
+        # spectrum reaches the weight of some message
+        assert all(values[0] for values in spectra), s
         for i in range(3):
             for j in (0, len(spectra[i]) - 1):
-                wrong = [list(values) for values in spectra]
-                # every spectrum value at 0 is nonzero here, so entry j of
-                # any one spectrum reaches the weight of some message
-                assert all(values[0] for values in spectra), s
-                wrong[i][j] += 2
-                assert charsum_message_weights(s, tuple(wrong)) != weights, (s, i, j)
+                with monkeypatch.context() as patch:
+                    patch.setattr(codegen, "spectrum", with_wrong_entry(i, j, 2))
+                    assert charsum_message_weights(s) != weights, (s, i, j)
+        assert charsum_message_weights(s) == weights
     # M = N = {} makes every S2 and S3 value 1, so an S1 entry off by one
     # makes 2 * weight odd: the parity check fires instead of a mismatch
     s = spec(2, 2, (1,), (), ())
-    s1, s2, s3 = (spectrum(part) for part in s.parts)
-    assert set(s2) == set(s3) == {1}
-    s1[3] += 1
+    assert set(spectrum(s.d2)) == set(spectrum(s.d3)) == {1}
+    monkeypatch.setattr(codegen, "spectrum", with_wrong_entry(0, 3, 1))
     with pytest.raises(InvariantError):
-        charsum_message_weights(s, (s1, s2, s3))
+        charsum_message_weights(s)
 
 
 def test_invariant_checks_survive_optimize_flag():

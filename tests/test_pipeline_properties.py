@@ -1,7 +1,7 @@
-"""Property tests at m = 4 and 5: the pipeline against the reference route.
+"""Property tests at m = 4 and 5: the production route against the reference route.
 
-Random (family, L, M, N) draws compare the pipeline's generator rows, its
-Gray-walk message-weight table and the spectral character-sum table against
+Random (family, L, M, N) draws compare the generator rows of
+:func:`code_rows`, the Gray-walk message-weight table and the spectral character-sum table against
 the literal construction (R-vectors, trace masks, transposition) and the
 single-message :func:`weight_via_charsum`.  Skipped when hypothesis is not
 installed.
@@ -16,11 +16,12 @@ from hypothesis import strategies as st  # noqa: E402
 
 from r2subfield.analysis import FAMILIES, spec_for_family  # noqa: E402
 from r2subfield.codegen import (  # noqa: E402
-    CodePipeline,
     DegenerateConfigurationError,
     build_defining_set,
     charsum_message_weights,
+    code_rows,
     codeword,
+    message_weights_from_rows,
     subfield_defining_set,
     subfield_generator_rows,
     weight_via_charsum,
@@ -40,13 +41,13 @@ def check_against_reference(config, messages):
     )
     masks = subfield_defining_set(build_defining_set(spec), m)
     try:
-        code = CodePipeline(spec)
+        n, rows = code_rows(spec)
     except DegenerateConfigurationError:
         assert not masks
         return
-    assert code.n == len(masks)
-    assert code.rows == subfield_generator_rows(masks, m)
-    table = code.message_weights
+    assert n == len(masks)
+    assert rows == subfield_generator_rows(masks, m)
+    table = message_weights_from_rows(rows, m)
     low = (1 << m) - 1
     for v in messages:
         assert table[v] == codeword(v & low, v >> m & low, v >> 2 * m, masks, m).bit_count()
@@ -58,11 +59,11 @@ def check_against_reference(config, messages):
 
 @settings(max_examples=25, deadline=None, database=None)
 @given(configurations(4), st.lists(st.integers(min_value=0, max_value=(1 << 12) - 1), max_size=8))
-def test_pipeline_matches_reference_m4(config, messages):
+def test_code_rows_match_reference_m4(config, messages):
     check_against_reference(config, messages)
 
 
 @settings(max_examples=6, deadline=None, database=None)
 @given(configurations(5), st.lists(st.integers(min_value=0, max_value=(1 << 15) - 1), max_size=3))
-def test_pipeline_matches_reference_m5(config, messages):
+def test_code_rows_match_reference_m5(config, messages):
     check_against_reference(config, messages)
