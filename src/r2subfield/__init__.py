@@ -11,7 +11,6 @@ Griesmer optimality, minimality, and self-orthogonality.
 
 from .algebra import (
     f2_gram_is_zero,
-    f2_rank,
     from_basis_coords,
     r2_add,
     r2_dot,
@@ -46,8 +45,7 @@ from .codegen import (
     min_distance,
     subfield_defining_set,
     weight_distribution_bruteforce,
-    weight_via_charsum,
 )
-from .simplicial import ComplexSpec, FacetFamily, Subset, char_sum, complex_size, enumerate_members
+from .simplicial import ComplexSpec, Subset, char_sum, complex_size, enumerate_members, subset
 
 __version__ = "0.1.0"

@@ -33,15 +33,11 @@ __all__ = [
     "BASIS",
     "r2_add",
     "r2_mul",
-    "r2_neg",
     "trace",
     "to_basis_coords",
     "from_basis_coords",
     "trace_triple",
     "r2_dot",
-    "r2_format",
-    "r2_vector_encode",
-    "f2_rank",
     "f2_row_basis",
     "f2_gram_is_zero",
 ]
@@ -60,10 +56,6 @@ BASIS = (E1, E2, E3)
 def r2_add(x: int, y: int) -> int:
     """Sum in R; characteristic 2, so this is XOR of packed coefficients."""
     return x ^ y
-
-
-def r2_neg(x: int) -> int:
-    return x
 
 
 def _mul_raw(x: int, y: int) -> int:
@@ -128,57 +120,6 @@ def r2_dot(xs: Sequence[int], ys: Sequence[int]) -> int:
     for x, y in zip(xs, ys):
         acc ^= _MUL[x][y]
     return acc
-
-
-_TERM = ("1", "u", "u^2")
-
-
-def r2_format(x: int) -> str:
-    """Human-readable form of a packed element, e.g. ``1+u^2``."""
-    if not 0 <= x <= 7:
-        raise ValueError(f"not an element code: {x!r}")
-    if x == 0:
-        return "0"
-    return "+".join(_TERM[i] for i in range(3) if x >> i & 1)
-
-
-def r2_vector_encode(vec: Sequence[int]) -> int:
-    """Rank of an R-vector in the lexicographic-by-coordinate order.
-
-    Coordinate 1 is the least significant base-8 digit, matching the bit
-    order used for binary vectors.
-    """
-    acc = 0
-    for i, x in enumerate(vec):
-        if not 0 <= x <= 7:
-            raise ValueError(f"not an element code: {x!r}")
-        acc |= x << (3 * i)
-    return acc
-
-
-def f2_rank(rows: Sequence[int], ncols: int) -> int:
-    """Rank over F2 of a matrix given as row bitmasks.
-
-    Plain Gaussian elimination, pivot columns scanned in increasing bit
-    position; rows are consumed top to bottom so the result is deterministic
-    for any input order.
-    """
-    work = [r for r in rows if r]
-    for r in work:
-        if r >> ncols:
-            raise ValueError(f"row 0b{r:b} exceeds {ncols} columns")
-    rank = 0
-    for col in range(ncols):
-        bit = 1 << col
-        pivot = next((i for i in range(rank, len(work)) if work[i] & bit), None)
-        if pivot is None:
-            continue
-        work[rank], work[pivot] = work[pivot], work[rank]
-        for i in range(len(work)):
-            if i != rank and work[i] & bit:
-                work[i] ^= work[rank]
-        rank += 1
-    return rank
 
 
 def f2_row_basis(rows: Sequence[int], ncols: int) -> list[int]:

@@ -379,16 +379,15 @@ def table10_conditions(family: int, m: int, sl: int, sm: int, sn: int) -> Suffic
     return SufficiencyConditions(s <= 3 * m - 2, s >= 3)
 
 
-def _evaluate(family: int, lset: Subset, mset: Subset, nset: Subset,
-              minimality: str, check_charsum: bool):
+def _evaluate(family: int, spec: DefiningSetSpec, claimed_only: bool):
     """Full pipeline for one configuration: measured code, predictions, flags.
 
-    Returns (report, extras) where ``report`` follows the stable JSON layout
-    of the CLI and ``extras`` carries sweep-only verification bits.
+    Exact minimality is decided up to :data:`MINIMALITY_CAP` codewords, and
+    with ``claimed_only`` only where the catalogued condition claims it.
+    Returns the report, in the stable JSON layout of the CLI, and the
+    Gray-walk weight of every message.
     """
-    if minimality not in ("auto", "when_claimed", "never"):
-        raise ValueError(f"bad minimality policy {minimality!r}")
-    spec = spec_for_family(family, lset, mset, nset)
+    lset, mset, nset = (part.generator for part in spec.parts)
     m = spec.m
     n, rows = code_rows(spec)
     weights_by_message = message_weights_from_rows(rows, m)
@@ -404,9 +403,8 @@ def _evaluate(family: int, lset: Subset, mset: Subset, nset: Subset,
 
     conditions = table10_conditions(family, m, lset.size, mset.size, nset.size)
     minimal_ab = ashikhmin_barg_minimal(measured.weights)
-    wanted = minimality == "auto" or (minimality == "when_claimed" and conditions.minimal)
     minimal_exact = None
-    if wanted and (1 << measured.k) <= MINIMALITY_CAP:
+    if (conditions.minimal or not claimed_only) and (1 << measured.k) <= MINIMALITY_CAP:
         minimal_exact = exact_minimality(code_words_from_rows(rows, n), n)
     opt = None if family == 8 else optimality_condition(family, m, lset.size, mset.size, nset.size)
 
@@ -441,22 +439,19 @@ def _evaluate(family: int, lset: Subset, mset: Subset, nset: Subset,
         },
         "match": match,
     }
-
-    charsum_ok = None
-    if check_charsum:
-        charsum_ok = charsum_message_weights(spec) == weights_by_message
-    extras = {"charsum_ok": charsum_ok}
-    return report, extras
+    return report, weights_by_message
 
 
-def code_report(family: int, lset: Subset, mset: Subset, nset: Subset,
-                minimality: str = "auto") -> dict:
+def code_report(family: int, lset: Subset, mset: Subset, nset: Subset) -> dict:
     """The full report for one configuration (stable field layout).
 
-    Raises :class:`DegenerateConfigurationError` when the configuration
-    yields an empty or zero-dimensional code.
+    Exact minimality is decided whenever the code has at most
+    :data:`MINIMALITY_CAP` codewords.  Raises
+    :class:`DegenerateConfigurationError` when the configuration yields an
+    empty or zero-dimensional code.
     """
-    report, _ = _evaluate(family, lset, mset, nset, minimality, check_charsum=False)
+    spec = spec_for_family(family, lset, mset, nset)
+    report, _ = _evaluate(family, spec, claimed_only=False)
     return report
 
 
@@ -488,9 +483,9 @@ def sweep_configuration(family: int, m: int, lmask: int, mmask: int, nmask: int)
         "ab_implication_ok": None,
         "detail": "",
     }
-    policy = "auto" if m <= 2 else "when_claimed"
+    spec = spec_for_family(family, lset, mset, nset)
     try:
-        report, extras = _evaluate(family, lset, mset, nset, policy, check_charsum=True)
+        report, weights_by_message = _evaluate(family, spec, claimed_only=m > 2)
     except DegenerateConfigurationError as exc:
         row["status"] = "degenerate"
         row["detail"] = str(exc)
@@ -498,7 +493,7 @@ def sweep_configuration(family: int, m: int, lmask: int, mmask: int, nmask: int)
     flags = report["flags"]
     row["n"], row["k"], row["d"] = report["n"], report["k"], report["d"]
     row["match"] = report["match"]
-    row["charsum_ok"] = extras["charsum_ok"]
+    row["charsum_ok"] = charsum_message_weights(spec) == weights_by_message
     if not report["match"]:
         row["status"] = "mismatch"
         predicted = report["predicted"]

@@ -288,6 +288,13 @@ def _load_manifest(path: str | None) -> list[tuple[int, int, str, str, str, int,
             )
         rows = []
         for record in reader:
+            # DictReader files a long row's extra fields under None and fills
+            # a short row's missing fields with None.
+            if None in record or None in record.values():
+                raise ValueError(
+                    f"manifest line {reader.line_num} must have "
+                    f"{len(MANIFEST_HEADER)} fields"
+                )
             rows.append(
                 (
                     int(record["family"]), int(record["m"]),

@@ -60,7 +60,7 @@ from dataclasses import dataclass
 from collections.abc import Mapping, Sequence
 
 from .algebra import from_basis_coords, trace_triple
-from .simplicial import ComplexSpec, char_sum, complex_size, enumerate_members, spectrum
+from .simplicial import ComplexSpec, complex_size, enumerate_members, spectrum
 
 __all__ = [
     "BRUTE_FORCE_M_CAP",
@@ -74,14 +74,12 @@ __all__ = [
     "subfield_generator_rows",
     "generator_matrix_subfield",
     "codeword",
-    "message_weights",
     "message_weights_from_rows",
     "summarize_message_weights",
     "weight_distribution_bruteforce",
     "code_words",
     "code_words_from_rows",
     "charsum_message_weights",
-    "weight_via_charsum",
     "min_distance",
 ]
 
@@ -394,12 +392,6 @@ def code_words_from_rows(rows: Sequence[int], ncols: int) -> list[int]:
     return words
 
 
-def message_weights(spec: DefiningSetSpec) -> list[int]:
-    """Weights of all 2^(3m) messages of the code defined by ``spec``."""
-    _, rows = code_rows(spec)
-    return message_weights_from_rows(rows, spec.m)
-
-
 def weight_distribution_bruteforce(spec: DefiningSetSpec) -> CodeSummary:
     """Exact parameters of the code by enumerating all 2^(3m) messages."""
     n, rows = code_rows(spec)
@@ -412,64 +404,39 @@ def code_words(spec: DefiningSetSpec) -> list[int]:
     return code_words_from_rows(rows, n)
 
 
-def _charsum_weights(
-    spec: DefiningSetSpec, s1: Sequence[int], s23: int, zero_first: bool = False
-) -> list[int]:
-    """Weights (|D| - s * s23) / 2 for s in ``s1``: the character-sum identity.
-
-    ``s23`` is S2[beta + gamma] * S3[beta] of the messages, whose S1[alpha]
-    values are ``s1``.  For a global complement the product enters with the
-    opposite sign, and the zero message (``s1[0]`` when ``zero_first``)
-    subtracts 2^(3m): the character sum over all of R^m.
-    """
-    base = complex_size(spec.d1) * complex_size(spec.d2) * complex_size(spec.d3)
-    if spec.global_complement:
-        size = (1 << (3 * spec.m)) - base
-        doubled = [size + s * s23 for s in s1]
-        if zero_first:
-            doubled[0] -= 1 << (3 * spec.m)
-    else:
-        doubled = [base - s * s23 for s in s1]
-    if any(d & 1 for d in doubled):
-        raise InvariantError("character sum parity broken")
-    return [d >> 1 for d in doubled]
-
-
 def charsum_message_weights(spec: DefiningSetSpec) -> list[int]:
     """Weight of every message by the character-sum identity, no enumeration.
 
-    Indexed like :func:`message_weights_from_rows`.  For fixed (beta, gamma)
-    the 2^m messages alpha form one contiguous slice, which depends only on
-    S2[beta + gamma] * S3[beta]; each distinct product is evaluated once.
+    Indexed like :func:`message_weights_from_rows`.  Message (alpha, beta,
+    gamma) has weight (|D| - S1[alpha] * S2[beta + gamma] * S3[beta]) / 2.
+    For a global complement the product enters with the opposite sign, and
+    the zero message also subtracts 2^(3m) / 2: the character sum over all of
+    R^m.  For fixed (beta, gamma) the 2^m messages alpha form one contiguous
+    slice, which depends only on S2[beta + gamma] * S3[beta]; each distinct
+    product is evaluated once.
     """
     s1, s2, s3 = (spectrum(part) for part in spec.parts)
-    full = 1 << spec.m
-    table = _charsum_weights(spec, s1, s2[0] * s3[0], zero_first=True)
+    m = spec.m
+    low = (1 << m) - 1
+    size = complex_size(spec.d1) * complex_size(spec.d2) * complex_size(spec.d3)
+    sign = -1
+    if spec.global_complement:
+        size, sign = (1 << (3 * m)) - size, 1
     slices: dict[int, list[int]] = {}
-    for v in range(1, full * full):
-        beta, gamma = v & (full - 1), v >> spec.m
-        s23 = s2[beta ^ gamma] * s3[beta]
+    table: list[int] = []
+    for v in range(1 << (2 * m)):
+        beta, gamma = v & low, v >> m
+        s23 = sign * s2[beta ^ gamma] * s3[beta]
         part = slices.get(s23)
         if part is None:
-            part = slices[s23] = _charsum_weights(spec, s1, s23)
+            doubled = [size + s * s23 for s in s1]
+            if any(d & 1 for d in doubled):
+                raise InvariantError("character sum parity broken")
+            part = slices[s23] = [d >> 1 for d in doubled]
         table += part
+    if spec.global_complement:
+        table[0] -= 1 << (3 * m - 1)
     return table
-
-
-def weight_via_charsum(alpha: int, beta: int, gamma: int, spec: DefiningSetSpec) -> int:
-    """Codeword weight of one message from the character-sum identity.
-
-    wt = (|D| - T) / 2 with T the product of the three complex character
-    sums at (alpha, beta + gamma, beta); for a global complement T is
-    replaced by 2^(3m) * [message == 0] minus that product.
-    """
-    full = 1 << spec.m
-    for name, part in (("alpha", alpha), ("beta", beta), ("gamma", gamma)):
-        if not 0 <= part < full:
-            raise ValueError(f"{name} out of range for F2^{spec.m}: {part}")
-    s23 = char_sum(spec.d2, beta ^ gamma) * char_sum(spec.d3, beta)
-    zero = not (alpha or beta or gamma)
-    return _charsum_weights(spec, [char_sum(spec.d1, alpha)], s23, zero_first=zero)[0]
 
 
 def min_distance(weights: Mapping[int, int]) -> int:

@@ -11,8 +11,7 @@ character sums:
     sum_{v not in Delta_L} (-1)^(w . v)    = 2^m * [w == 0] - 2^|L| * phi(w | L)
 
 where phi(w | L) = prod_{i in L} (1 - w_i) is 1 when the support of w avoids
-L and 0 otherwise.  Multi-facet complexes only appear through their
-generating function, evaluated by inclusion-exclusion over facet subsets.
+L and 0 otherwise.
 
 Vectors are bitmask ints (coordinate i in bit i - 1, so coordinate 1 is the
 least significant bit) as in :mod:`r2subfield.algebra`.
@@ -22,19 +21,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations
-from collections.abc import Sequence
 
 __all__ = [
     "Subset",
+    "subset",
     "ComplexSpec",
-    "FacetFamily",
     "enumerate_members",
     "phi",
     "char_sum",
     "spectrum",
     "complex_size",
-    "generating_function_eval",
 ]
 
 
@@ -147,46 +143,3 @@ def spectrum(spec: ComplexSpec) -> list[int]:
     """The character sum of the complex at every w in F2^m, indexed by w."""
     return [char_sum(spec, w) for w in range(1 << spec.m)]
 
-
-@dataclass(frozen=True)
-class FacetFamily:
-    """A simplicial complex on {1..m} given by its list of facets.
-
-    Facets must be pairwise incomparable under inclusion (each is maximal);
-    a single empty facet is allowed and describes the complex {0}.
-    """
-
-    m: int
-    facets: tuple[Subset, ...]
-
-    def __post_init__(self) -> None:
-        if not isinstance(self.facets, tuple):
-            object.__setattr__(self, "facets", tuple(self.facets))
-        for f in self.facets:
-            if f.m != self.m:
-                raise ValueError(f"facet {f} has ground set size {f.m}, expected {self.m}")
-        for a, b in combinations(self.facets, 2):
-            if a.members <= b.members or b.members <= a.members:
-                raise ValueError(f"facets {a} and {b} are nested; facets must be maximal")
-
-
-def generating_function_eval(family: FacetFamily, point: Sequence[int]) -> int:
-    """Evaluate H(y1, ..., ym) = sum over faces v of prod_{i in supp(v)} y_i.
-
-    Computed by inclusion-exclusion over nonempty subsets S of the facet
-    list:  sum (-1)^(|S|+1) prod_{i in intersection(S)} (1 + y_i).
-    At y = (1, ..., 1) this counts the faces, zero vector included.
-    """
-    if len(point) != family.m:
-        raise ValueError(f"point has {len(point)} coordinates, expected {family.m}")
-    facets = family.facets
-    total = 0
-    for r in range(1, len(facets) + 1):
-        sign = 1 if r & 1 else -1
-        for chosen in combinations(facets, r):
-            common = frozenset.intersection(*(f.members for f in chosen))
-            prod = 1
-            for i in common:
-                prod *= 1 + point[i - 1]
-            total += sign * prod
-    return total

@@ -23,6 +23,7 @@ from r2subfield.analysis import (
     self_orth_mod4,
     spec_for_family,
     summarize_sweep,
+    sweep_configuration,
     sweep_workers,
     table10_conditions,
 )
@@ -215,6 +216,28 @@ def test_code_report_family8_optimality_flag_is_none():
 def test_code_report_degenerate():
     with pytest.raises(DegenerateConfigurationError):
         code_report(1, subset(2), subset(2), subset(2))
+
+
+def test_exact_minimality_policy(monkeypatch):
+    # the sweep decides minimality everywhere at m <= 2 and above that only
+    # where Table 10 claims it; code_report decides it up to the cap
+    calls = []
+
+    def counting(codewords, n):
+        calls.append(n)
+        return exact_minimality(codewords, n)
+
+    monkeypatch.setattr(analysis, "exact_minimality", counting)
+    assert not table10_conditions(2, 2, 1, 0, 0).minimal
+    assert sweep_configuration(2, 2, 0b1, 0, 0)["status"] == "ok"
+    assert len(calls) == 1
+    calls.clear()
+    assert not table10_conditions(2, 3, 2, 0, 0).minimal
+    assert sweep_configuration(2, 3, 0b11, 0, 0)["status"] == "ok"
+    assert calls == []
+    report = code_report(2, subset(3, 1, 2), subset(3), subset(3))
+    assert len(calls) == 1
+    assert report["flags"]["minimal_exact"] is not None
 
 
 def test_run_sweep_m1_tallies():

@@ -208,6 +208,19 @@ def test_scan_rejects_bad_header(tmp_path, capsys):
     assert "error:" in err
 
 
+@pytest.mark.parametrize(
+    "row", ["2,3,1", "2,3,1,\"1,2\",\"1,2,3\",192,8,96,0"], ids=["short", "long"]
+)
+def test_scan_rejects_row_with_wrong_field_count(tmp_path, capsys, row):
+    path = tmp_path / "bad.csv"
+    good = "2,3,1,\"1,2\",\"1,2,3\",192,8,96"
+    path.write_text("\n".join([",".join(MANIFEST_HEADER), good, row]) + "\n", encoding="utf-8")
+    rc, out, err = run_cli(capsys, "scan", "--manifest", str(path))
+    assert rc == 2
+    assert out == ""
+    assert "manifest line 3 must have 8 fields" in err
+
+
 def test_scan_missing_manifest_exits_2(tmp_path, capsys):
     rc, _, err = run_cli(capsys, "scan", "--manifest", str(tmp_path / "nope.csv"))
     assert rc == 2

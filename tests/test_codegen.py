@@ -23,14 +23,12 @@ from r2subfield.codegen import (
     code_words_from_rows,
     codeword,
     generator_matrix_subfield,
-    message_weights,
     message_weights_from_rows,
     min_distance,
     subfield_defining_set,
     subfield_generator_rows,
     summarize_message_weights,
     weight_distribution_bruteforce,
-    weight_via_charsum,
 )
 from r2subfield.simplicial import ComplexSpec, Subset, complex_size, spectrum, subset
 
@@ -39,6 +37,11 @@ def spec(family, m, lmembers, mmembers, nmembers):
     return spec_for_family(
         family, subset(m, *lmembers), subset(m, *mmembers), subset(m, *nmembers)
     )
+
+
+def gray_walk(s):
+    """The Gray-walk weight of every message of the code defined by ``s``."""
+    return message_weights_from_rows(code_rows(s)[1], s.m)
 
 
 def test_defining_set_spec_validation():
@@ -203,7 +206,9 @@ def test_all_zero_defining_set_is_degenerate():
 def test_m_cap_enforced():
     s = spec(1, BRUTE_FORCE_M_CAP + 1, (1,), (), ())
     with pytest.raises(ValueError):
-        message_weights(s)
+        code_rows(s)
+    with pytest.raises(ValueError):
+        message_weights_from_rows([0] * (3 * s.m), s.m)
     with pytest.raises(ValueError):
         code_words(s)
 
@@ -221,32 +226,6 @@ def test_code_words_matches_message_image():
         assert len(words) == len(set(words)) == 1 << expected.k
         assert set(words) == image
         assert words[0] == 0
-
-
-def test_weight_via_charsum_equals_enumeration():
-    cases = [
-        spec(1, 2, (1,), (2,), (1, 2)),
-        spec(2, 2, (1,), (2,), ()),
-        spec(3, 2, (1, 2), (1,), (2,)),
-        spec(4, 2, (), (1,), (2,)),
-        spec(5, 2, (1,), (), (2,)),
-        spec(6, 2, (1,), (2,), (1,)),
-        spec(7, 2, (2,), (1,), ()),
-        spec(8, 2, (), (), ()),
-        spec(9, 2, (1, 2), (1, 2), ()),
-    ]
-    for s in cases:
-        masks = subfield_defining_set(build_defining_set(s), s.m)
-        for alpha in range(4):
-            for beta in range(4):
-                for gamma in range(4):
-                    enumerated = codeword(alpha, beta, gamma, masks, s.m).bit_count()
-                    assert weight_via_charsum(alpha, beta, gamma, s) == enumerated
-
-
-def test_weight_via_charsum_validates_ranges():
-    with pytest.raises(ValueError):
-        weight_via_charsum(4, 0, 0, spec(1, 2, (1,), (), ()))
 
 
 def test_min_distance():
@@ -296,25 +275,36 @@ def test_spec_functions_compose_the_stages():
         n, rows = code_rows(s)
         weights = message_weights_from_rows(rows, s.m)
         assert summarize_message_weights(weights, n, s.m) == expected
-        assert message_weights(s) == weights
         assert weight_distribution_bruteforce(s) == expected
         assert code_words(s) == code_words_from_rows(rows, n)
 
 
-def test_charsum_table_equals_enumeration_and_single_messages():
-    for s, _ in frozen_cases():
-        table = charsum_message_weights(s)
-        assert table == message_weights(s)
+def test_charsum_table_equals_enumeration():
+    # the frozen cases plus one m = 2 configuration of every family
+    cases = [s for s, _ in frozen_cases()] + [
+        spec(1, 2, (1,), (2,), (1, 2)),
+        spec(2, 2, (1,), (2,), ()),
+        spec(3, 2, (1, 2), (1,), (2,)),
+        spec(4, 2, (), (1,), (2,)),
+        spec(5, 2, (1,), (), (2,)),
+        spec(6, 2, (1,), (2,), (1,)),
+        spec(7, 2, (2,), (1,), ()),
+        spec(8, 2, (), (), ()),
+        spec(9, 2, (1, 2), (1, 2), ()),
+    ]
+    for s in cases:
         m = s.m
         low = (1 << m) - 1
-        assert table == [
-            weight_via_charsum(v & low, v >> m & low, v >> 2 * m, s) for v in range(1 << 3 * m)
-        ]
+        masks = subfield_defining_set(build_defining_set(s), m)
+        assert charsum_message_weights(s) == [
+            codeword(v & low, v >> m & low, v >> 2 * m, masks, m).bit_count()
+            for v in range(1 << 3 * m)
+        ], s
 
 
 def test_charsum_check_rejects_corrupted_table():
     for s, _ in frozen_cases():
-        weights = message_weights(s)
+        weights = gray_walk(s)
         for v in (0, 1, len(weights) - 1):
             corrupted = list(weights)
             corrupted[v] += 1
@@ -337,7 +327,7 @@ def with_wrong_entry(i, j, delta):
 
 def test_charsum_check_rejects_wrong_spectrum_entry(monkeypatch):
     for s, _ in frozen_cases():
-        weights = message_weights(s)
+        weights = gray_walk(s)
         spectra = [spectrum(part) for part in s.parts]
         # every spectrum value at 0 is nonzero here, so entry j of any one
         # spectrum reaches the weight of some message

@@ -1,17 +1,13 @@
-"""Unit tests for subsets, complexes, character sums, generating functions."""
-
-from itertools import combinations
+"""Unit tests for subsets, complexes and character sums."""
 
 import pytest
 
 from r2subfield.simplicial import (
     ComplexSpec,
-    FacetFamily,
     Subset,
     char_sum,
     complex_size,
     enumerate_members,
-    generating_function_eval,
     phi,
     spectrum,
     subset,
@@ -128,54 +124,3 @@ def test_spectrum_lists_every_char_sum():
 def test_char_sum_input_validation():
     with pytest.raises(ValueError):
         char_sum(ComplexSpec(subset(2, 1)), 0b100)
-
-
-def test_facet_family_validation():
-    FacetFamily(3, (subset(3, 1, 2), subset(3, 2, 3)))
-    with pytest.raises(ValueError):
-        FacetFamily(3, (subset(3, 1), subset(3, 1, 2)))
-    with pytest.raises(ValueError):
-        FacetFamily(3, (subset(2, 1),))
-
-
-def test_generating_function_counts_faces_at_ones():
-    # H(1, ..., 1) is the number of faces; the complex generated by facets
-    # is the union of the downward closures
-    for m in range(1, 4):
-        all_subsets = [
-            frozenset(c) for r in range(m + 1) for c in combinations(range(1, m + 1), r)
-        ]
-        for f1 in all_subsets:
-            for f2 in all_subsets:
-                if f1 <= f2 or f2 <= f1:
-                    continue
-                family = FacetFamily(m, (Subset(m, f1), Subset(m, f2)))
-                faces = {g for g in all_subsets if g <= f1 or g <= f2}
-                point = (1,) * m
-                assert generating_function_eval(family, point) == len(faces)
-
-
-def test_generating_function_examples():
-    family = FacetFamily(2, (subset(2, 1), subset(2, 2)))
-    assert generating_function_eval(family, (1, 1)) == 3  # {}, {1}, {2}
-    assert generating_function_eval(family, (0, 0)) == 1  # only the empty face
-    # single empty facet: the complex {0}
-    trivial = FacetFamily(2, (subset(2),))
-    assert generating_function_eval(trivial, (1, 1)) == 1
-    with pytest.raises(ValueError):
-        generating_function_eval(family, (1,))
-
-
-def test_generating_function_matches_literal_sum():
-    family = FacetFamily(3, (subset(3, 1, 2), subset(3, 3)))
-    faces = [
-        frozenset(), frozenset({1}), frozenset({2}), frozenset({1, 2}), frozenset({3}),
-    ]
-    for point in ((1, 2, 3), (2, 0, 5), (1, 1, 1)):
-        literal = 0
-        for face in faces:
-            prod = 1
-            for i in face:
-                prod *= point[i - 1]
-            literal += prod
-        assert generating_function_eval(family, point) == literal
