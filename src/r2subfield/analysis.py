@@ -32,6 +32,7 @@ from typing import NamedTuple
 
 from .algebra import f2_gram_is_zero
 from .codegen import (
+    CodeSummary,
     DefiningSetSpec,
     DegenerateConfigurationError,
     InvariantError,
@@ -399,7 +400,7 @@ def _evaluate(family: int, spec: DefiningSetSpec, claimed_only: bool):
         raise InvariantError(
             "prediction says degenerate but enumeration found a nontrivial code"
         ) from None
-    match = (pn, pk, ptable) == (measured.n, measured.k, dict(measured.weights))
+    predicted = CodeSummary(n=pn, k=pk, d=min_distance(ptable), weights=ptable)
 
     conditions = table10_conditions(family, m, lset.size, mset.size, nset.size)
     minimal_ab = ashikhmin_barg_minimal(measured.weights)
@@ -414,16 +415,8 @@ def _evaluate(family: int, spec: DefiningSetSpec, claimed_only: bool):
         "L": str(lset),
         "M": str(mset),
         "N": str(nset),
-        "n": measured.n,
-        "k": measured.k,
-        "d": measured.d,
-        "weights": [{"w": w, "count": c} for w, c in sorted(measured.weights.items())],
-        "predicted": {
-            "n": pn,
-            "k": pk,
-            "d": min_distance(ptable),
-            "weights": [{"w": w, "count": c} for w, c in sorted(ptable.items())],
-        },
+        **measured.as_dict(),
+        "predicted": predicted.as_dict(),
         "flags": {
             "griesmer_equal": is_griesmer_code(measured.n, measured.k, measured.d),
             "distance_optimal_by_griesmer": distance_optimal_by_griesmer(
@@ -437,7 +430,7 @@ def _evaluate(family: int, spec: DefiningSetSpec, claimed_only: bool):
             "table10_minimal": conditions.minimal,
             "table10_self_orth": conditions.self_orthogonal,
         },
-        "match": match,
+        "match": predicted == measured,
     }
     return report, weights_by_message
 

@@ -11,10 +11,10 @@ Four commands:
 * ``tables``  -- instantiate a family's predicted weight table from the three
                  subset cardinalities alone.
 
-Global flags on every command: ``--format json|csv|md``, ``--jobs N``,
-``--out PATH``.  Subsets are written as comma-separated 1-based indices, or
-``-`` for the empty set.  Exit codes: 0 all checks pass, 1 at least one
-mismatch, 2 invalid input or degenerate configuration.
+Global flags on every command: ``--format json|csv|md`` and ``--out PATH``;
+``verify`` also takes ``--jobs N``.  Subsets are written as comma-separated
+1-based indices, or ``-`` for the empty set.  Exit codes: 0 all checks pass,
+1 at least one mismatch, 2 invalid input or degenerate configuration.
 """
 
 from __future__ import annotations
@@ -113,6 +113,8 @@ def _parse_int_list(text: str, what: str) -> tuple[int, ...]:
         raise ValueError(f"bad {what} list {text!r}") from None
     if not values:
         raise ValueError(f"empty {what} list")
+    if len(set(values)) != len(values):
+        raise ValueError(f"repeated value in {what} list {text!r}")
     return values
 
 
@@ -445,10 +447,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_common(p: argparse.ArgumentParser) -> None:
         p.add_argument("--format", choices=("json", "csv", "md"), default="md")
-        p.add_argument(
-            "--jobs", type=_positive_int, default=1,
-            help="worker processes for sweeps (at most one per configuration and core)",
-        )
         p.add_argument("--out", default=None, help="write output to this path")
 
     p_code = sub.add_parser("code", help="report on a single configuration")
@@ -467,6 +465,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="sweep all configurations for given m")
     p_verify.add_argument("--m", required=True, help="m value or comma list, e.g. '2' or '2,3'")
     p_verify.add_argument("--families", default=None, help="comma list, default all")
+    p_verify.add_argument(
+        "--jobs", type=_positive_int, default=1,
+        help="worker processes (at most one per configuration and core)",
+    )
     add_common(p_verify)
     p_verify.set_defaults(func=cmd_verify)
 

@@ -31,11 +31,12 @@ each a function of its own so a caller that needs several computes each once:
   patterns of the three member lists: row j (j < m) repeats bit j of each
   d1 over a block of |D2|*|D3| columns, row 2m+j repeats bit j of each d2
   over |D3| columns and that pattern |D1| times, and row m+j is row 2m+j
-  XOR the pattern of bit j of each d3 repeated |D1|*|D2| times.  For a global complement the
-  columns are the vectors of R^m outside the product set in increasing
-  vector encoding (coordinate 1 the least significant base-8 digit); the
-  flatten map is F2-linear in that encoding, so the masks of all of R^m are
-  spanned from the images of the 3m basis vectors and transposed to rows.
+  XOR the pattern of bit j of each d3 repeated |D1|*|D2| times.  A global
+  complement (family 9) is F2^(3m) minus D1 x D2 x D3 in (d1, d2, d3)
+  coordinates, the disjoint union of three products with F = F2^m and Di'
+  the complement of Di in F: first D1' x F x F, then D1 x D2' x F, then
+  D1 x D2 x D3'.  Each piece takes its columns in the same order as a
+  family 1-8 product, after the columns of the pieces before it.
 * The weights of all 2^(3m) messages, by a Gray-code walk (one row XOR and
   one popcount per message; :func:`message_weights_from_rows`).
 * The weight distribution: the weight histogram divided by the kernel size
@@ -43,8 +44,10 @@ each a function of its own so a caller that needs several computes each once:
 
 :func:`build_defining_set`, :func:`subfield_defining_set` and
 :func:`subfield_generator_rows` are the literal construction of the paper
-(R-vectors, trace triples, transposition); they give the same columns in the
-same order and serve as the reference the tests compare :func:`code_rows` with.
+(R-vectors, trace triples, transposition) and serve as the reference the
+tests compare :func:`code_rows` with.  They give the same columns, in the
+same order for families 1-8; a global complement there runs over R^m in
+increasing vector encoding instead.
 
 The character-sum route is independent of the enumeration: the weight of
 (alpha, beta, gamma) is (|D| - S1[alpha] * S2[beta + gamma] * S3[beta]) / 2
@@ -245,14 +248,14 @@ def _repunit(width: int, times: int) -> int:
     return ((1 << (width * times)) - 1) // ((1 << width) - 1)
 
 
-def _product_rows(spec: DefiningSetSpec) -> tuple[int, list[int]]:
-    """n and the generator rows of the product set D1 x D2 x D3 (families 1-8)."""
-    m = spec.m
-    members1, members2, members3 = (enumerate_members(part) for part in spec.parts)
+def _product_rows(
+    members1: Sequence[int], members2: Sequence[int], members3: Sequence[int], m: int
+) -> tuple[int, list[int]]:
+    """n and the 3m generator rows of the product set of three member lists."""
     n1, n2, n3 = len(members1), len(members2), len(members3)
     n = n1 * n2 * n3
     if n == 0:
-        return 0, []
+        return 0, [0] * (3 * m)
     repeat2 = _repunit(n2 * n3, n1)
     repeat3 = _repunit(n3, n1 * n2)
     rows1 = [_blocks(members1, j, n2 * n3) for j in range(m)]
@@ -261,45 +264,22 @@ def _product_rows(spec: DefiningSetSpec) -> tuple[int, list[int]]:
     return n, rows1 + [r2 ^ r3 for r2, r3 in zip(rows2, rows3)] + rows2
 
 
-# _BIT_CHARS[j] maps a byte to b"1" when its bit j is set, else to b"0".
-_BIT_CHARS = tuple((b"0" * (1 << j) + b"1" * (1 << j)) * (128 >> j) for j in range(8))
+def _column_products(spec: DefiningSetSpec) -> list[tuple[list[int], list[int], list[int]]]:
+    """The defining set as disjoint products of member lists, in column order.
 
-
-def _transpose(masks: Sequence[int], nbits: int) -> list[int]:
-    """Row j = bit j of each mask, first mask lowest (as :func:`subfield_generator_rows`)."""
-    rows = []
-    for low in range(0, nbits, 8):
-        chunk = bytes([mask >> low & 255 for mask in reversed(masks)])
-        rows.extend(int(chunk.translate(_BIT_CHARS[j]), 2) for j in range(min(8, nbits - low)))
-    return rows
-
-
-def _global_complement_rows(spec: DefiningSetSpec) -> tuple[int, list[int]]:
-    """n and the generator rows of R^m minus the product set (family 9).
-
-    Columns run over increasing vector encoding, as in
-    :func:`build_defining_set`; bit 3i+t of the encoding is bit t of
-    coordinate i + 1, and the mask of each basis vector comes from
-    :func:`trace_triple`.
+    One product for families 1-8, three for a global complement (see the
+    module docstring).
     """
-    m = spec.m
-    masks = [0]
-    for i in range(m):
-        for t in range(3):
-            t1, t2, t3 = trace_triple(1 << t)
-            image = t1 << i | t2 << (m + i) | t3 << (2 * m + i)
-            masks += [mask ^ image for mask in masks]
-    members1, members2, members3 = (enumerate_members(part) for part in spec.parts)
-    product = {
-        d1 | (d2 ^ d3) << m | d2 << (2 * m)
-        for d1 in members1
-        for d2 in members2
-        for d3 in members3
-    }
-    columns = [mask for mask in masks if mask not in product]
-    if not columns:
-        return 0, []
-    return len(columns), _transpose(columns, 3 * m)
+    inside = [enumerate_members(part) for part in spec.parts]
+    if not spec.global_complement:
+        return [tuple(inside)]
+    outside = [enumerate_members(ComplexSpec(part.generator, True)) for part in spec.parts]
+    full = list(range(1 << spec.m))
+    return [
+        (outside[0], full, full),
+        (inside[0], outside[1], full),
+        (inside[0], inside[1], outside[2]),
+    ]
 
 
 def code_rows(spec: DefiningSetSpec) -> tuple[int, list[int]]:
@@ -310,8 +290,11 @@ def code_rows(spec: DefiningSetSpec) -> tuple[int, list[int]]:
     ``ValueError`` above :data:`BRUTE_FORCE_M_CAP`.
     """
     _check_m_cap(spec.m)
-    build = _global_complement_rows if spec.global_complement else _product_rows
-    n, rows = build(spec)
+    n, rows = 0, [0] * (3 * spec.m)
+    for members in _column_products(spec):
+        width, piece = _product_rows(*members, spec.m)
+        rows = [row | p << n for row, p in zip(rows, piece)]
+        n += width
     if not n:
         raise DegenerateConfigurationError("empty defining set")
     return n, rows
@@ -366,7 +349,7 @@ def summarize_message_weights(weights: Sequence[int], n: int, m: int) -> CodeSum
     total = 1 << (3 * m)
     if len(weights) != total:
         raise InvariantError("weight table must cover every message")
-    if total % kernel or kernel & (kernel - 1):
+    if not kernel or total % kernel or kernel & (kernel - 1):
         raise InvariantError("kernel must be a 2-power")
     k = (total // kernel).bit_length() - 1
     if k == 0:

@@ -24,6 +24,7 @@ from r2subfield.cli import BUNDLED_MANIFEST, _scan_result
 from r2subfield.codegen import (
     DegenerateConfigurationError,
     build_defining_set,
+    code_rows,
     code_words,
     code_words_from_rows,
     codeword,
@@ -256,8 +257,27 @@ def test_criterion_7_construction_consistency():
                             direct = set(code_words(spec))
                         except DegenerateConfigurationError:
                             continue
+                        # route 1 may order the columns of a global complement
+                        # its own way: find each of its columns among the
+                        # trace masks of the reference R-vectors
                         vectors = build_defining_set(spec)
-                        n = len(vectors)
+                        position = {
+                            mask: i
+                            for i, mask in enumerate(subfield_defining_set(vectors, m))
+                        }
+                        n, rows = code_rows(spec)
+                        order = [
+                            position.get(
+                                sum((row >> i & 1) << j for j, row in enumerate(rows)), -1
+                            )
+                            for i in range(n)
+                        ]
+                        if sorted(order) != list(range(len(vectors))):
+                            mismatches.append(
+                                (family, m, str(lset), str(mset), str(nset))
+                            )
+                            continue
+                        vectors = [vectors[i] for i in order]
                         # route 2: split the R-generator matrix entrywise
                         # into coefficient matrices and stack [G1; G2+G3; G2]
                         g1_rows, g2_rows, g3_rows = [], [], []

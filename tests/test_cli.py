@@ -141,10 +141,16 @@ def test_verify_family_filter_csv(capsys):
     assert all(row["status"] in ("ok", "degenerate") for row in rows)
 
 
-def test_verify_bad_family_exits_2(capsys):
-    rc, _, err = run_cli(capsys, "verify", "--m", "2", "--families", "11")
+@pytest.mark.parametrize(
+    "argv",
+    [["--m", "2", "--families", "11"], ["--m", "1,1"], ["--m", "1", "--families", "1,1"]],
+    ids=["unknown-family", "repeated-m", "repeated-family"],
+)
+def test_verify_bad_input_exits_2(capsys, argv):
+    rc, out, err = run_cli(capsys, "verify", *argv)
     assert rc == 2
-    assert "error:" in err
+    assert out == ""
+    assert err.startswith("error:")
 
 
 @pytest.mark.parametrize("jobs", ["0", "-3", "two"])
@@ -155,6 +161,14 @@ def test_jobs_below_one_rejected_at_parsing(capsys, monkeypatch, jobs):
     monkeypatch.setattr(cli, "run_sweep", no_sweep)
     with pytest.raises(SystemExit) as exc:
         main(["verify", "--m", "1", "--jobs", jobs])
+    assert exc.value.code == 2
+    assert "--jobs" in capsys.readouterr().err
+
+
+def test_jobs_is_a_verify_flag_only(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["code", "--m", "2", "--family", "1", "--L", "1", "--M", "-", "--N", "-",
+              "--jobs", "2"])
     assert exc.value.code == 2
     assert "--jobs" in capsys.readouterr().err
 

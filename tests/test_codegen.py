@@ -44,6 +44,23 @@ def gray_walk(s):
     return message_weights_from_rows(code_rows(s)[1], s.m)
 
 
+def columns(rows, n):
+    """The 3m-bit mask of each of the n columns of ``rows``, first column first."""
+    return [sum((row >> i & 1) << j for j, row in enumerate(rows)) for i in range(n)]
+
+
+def production_vectors(s):
+    """The reference R-vectors of ``s`` permuted to the column order of ``code_rows``.
+
+    Each production column is looked up among the reference trace masks, so a
+    column the reference route does not have raises ``KeyError``.
+    """
+    vectors = build_defining_set(s)
+    position = {mask: i for i, mask in enumerate(subfield_defining_set(vectors, s.m))}
+    n, rows = code_rows(s)
+    return [vectors[position[column]] for column in columns(rows, n)]
+
+
 def test_defining_set_spec_validation():
     good = spec(1, 2, (1,), (2,), ())
     assert good.m == 2
@@ -182,8 +199,10 @@ def test_weight_distribution_bruteforce_frozen_anchors():
 
 
 def test_summarize_rejects_uncovered_table():
-    with pytest.raises(AssertionError):
-        summarize_message_weights([0, 1], 4, 1)
+    # too short a table, and a full one with no weight-0 message (no kernel)
+    for weights, n in (([0, 1], 4), ([1] * 8, 2)):
+        with pytest.raises(InvariantError):
+            summarize_message_weights(weights, n, 1)
 
 
 def test_summarize_trivial_code():
@@ -215,7 +234,7 @@ def test_m_cap_enforced():
 
 def test_code_words_matches_message_image():
     for s, expected in frozen_cases():
-        masks = subfield_defining_set(build_defining_set(s), s.m)
+        masks = subfield_defining_set(production_vectors(s), s.m)
         image = {
             codeword(a, b, g, masks, s.m)
             for a in range(1 << s.m)
@@ -248,8 +267,9 @@ def test_code_summary_as_dict():
 
 
 def test_code_rows_match_reference_route():
-    # every configuration of all nine families at m <= 3: same length, same
-    # rows, same column order as R-vectors -> trace masks -> transposition
+    # every configuration of all nine families at m <= 3: same length as
+    # R-vectors -> trace masks -> transposition; families 1-8 also have the
+    # same rows, a global complement the same columns in its own order
     compared = 0
     for m in (1, 2, 3):
         subsets = [Subset.from_mask(m, mask) for mask in range(1 << m)]
@@ -265,7 +285,10 @@ def test_code_rows_match_reference_route():
                             continue
                         n, rows = code_rows(s)
                         assert n == len(masks), s
-                        assert rows == subfield_generator_rows(masks, m), s
+                        if s.global_complement:
+                            assert sorted(set(columns(rows, n))) == sorted(masks), s
+                        else:
+                            assert rows == subfield_generator_rows(masks, m), s
                         compared += 1
     assert compared == 4326
 
