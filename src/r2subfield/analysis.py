@@ -301,14 +301,21 @@ def ashikhmin_barg_minimal(weights) -> bool:
 
 
 def exact_minimality(codewords, n: int) -> bool:
-    """Decide minimality by scanning for support containments.
+    """Decide minimality by scanning for disjoint supports.
+
+    ``codewords`` must be all the words of one binary linear code (the zero
+    word included or not); the pruning below relies on it.
 
     A binary linear code fails minimality exactly when some nonzero codeword
     covers another, which happens iff two nonzero codewords have disjoint
     supports (their sum covers both; conversely u covering v makes u + v
-    disjoint from v).  Weight classes with w1 + w2 > n cannot hold disjoint
-    pairs and are skipped; classes with w1 + w2 == n can only pair a word
-    with its exact complement, a set lookup.
+    disjoint from v); Ding, Heng and Zhou, "Minimal binary linear codes"
+    (IEEE TIT 2018).  If a and b of weights w1 and w2 have disjoint
+    supports, then a + b is a nonzero codeword of weight w1 + w2, so a pair
+    of weight classes is scanned only when w1 + w2 is itself a nonzero
+    weight of the code.  Classes with w1 + w2 > n cannot hold disjoint
+    pairs; classes with w1 + w2 == n can only pair a word with its exact
+    complement, a set lookup.
     """
     if len(codewords) > MINIMALITY_CAP:
         raise ValueError(f"code size {len(codewords)} exceeds cap {MINIMALITY_CAP}")
@@ -323,6 +330,8 @@ def exact_minimality(codewords, n: int) -> bool:
         for w2 in ws[i:]:
             if w1 + w2 > n:
                 break
+            if w1 + w2 not in classes:
+                continue
             if w1 + w2 == n:
                 partners = set(classes[w2])
                 if any(v ^ ones in partners for v in classes[w1]):

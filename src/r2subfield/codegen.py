@@ -37,8 +37,10 @@ each a function of its own so a caller that needs several computes each once:
   the complement of Di in F: first D1' x F x F, then D1 x D2' x F, then
   D1 x D2 x D3'.  Each piece takes its columns in the same order as a
   family 1-8 product, after the columns of the pieces before it.
-* The weights of all 2^(3m) messages, by a Gray-code walk (one row XOR and
-  one popcount per message; :func:`message_weights_from_rows`).
+* The weights of all 2^(3m) messages (:func:`message_weights_from_rows`):
+  a Gray-code walk over the 2^k combinations of a row basis, one word XOR
+  and one popcount per distinct codeword, then one table lookup per
+  message.
 * The weight distribution: the weight histogram divided by the kernel size
   (:func:`summarize_message_weights`).
 
@@ -304,19 +306,50 @@ def message_weights_from_rows(rows: Sequence[int], m: int) -> list[int]:
     """Codeword weight of every message, indexed by packed message mask.
 
     The message (alpha, beta, gamma) is packed as alpha | beta << m |
-    gamma << 2m.  Messages are visited in Gray-code order so each step costs
-    one row XOR and one popcount.
+    gamma << 2m, so bit j of the index selects row j.  The rows are reduced
+    to a basis of k words; the 2^k combinations of the basis are visited in
+    Gray-code order, one word XOR and one popcount per distinct codeword.
+    Each row's basis coordinates are read off the pivots, and the message
+    table maps every message to the combination its rows XOR to.
     """
+    from .algebra import f2_row_basis
+
     _check_m_cap(m)
     if len(rows) != 3 * m:
         raise ValueError(f"expected {3 * m} generator rows, got {len(rows)}")
-    total = 1 << (3 * m)
-    weights = [0] * total
+    basis = f2_row_basis(rows, max(rows, default=0).bit_length())
+    pivots = [b & -b for b in basis]
+    coords = []
+    for row in rows:
+        coord = word = 0
+        for i, (pivot, b) in enumerate(zip(pivots, basis)):
+            if row & pivot:
+                coord |= 1 << i
+                word ^= b
+        if word != row:
+            raise InvariantError("row is not the sum of the basis words at its pivots")
+        coords.append(coord)
+    word_weights = [0] * (1 << len(basis))
     word = 0
-    for t in range(1, total):
-        word ^= rows[(t & -t).bit_length() - 1]
-        weights[t ^ (t >> 1)] = word.bit_count()
+    for t in range(1, len(word_weights)):
+        word ^= basis[(t & -t).bit_length() - 1]
+        word_weights[t ^ (t >> 1)] = word.bit_count()
+    # split each message index into low and high bits: its combination is the
+    # XOR of theirs, so two spans of about 2^(3m/2) entries each stand in for
+    # a combination table of 2^(3m) entries
+    lows = _xor_span(coords[: 3 * m // 2])
+    weights: list[int] = []
+    for high in _xor_span(coords[3 * m // 2 :]):
+        weights += [word_weights[low ^ high] for low in lows]
     return weights
+
+
+def _xor_span(values: Sequence[int]) -> list[int]:
+    """XOR of every subset of ``values``, indexed by subset mask (bit i selects values[i])."""
+    span = [0]
+    for v in values:
+        span += [s ^ v for s in span]
+    return span
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,6 @@
 """Unit tests for predicted tables, bound checks, and the sweep machinery."""
 
+import random
 from concurrent.futures import ProcessPoolExecutor
 
 import pytest
@@ -27,7 +28,7 @@ from r2subfield.analysis import (
     sweep_workers,
     table10_conditions,
 )
-from r2subfield.codegen import DegenerateConfigurationError
+from r2subfield.codegen import DegenerateConfigurationError, code_words_from_rows
 from r2subfield.simplicial import subset
 
 
@@ -149,6 +150,9 @@ def test_exact_minimality():
     assert exact_minimality([0, 0b011, 0b101, 0b110], 3)
     # trivial zero code is vacuously minimal
     assert exact_minimality([0], 4)
+    # one-weight [8, 3, 4] code (simplex plus a zero column): the pair (4, 4)
+    # sums to n = 8, which is no weight, so it is skipped; the code is minimal
+    assert exact_minimality(code_words_from_rows([0b01010101, 0b00110011, 0b00001111], 8), 8)
     with pytest.raises(ValueError):
         exact_minimality(list(range(MINIMALITY_CAP + 1)), 20)
 
@@ -159,6 +163,32 @@ def test_exact_minimality_complement_pair():
     assert not exact_minimality(words, 4)
     # same words viewed in 5 columns: 00011 and 01100 still disjoint
     assert not exact_minimality(words, 5)
+
+
+def literally_minimal(words):
+    """No nonzero u != v with supp(v) inside supp(u): the definition of a minimal code."""
+    nonzero = [w for w in words if w]
+    return not any(u != v and not v & ~u for u in nonzero for v in nonzero)
+
+
+def test_exact_minimality_matches_the_definition():
+    rng = random.Random(6)
+    seen = {"minimal": 0, "not minimal": 0, "all-ones": 0, "pruned": 0, "scanned": 0}
+    for trial in range(400):
+        n = rng.randint(1, 10)
+        rows = [rng.getrandbits(n) for _ in range(rng.randint(1, 4))]
+        if trial % 3 == 0:
+            rows.append((1 << n) - 1)
+        words = code_words_from_rows(rows, n)
+        minimal = literally_minimal(words)
+        assert exact_minimality(words, n) == minimal
+        weights = {w.bit_count() for w in words if w}
+        sums = [a + b for a in weights for b in weights if a <= b and a + b <= n]
+        seen["minimal" if minimal else "not minimal"] += 1
+        seen["all-ones"] += n in weights
+        seen["pruned"] += any(s not in weights for s in sums)
+        seen["scanned"] += any(s in weights for s in sums)
+    assert min(seen.values()) >= 20, seen
 
 
 def test_self_orth_sufficient_versus_exact():

@@ -1,14 +1,15 @@
 """Unit tests for defining sets, codeword generation, and brute-force sweeps."""
 
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from r2subfield import codegen
-from r2subfield.algebra import from_basis_coords, r2_dot, trace
+from r2subfield import algebra, codegen
+from r2subfield.algebra import f2_row_basis, from_basis_coords, r2_dot, trace
 from r2subfield.analysis import FAMILIES, spec_for_family
 from r2subfield.codegen import (
     BRUTE_FORCE_M_CAP,
@@ -230,6 +231,55 @@ def test_m_cap_enforced():
         message_weights_from_rows([0] * (3 * s.m), s.m)
     with pytest.raises(ValueError):
         code_words(s)
+
+
+def literal_message_weights(rows, m):
+    """Weight of every packed message: XOR the rows its bits select, then popcount."""
+    weights = []
+    for t in range(1 << (3 * m)):
+        word = 0
+        for j, row in enumerate(rows):
+            if t >> j & 1:
+                word ^= row
+        weights.append(word.bit_count())
+    return weights
+
+
+def rank_deficient_rows(rng, m):
+    """3m rows spanned by fewer than 3m random words, with a zero and a repeated row."""
+    n = rng.randint(1, 12)
+    base = [rng.getrandbits(n) for _ in range(rng.randint(1, 3 * m - 1))]
+    rows = []
+    for _ in range(3 * m - 2):
+        row = 0
+        for b in base:
+            if rng.getrandbits(1):
+                row ^= b
+        rows.append(row)
+    rows += [0, rows[0]]
+    rng.shuffle(rows)
+    return rows
+
+
+def test_message_weights_from_rank_deficient_rows():
+    rng = random.Random(6)
+    for m in (1, 2, 3):
+        cases = [[0] * (3 * m), [0b1011] * (3 * m), [0b01, 0b10, 0b11] * m]
+        cases += [rank_deficient_rows(rng, m) for _ in range(20)]
+        for rows in cases:
+            assert len(f2_row_basis(rows, 12)) < 3 * m
+            assert message_weights_from_rows(rows, m) == literal_message_weights(rows, m)
+
+
+def test_message_weights_validates_input(monkeypatch):
+    # the m cap is asserted in test_m_cap_enforced
+    for count in (5, 7):
+        with pytest.raises(ValueError, match="generator rows"):
+            message_weights_from_rows([1] * count, 2)
+    # a basis that does not span the rows is a program fault, not bad input
+    monkeypatch.setattr(algebra, "f2_row_basis", lambda rows, ncols: f2_row_basis(rows, ncols)[:-1])
+    with pytest.raises(InvariantError):
+        message_weights_from_rows([0b01, 0b10, 0b11], 1)
 
 
 def test_code_words_matches_message_image():

@@ -12,7 +12,7 @@ import pytest
 
 pytest.importorskip("hypothesis")
 
-from hypothesis import given, settings  # noqa: E402
+from hypothesis import Phase, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from r2subfield.analysis import FAMILIES, spec_for_family  # noqa: E402
@@ -27,6 +27,11 @@ from r2subfield.codegen import (  # noqa: E402
     subfield_generator_rows,
 )
 from r2subfield.simplicial import Subset  # noqa: E402
+
+
+# No shrink phase: every m = 5 example rebuilds the R^m reference route, so
+# shrinking a failing draw takes minutes; the unshrunk draw is reported at once.
+PHASES = (Phase.explicit, Phase.generate)
 
 
 def configurations(m):
@@ -58,13 +63,13 @@ def check_against_reference(config, messages):
     assert charsum_message_weights(spec) == table
 
 
-@settings(max_examples=25, deadline=None, database=None)
+@settings(max_examples=25, deadline=None, database=None, phases=PHASES)
 @given(configurations(4), st.lists(st.integers(min_value=0, max_value=(1 << 12) - 1), max_size=8))
 def test_code_rows_match_reference_m4(config, messages):
     check_against_reference(config, messages)
 
 
-@settings(max_examples=6, deadline=None, database=None)
+@settings(max_examples=6, deadline=None, database=None, phases=PHASES)
 @given(configurations(5), st.lists(st.integers(min_value=0, max_value=(1 << 15) - 1), max_size=3))
 def test_code_rows_match_reference_m5(config, messages):
     check_against_reference(config, messages)
