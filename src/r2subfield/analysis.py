@@ -395,7 +395,7 @@ def _evaluate(family: int, spec: DefiningSetSpec, claimed_only: bool):
     Exact minimality is decided up to :data:`MINIMALITY_CAP` codewords, and
     with ``claimed_only`` only where the catalogued condition claims it.
     Returns the report, in the stable JSON layout of the CLI, and the
-    Gray-walk weight of every message.
+    enumerated weight of every message.
     """
     lset, mset, nset = (part.generator for part in spec.parts)
     m = spec.m

@@ -38,9 +38,11 @@ each a function of its own so a caller that needs several computes each once:
   D1 x D2 x D3'.  Each piece takes its columns in the same order as a
   family 1-8 product, after the columns of the pieces before it.
 * The weights of all 2^(3m) messages (:func:`message_weights_from_rows`):
-  a Gray-code walk over the 2^k combinations of a row basis, one word XOR
-  and one popcount per distinct codeword, then one table lookup per
-  message.
+  one counting pass over the n columns gives the multiplicity of each 3m-bit
+  column pattern, and a Walsh-Hadamard transform of those 2^(3m) counts,
+  packed into one int, gives every weight at once.  It reads only the rows,
+  never the spectra of the complexes, so the character-sum table below
+  stays an independent check of it.
 * The weight distribution: the weight histogram divided by the kernel size
   (:func:`summarize_message_weights`).
 
@@ -60,6 +62,8 @@ table follows from three spectra of length 2^m
 
 from __future__ import annotations
 
+import sys
+from array import array
 from collections import Counter
 from dataclasses import dataclass
 from collections.abc import Mapping, Sequence
@@ -89,6 +93,18 @@ __all__ = [
 ]
 
 BRUTE_FORCE_M_CAP = 5
+
+# :func:`message_weights_from_rows` packs one value per 32-bit field of an
+# int and reads the fields back as native array items.  Every partial sum of
+# its transform lies in [-n, n], so a bias of at least n keeps each field
+# non-negative, and 2 * _BIAS < 2^32 keeps it inside its field.  2^20
+# columns is 32 times the longest code the m cap allows (2^15 distinct
+# columns) and bounds the n-byte strings the column count builds.
+_FIELD_BYTES = 4
+_BIAS = 1 << 20
+_SPREAD = bytes.maketrans(b"01", b"\0\1")
+if array("I").itemsize != _FIELD_BYTES or array("H").itemsize != 2:
+    raise ImportError("r2subfield needs 2-byte array('H') and 4-byte array('I') items")
 
 
 class DegenerateConfigurationError(ValueError):
@@ -306,50 +322,70 @@ def message_weights_from_rows(rows: Sequence[int], m: int) -> list[int]:
     """Codeword weight of every message, indexed by packed message mask.
 
     The message (alpha, beta, gamma) is packed as alpha | beta << m |
-    gamma << 2m, so bit j of the index selects row j.  The rows are reduced
-    to a basis of k words; the 2^k combinations of the basis are visited in
-    Gray-code order, one word XOR and one popcount per distinct codeword.
-    Each row's basis coordinates are read off the pivots, and the message
-    table maps every message to the combination its rows XOR to.
-    """
-    from .algebra import f2_row_basis
+    gamma << 2m, so bit j of the index selects row j.  The rows are read
+    as n columns of 3m bits, and h[p] counts the columns with pattern p.
+    Message v then has weight (n - H[v]) / 2, where H is the Walsh-Hadamard
+    transform of h: H[v] is the sum of (-1)^(p . v) h[p] over all p.  The
+    transform costs O(3m 2^(3m)) small-integer operations whatever n and the
+    dimension are.  It reads only the rows, so the table stays independent of
+    the spectra behind :func:`charsum_message_weights`.
 
+    Raises ``ValueError`` above :data:`BRUTE_FORCE_M_CAP`, for a row count
+    other than 3m, and for rows of more than 2^20 columns (``_BIAS``).
+    """
     _check_m_cap(m)
     if len(rows) != 3 * m:
         raise ValueError(f"expected {3 * m} generator rows, got {len(rows)}")
-    basis = f2_row_basis(rows, max(rows, default=0).bit_length())
-    pivots = [b & -b for b in basis]
-    coords = []
-    for row in rows:
-        coord = word = 0
-        for i, (pivot, b) in enumerate(zip(pivots, basis)):
-            if row & pivot:
-                coord |= 1 << i
-                word ^= b
-        if word != row:
-            raise InvariantError("row is not the sum of the basis words at its pivots")
-        coords.append(coord)
-    word_weights = [0] * (1 << len(basis))
-    word = 0
-    for t in range(1, len(word_weights)):
-        word ^= basis[(t & -t).bit_length() - 1]
-        word_weights[t ^ (t >> 1)] = word.bit_count()
-    # split each message index into low and high bits: its combination is the
-    # XOR of theirs, so two spans of about 2^(3m/2) entries each stand in for
-    # a combination table of 2^(3m) entries
-    lows = _xor_span(coords[: 3 * m // 2])
-    weights: list[int] = []
-    for high in _xor_span(coords[3 * m // 2 :]):
-        weights += [word_weights[low ^ high] for low in lows]
-    return weights
+    n = max(rows).bit_length()
+    if n > _BIAS:
+        raise ValueError(f"rows of {n} columns exceed the {_BIAS} the weight fields hold")
+    fields = 1 << len(rows)
+    counts = array("I", [0]) * fields
+    for pattern in _column_patterns(rows, n):
+        counts[pattern] += 1
+    # one int, field p at bit 32p holding _BIAS plus the value at p: each
+    # stage folds the pairs (x, y) that lie ``shift`` bits apart into
+    # (x + y, x - y) with a few whole-int operations.  sel selects the low
+    # half of every block of 2 * shift bits; once shift is halved, sel ^
+    # sel << shift is the next one, and as the top half of the top block is
+    # clear, nothing lands above the packed width.
+    ones = int.from_bytes(array("I", [1]) * fields, sys.byteorder)
+    bias = _BIAS * ones
+    packed = int.from_bytes(counts, sys.byteorder) + bias
+    shift = 4 * _FIELD_BYTES * fields
+    sel = (1 << shift) - 1
+    while shift >= 8 * _FIELD_BYTES:
+        lo = packed & sel
+        hi = packed >> shift & sel
+        half = bias & sel
+        packed = (lo + hi - half) | (lo + half - hi) << shift
+        shift >>= 1
+        sel ^= sel << shift
+    packed = ((n + _BIAS) * ones - packed) >> 1
+    return array("I", packed.to_bytes(_FIELD_BYTES * fields, sys.byteorder)).tolist()
 
 
-def _xor_span(values: Sequence[int]) -> list[int]:
-    """XOR of every subset of ``values``, indexed by subset mask (bit i selects values[i])."""
-    span = [0]
-    for v in values:
-        span += [s ^ v for s in span]
-    return span
+def _column_patterns(rows: Sequence[int], n: int) -> bytes | memoryview:
+    """The 3m-bit pattern of each of n columns, as one byte or one 16-bit item each.
+
+    Each row becomes one 0/1 byte per column up to its top bit, and rows
+    8i..8i+7 are shifted into byte plane i of n bytes, so a shorter row
+    reads as zero in the columns above it.  Two planes are interleaved so
+    that each column reads as one native 16-bit item.
+    """
+    planes = []
+    for base in range(0, len(rows), 8):
+        plane = 0
+        for j, row in enumerate(rows[base : base + 8]):
+            spread = format(row, "b").encode().translate(_SPREAD)
+            plane |= int.from_bytes(spread, "big") << j
+        planes.append(plane.to_bytes(n, "big"))
+    if len(planes) == 1:
+        return planes[0]
+    interleaved = bytearray(2 * n)
+    low = 0 if sys.byteorder == "little" else 1
+    interleaved[low::2], interleaved[1 - low :: 2] = planes
+    return memoryview(interleaved).cast("H")
 
 
 @dataclass(frozen=True)
@@ -409,7 +445,12 @@ def code_words_from_rows(rows: Sequence[int], ncols: int) -> list[int]:
 
 
 def weight_distribution_bruteforce(spec: DefiningSetSpec) -> CodeSummary:
-    """Exact parameters of the code by enumerating all 2^(3m) messages."""
+    """Exact parameters of the code from the weights of all 2^(3m) messages.
+
+    The weights come from the generator rows alone
+    (:func:`message_weights_from_rows`), not from the character sums, so they
+    check :func:`charsum_message_weights` rather than repeat it.
+    """
     n, rows = code_rows(spec)
     return summarize_message_weights(message_weights_from_rows(rows, spec.m), n, spec.m)
 

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from r2subfield import algebra, codegen
+from r2subfield import codegen
 from r2subfield.algebra import f2_row_basis, from_basis_coords, r2_dot, trace
 from r2subfield.analysis import FAMILIES, spec_for_family
 from r2subfield.codegen import (
@@ -40,8 +40,8 @@ def spec(family, m, lmembers, mmembers, nmembers):
     )
 
 
-def gray_walk(s):
-    """The Gray-walk weight of every message of the code defined by ``s``."""
+def enumerated_weights(s):
+    """The weight of every message of the code defined by ``s``, from its rows."""
     return message_weights_from_rows(code_rows(s)[1], s.m)
 
 
@@ -271,15 +271,43 @@ def test_message_weights_from_rank_deficient_rows():
             assert message_weights_from_rows(rows, m) == literal_message_weights(rows, m)
 
 
-def test_message_weights_validates_input(monkeypatch):
+def rows_from_columns(column_masks, m):
+    """The 3m rows whose i-th column is ``column_masks[i]``; inverse of ``columns``."""
+    return [
+        sum((mask >> j & 1) << i for i, mask in enumerate(column_masks)) for j in range(3 * m)
+    ]
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_message_weights_edge_columns(m):
+    # m = 1, 2 fit the column patterns in one byte plane, m = 3 needs two
+    rng = random.Random(m)
+    top = (1 << (3 * m)) - 1
+    some = [rng.randrange(top + 1) for _ in range(20)]
+    cases = [
+        [0] * (3 * m),
+        rows_from_columns([top] * 300, m),
+        rows_from_columns([1] * 256 + [top] * 257 + some, m),
+        rows_from_columns(some * 40, m),
+        # row j ends at column j: every row but the last has zero columns above its top bit
+        [1 << j for j in range(3 * m)],
+        [rng.getrandbits(3) for _ in range(3 * m - 1)] + [1 << 40],
+    ]
+    for rows in cases:
+        assert message_weights_from_rows(rows, m) == literal_message_weights(rows, m)
+
+
+def test_message_weights_validates_input():
     # the m cap is asserted in test_m_cap_enforced
     for count in (5, 7):
         with pytest.raises(ValueError, match="generator rows"):
             message_weights_from_rows([1] * count, 2)
-    # a basis that does not span the rows is a program fault, not bad input
-    monkeypatch.setattr(algebra, "f2_row_basis", lambda rows, ncols: f2_row_basis(rows, ncols)[:-1])
-    with pytest.raises(InvariantError):
-        message_weights_from_rows([0b01, 0b10, 0b11], 1)
+    # the packed fields hold rows of up to 2^20 columns, the all-ones row included
+    widest = [(1 << 2**20) - 1, 0, 1 << (2**20 - 1)]
+    assert message_weights_from_rows(widest, 1) == literal_message_weights(widest, 1)
+    for length in (2**20 + 1, 2**21):
+        with pytest.raises(ValueError, match="columns"):
+            message_weights_from_rows([1 << (length - 1), 0, 0], 1)
 
 
 def test_code_words_matches_message_image():
@@ -377,7 +405,7 @@ def test_charsum_table_equals_enumeration():
 
 def test_charsum_check_rejects_corrupted_table():
     for s, _ in frozen_cases():
-        weights = gray_walk(s)
+        weights = enumerated_weights(s)
         for v in (0, 1, len(weights) - 1):
             corrupted = list(weights)
             corrupted[v] += 1
@@ -400,7 +428,7 @@ def with_wrong_entry(i, j, delta):
 
 def test_charsum_check_rejects_wrong_spectrum_entry(monkeypatch):
     for s, _ in frozen_cases():
-        weights = gray_walk(s)
+        weights = enumerated_weights(s)
         spectra = [spectrum(part) for part in s.parts]
         # every spectrum value at 0 is nonzero here, so entry j of any one
         # spectrum reaches the weight of some message

@@ -3,9 +3,9 @@
 Random (family, L, M, N) draws compare the generator rows of
 :func:`code_rows` with the literal construction (R-vectors, trace masks,
 transposition; for a global complement, which orders its columns its own
-way, the sorted columns), the Gray-walk message-weight table with the
+way, the sorted columns), the enumerated message-weight table with the
 literal codewords of drawn messages, and the spectral character-sum table
-with the whole Gray-walk table.  Skipped when hypothesis is not installed.
+with the whole enumerated table.  Skipped when hypothesis is not installed.
 """
 
 import pytest
