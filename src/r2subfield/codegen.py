@@ -331,11 +331,14 @@ def message_weights_from_rows(rows: Sequence[int], m: int) -> list[int]:
     the spectra behind :func:`charsum_message_weights`.
 
     Raises ``ValueError`` above :data:`BRUTE_FORCE_M_CAP`, for a row count
-    other than 3m, and for rows of more than 2^20 columns (``_BIAS``).
+    other than 3m, for a negative row and for rows of more than 2^20 columns
+    (``_BIAS``).
     """
     _check_m_cap(m)
     if len(rows) != 3 * m:
         raise ValueError(f"expected {3 * m} generator rows, got {len(rows)}")
+    if min(rows) < 0:
+        raise ValueError("generator rows must be non-negative bitmasks")
     n = max(rows).bit_length()
     if n > _BIAS:
         raise ValueError(f"rows of {n} columns exceed the {_BIAS} the weight fields hold")

@@ -302,6 +302,8 @@ def test_message_weights_validates_input():
     for count in (5, 7):
         with pytest.raises(ValueError, match="generator rows"):
             message_weights_from_rows([1] * count, 2)
+    with pytest.raises(ValueError, match="non-negative"):
+        message_weights_from_rows([-1, 2, 3], 1)
     # the packed fields hold rows of up to 2^20 columns, the all-ones row included
     widest = [(1 << 2**20) - 1, 0, 1 << (2**20 - 1)]
     assert message_weights_from_rows(widest, 1) == literal_message_weights(widest, 1)
