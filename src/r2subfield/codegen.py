@@ -343,18 +343,32 @@ def message_weights_from_rows(rows: Sequence[int], m: int) -> list[int]:
     if n > _BIAS:
         raise ValueError(f"rows of {n} columns exceed the {_BIAS} the weight fields hold")
     fields = 1 << len(rows)
+    ones = int.from_bytes(array("I", [1]) * fields, sys.byteorder)
+    transform = _walsh_hadamard(_column_counts(rows, n, fields), _BIAS * ones, fields)
+    # every n - H[v] is even, so one shift halves each field exactly
+    weights = ((n + _BIAS) * ones - transform) >> 1
+    return array("I", weights.to_bytes(_FIELD_BYTES * fields, sys.byteorder)).tolist()
+
+
+def _column_counts(rows: Sequence[int], n: int, fields: int) -> int:
+    """How many of the n columns have pattern p, in the 32-bit field at bit 32p."""
     counts = array("I", [0]) * fields
     for pattern in _column_patterns(rows, n):
         counts[pattern] += 1
-    # one int, field p at bit 32p holding _BIAS plus the value at p: each
-    # stage folds the pairs (x, y) that lie ``shift`` bits apart into
-    # (x + y, x - y) with a few whole-int operations.  sel selects the low
-    # half of every block of 2 * shift bits; once shift is halved, sel ^
-    # sel << shift is the next one, and as the top half of the top block is
-    # clear, nothing lands above the packed width.
-    ones = int.from_bytes(array("I", [1]) * fields, sys.byteorder)
-    bias = _BIAS * ones
-    packed = int.from_bytes(counts, sys.byteorder) + bias
+    return int.from_bytes(counts, sys.byteorder)
+
+
+def _walsh_hadamard(packed: int, bias: int, fields: int) -> int:
+    """The Walsh-Hadamard transform H of the values in ``fields`` packed 32-bit fields.
+
+    ``bias`` holds _BIAS in every field, and the result holds H[v] + _BIAS
+    in field v.  Each stage folds the pairs (x, y) that lie ``shift`` bits
+    apart into (x + y, x - y) with a few whole-int operations.  sel selects
+    the low half of every block of 2 * shift bits; once shift is halved,
+    sel ^ sel << shift is the next one, and as the top half of the top block
+    is clear, nothing lands above the packed width.
+    """
+    packed += bias
     shift = 4 * _FIELD_BYTES * fields
     sel = (1 << shift) - 1
     while shift >= 8 * _FIELD_BYTES:
@@ -364,8 +378,7 @@ def message_weights_from_rows(rows: Sequence[int], m: int) -> list[int]:
         packed = (lo + hi - half) | (lo + half - hi) << shift
         shift >>= 1
         sel ^= sel << shift
-    packed = ((n + _BIAS) * ones - packed) >> 1
-    return array("I", packed.to_bytes(_FIELD_BYTES * fields, sys.byteorder)).tolist()
+    return packed
 
 
 def _column_patterns(rows: Sequence[int], n: int) -> bytes | memoryview:
