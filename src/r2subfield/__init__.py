@@ -32,6 +32,7 @@ from .analysis import (
     run_sweep,
     self_orth_mod4,
     spec_for_family,
+    spectral_minimality,
     table10_conditions,
 )
 from .codegen import (

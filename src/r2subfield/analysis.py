@@ -19,31 +19,37 @@ sweep driver here and the test suite.
 
 Also implemented: the Griesmer bound (sum of ceil(d / 2^i)), the
 Ashikhmin-Barg sufficient condition for minimality (2 * wmin > wmax for
-binary codes), an exact minimality decision, self-orthogonality checks, and
-the catalogued per-family sufficiency conditions for minimality and
-self-orthogonality (``table10_conditions``).
+binary codes), self-orthogonality checks, and the catalogued per-family
+sufficiency conditions for minimality and self-orthogonality
+(``table10_conditions``).
+
+Minimality is decided exactly two ways.  :func:`spectral_minimality`, which
+the reports use, reads it off the three character-sum spectra and lists no
+codeword; :func:`exact_minimality` scans a list of all codewords for two
+with disjoint supports and is the reference the tests compare it with.
 """
 
 from __future__ import annotations
 
 import os
 from concurrent.futures import ProcessPoolExecutor
+from functools import cache
 from typing import NamedTuple
 
 from .algebra import f2_gram_is_zero
 from .codegen import (
+    BRUTE_FORCE_M_CAP,
     CodeSummary,
     DefiningSetSpec,
     DegenerateConfigurationError,
     InvariantError,
     charsum_message_weights,
     code_rows,
-    code_words_from_rows,
     message_weights_from_rows,
     min_distance,
     summarize_message_weights,
 )
-from .simplicial import ComplexSpec, Subset
+from .simplicial import ComplexSpec, Subset, spectrum
 
 __all__ = [
     "FAMILIES",
@@ -59,6 +65,7 @@ __all__ = [
     "optimality_condition",
     "ashikhmin_barg_minimal",
     "exact_minimality",
+    "spectral_minimality",
     "self_orth_mod4",
     "table10_conditions",
     "code_report",
@@ -301,8 +308,10 @@ def ashikhmin_barg_minimal(weights) -> bool:
 
 
 def exact_minimality(codewords, n: int) -> bool:
-    """Decide minimality by scanning for disjoint supports.
+    """Decide minimality by scanning a list of codewords for disjoint supports.
 
+    The reference route: the reports decide minimality with
+    :func:`spectral_minimality`, and the tests check it against this scan.
     ``codewords`` must be all the words of one binary linear code (the zero
     word included or not); the pruning below relies on it.
 
@@ -351,6 +360,89 @@ def exact_minimality(codewords, n: int) -> bool:
     return True
 
 
+@cache
+def _pair_classes(m: int, size: int, complemented: bool) -> frozenset:
+    """Realisable (S[u], S[v], S[u + v], u = 0, v = 0, u = v) over all u, v in F2^m.
+
+    S is the spectrum of Delta_X, or of its complement, for |X| = size.
+    Relabelling the coordinates permutes S and keeps the three flags, so the
+    set depends only on (m, |X|, complemented), and X = {1..size} stands for
+    every X of that size.  It has at most 12 elements at m <= 5.
+    """
+    s = spectrum(ComplexSpec(Subset(m, frozenset(range(1, size + 1))), complemented))
+    full = range(1 << m)
+    return frozenset((s[u], s[v], s[u ^ v], u == 0, v == 0, u == v) for u in full for v in full)
+
+
+def _pair_weights(m: int, factors, global_complement: bool):
+    """Doubled weights (2W(a), 2W(b), 2W(a + b)) of the realisable message pairs.
+
+    ``factors`` holds (|X|, complemented) for D1, D2 and D3.  Message
+    (alpha, beta, gamma) meets the three factors in one component each:
+    alpha, x = beta + gamma and y = beta, and a + b splits the same way.  So
+    a pair of messages is a pair (u, v) per factor, and its weights follow
+    from the three :func:`_pair_classes`:
+
+        2W(a) = n + sign * S1[alpha] * S2[x] * S3[y] - 2^(3m) * [family 9, a = 0]
+
+    with sign = -1, or +1 for a global complement (the weight formula of
+    :func:`~r2subfield.codegen.charsum_message_weights`).  Every realisable
+    triple is yielded at least once, some more than once.
+    """
+    n = 1
+    for size, complemented in factors:
+        n *= (1 << m) - (1 << size) if complemented else 1 << size
+    sign, whole = -1, 0
+    if global_complement:
+        n, sign, whole = (1 << 3 * m) - n, 1, 1 << 3 * m
+    first, second, third = (_pair_classes(m, *factor) for factor in factors)
+    products = {
+        (sa * ta, sb * tb, sab * tab, za and ya, zb and yb, zab and yab)
+        for sa, sb, sab, za, zb, zab in first
+        for ta, tb, tab, ya, yb, yab in second
+    }
+    for pa, pb, pab, za, zb, zab in products:
+        for sa, sb, sab, ya, yb, yab in third:
+            yield (
+                n + sign * pa * sa - whole * (za and ya),
+                n + sign * pb * sb - whole * (zb and yb),
+                n + sign * pab * sab - whole * (zab and yab),
+            )
+
+
+@cache
+def _minimal_by_classes(m: int, factors, global_complement: bool) -> bool:
+    return not any(
+        wa > 0 and wb > 0 and wa + wb == wab
+        for wa, wb, wab in _pair_weights(m, factors, global_complement)
+    )
+
+
+def spectral_minimality(spec: DefiningSetSpec) -> bool:
+    """Decide minimality of the code of ``spec`` from the three spectra, listing no codeword.
+
+    The code fails minimality exactly when two nonzero codewords have
+    disjoint supports (see :func:`exact_minimality`).  The codewords of
+    messages a and b meet in (W(a) + W(b) - W(a + b)) / 2 positions, so
+    that happens exactly when some pair has W(a) > 0, W(b) > 0 and
+    W(a) + W(b) = W(a + b); two messages of one codeword have W(a + b) = 0
+    and never qualify.  The pairs come from :func:`_pair_weights` in a few
+    thousand classes at most, whatever the code's dimension.  They depend
+    only on m, the global complement and (|X|, complemented) of each
+    factor, so the decision is cached by those.  A code with no nonzero
+    codeword is vacuously minimal.
+
+    Raises ``ValueError`` above :data:`~r2subfield.codegen.BRUTE_FORCE_M_CAP`:
+    the pair classes of one factor take 4^m steps to find.
+    """
+    if spec.m > BRUTE_FORCE_M_CAP:
+        raise ValueError(
+            f"spectral minimality is capped at m <= {BRUTE_FORCE_M_CAP}, got m = {spec.m}"
+        )
+    factors = tuple((part.generator.size, part.complemented) for part in spec.parts)
+    return _minimal_by_classes(spec.m, factors, spec.global_complement)
+
+
 def self_orth_mod4(weights) -> bool:
     """Sufficient condition for self-orthogonality: every weight is 0 mod 4."""
     return all(w % 4 == 0 for w, c in weights.items() if c > 0)
@@ -392,8 +484,9 @@ def table10_conditions(family: int, m: int, sl: int, sm: int, sn: int) -> Suffic
 def _evaluate(family: int, spec: DefiningSetSpec, claimed_only: bool):
     """Full pipeline for one configuration: measured code, predictions, flags.
 
-    Exact minimality is decided up to :data:`MINIMALITY_CAP` codewords, and
-    with ``claimed_only`` only where the catalogued condition claims it.
+    Exact minimality (:func:`spectral_minimality`) is decided for codes of
+    up to :data:`MINIMALITY_CAP` codewords, and with ``claimed_only`` only
+    where the catalogued condition claims it.
     Returns the report, in the stable JSON layout of the CLI, and the
     enumerated weight of every message.
     """
@@ -415,7 +508,7 @@ def _evaluate(family: int, spec: DefiningSetSpec, claimed_only: bool):
     minimal_ab = ashikhmin_barg_minimal(measured.weights)
     minimal_exact = None
     if (conditions.minimal or not claimed_only) and (1 << measured.k) <= MINIMALITY_CAP:
-        minimal_exact = exact_minimality(code_words_from_rows(rows, n), n)
+        minimal_exact = spectral_minimality(spec)
     opt = None if family == 8 else optimality_condition(family, m, lset.size, mset.size, nset.size)
 
     report = {
@@ -447,7 +540,8 @@ def _evaluate(family: int, spec: DefiningSetSpec, claimed_only: bool):
 def code_report(family: int, lset: Subset, mset: Subset, nset: Subset) -> dict:
     """The full report for one configuration (stable field layout).
 
-    Exact minimality is decided whenever the code has at most
+    Exact minimality is decided from the spectra
+    (:func:`spectral_minimality`) whenever the code has at most
     :data:`MINIMALITY_CAP` codewords.  Raises
     :class:`DegenerateConfigurationError` when the configuration yields an
     empty or zero-dimensional code.

@@ -1,5 +1,6 @@
 """Unit tests for predicted tables, bound checks, and the sweep machinery."""
 
+import itertools
 import random
 from concurrent.futures import ProcessPoolExecutor
 
@@ -23,13 +24,20 @@ from r2subfield.analysis import (
     run_sweep,
     self_orth_mod4,
     spec_for_family,
+    spectral_minimality,
     summarize_sweep,
     sweep_configuration,
     sweep_workers,
     table10_conditions,
 )
-from r2subfield.codegen import DegenerateConfigurationError, code_words_from_rows
-from r2subfield.simplicial import subset
+from r2subfield.codegen import (
+    BRUTE_FORCE_M_CAP,
+    DegenerateConfigurationError,
+    code_rows,
+    code_words_from_rows,
+    message_weights_from_rows,
+)
+from r2subfield.simplicial import Subset, subset
 
 
 def test_predicted_parameters_anchors():
@@ -253,11 +261,11 @@ def test_exact_minimality_policy(monkeypatch):
     # where Table 10 claims it; code_report decides it up to the cap
     calls = []
 
-    def counting(codewords, n):
-        calls.append(n)
-        return exact_minimality(codewords, n)
+    def counting(spec):
+        calls.append(spec.m)
+        return spectral_minimality(spec)
 
-    monkeypatch.setattr(analysis, "exact_minimality", counting)
+    monkeypatch.setattr(analysis, "spectral_minimality", counting)
     assert not table10_conditions(2, 2, 1, 0, 0).minimal
     assert sweep_configuration(2, 2, 0b1, 0, 0)["status"] == "ok"
     assert len(calls) == 1
@@ -268,6 +276,122 @@ def test_exact_minimality_policy(monkeypatch):
     report = code_report(2, subset(3, 1, 2), subset(3), subset(3))
     assert len(calls) == 1
     assert report["flags"]["minimal_exact"] is not None
+
+
+def class_spec(family, m, sl, sm, sn):
+    """The canonical representative of a size class: L = {1..|L|}, and so on."""
+    return spec_for_family(family, *(Subset(m, frozenset(range(1, s + 1))) for s in (sl, sm, sn)))
+
+
+def pair_weights(spec):
+    factors = tuple((part.generator.size, part.complemented) for part in spec.parts)
+    return analysis._pair_weights(spec.m, factors, spec.global_complement)
+
+
+def scanned_minimality(spec):
+    """Minimality by the codeword scan, or None for a code with no nonzero word."""
+    try:
+        n, rows = code_rows(spec)
+    except DegenerateConfigurationError:
+        return None
+    words = code_words_from_rows(rows, n)
+    return exact_minimality(words, n) if len(words) > 1 else None
+
+
+def test_spectral_minimality_rejects_m_above_cap():
+    m = BRUTE_FORCE_M_CAP + 1
+    with pytest.raises(ValueError, match="capped"):
+        spectral_minimality(class_spec(1, m, 1, 1, 1))
+    assert spectral_minimality(class_spec(1, BRUTE_FORCE_M_CAP, 1, 1, 1))
+
+
+def test_spectral_minimality_matches_the_scan_up_to_m3():
+    decided = {True: 0, False: 0}
+    for m in (1, 2, 3):
+        for family in FAMILIES:
+            for masks in itertools.product(range(1 << m), repeat=3):
+                spec = spec_for_family(family, *(Subset.from_mask(m, x) for x in masks))
+                expected = scanned_minimality(spec)
+                if expected is not None:
+                    assert spectral_minimality(spec) == expected, (family, m, masks)
+                    decided[expected] += 1
+    assert decided == {True: 2428, False: 1895}
+
+
+def test_spectral_minimality_matches_the_scan_per_class_at_m4():
+    decided = {True: 0, False: 0}
+    for family in FAMILIES:
+        for sizes in itertools.product(range(5), repeat=3):
+            spec = class_spec(family, 4, *sizes)
+            expected = scanned_minimality(spec)
+            if expected is not None:
+                assert spectral_minimality(spec) == expected, (family, sizes)
+                decided[expected] += 1
+    assert decided == {True: 632, False: 220}
+
+
+@pytest.mark.parametrize(
+    "family, sizes",
+    [
+        (2, (1, 1, 2)), (3, (0, 2, 3)), (1, (5, 4, 4)), (1, (5, 5, 4)), (2, (0, 4, 5)),
+        (3, (4, 0, 4)), (4, (4, 4, 0)), (5, (2, 2, 3)), (6, (2, 4, 2)), (7, (3, 2, 2)),
+    ],
+)
+def test_spectral_minimality_matches_the_scan_on_m5_report_classes(family, sizes):
+    # the size classes of the m = 5 benchmark reports whose codes have at
+    # most MINIMALITY_CAP words, so the scan can run
+    spec = class_spec(family, 5, *sizes)
+    assert spectral_minimality(spec) == scanned_minimality(spec)
+
+
+def test_pair_weights_match_the_message_table():
+    # The realisable (2W(a), 2W(b), 2W(a + b)) agree with the enumerated
+    # message weights over all pairs of messages.  This pins the family-9
+    # zero-message term and the u = v flag, which the decision alone cannot
+    # see: family 9 has no weight 2^(3m - 2), so a wrong W(0) never makes
+    # W(a) + W(b) = W(a + b) hold.
+    specs = [
+        class_spec(family, 2, *sizes)
+        for family in FAMILIES
+        for sizes in itertools.product(range(3), repeat=3)
+    ]
+    specs.append(class_spec(9, 3, 1, 2, 1))
+    checked = 0
+    for spec in specs:
+        try:
+            n, rows = code_rows(spec)
+        except DegenerateConfigurationError:
+            continue
+        doubled = [2 * w for w in message_weights_from_rows(rows, spec.m)]
+        messages = range(len(doubled))
+        enumerated = {(doubled[a], doubled[b], doubled[a ^ b]) for a in messages for b in messages}
+        assert set(pair_weights(spec)) == enumerated, spec
+        checked += 1
+    assert checked == 152
+
+
+def test_minimality_claims_hold_past_the_cap():
+    # Over every non-degenerate size class at m = 4 and 5, Table 10's
+    # minimality claim and the Ashikhmin-Barg condition (read off the
+    # spectral weights) each imply spectral minimality.  m = 5 codes reach
+    # 2^15 words, past what the scan decides.
+    for m, expected in ((4, (852, 632, 632, 632)), (5, (1545, 1211, 1211, 1211))):
+        classes = claimed = ab = minimal = 0
+        for family in FAMILIES:
+            for sizes in itertools.product(range(m + 1), repeat=3):
+                spec = class_spec(family, m, *sizes)
+                weights = {wa >> 1 for wa, _, _ in pair_weights(spec)}
+                if weights == {0}:
+                    continue
+                decided = spectral_minimality(spec)
+                claim = table10_conditions(family, m, *sizes).minimal
+                sufficient = ashikhmin_barg_minimal(dict.fromkeys(weights, 1))
+                assert decided or not (claim or sufficient), (family, m, sizes)
+                classes += 1
+                claimed += claim
+                ab += sufficient
+                minimal += decided
+        assert (classes, claimed, ab, minimal) == expected
 
 
 def test_run_sweep_m1_tallies():
