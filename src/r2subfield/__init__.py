@@ -9,21 +9,11 @@ closed-form predicted tables for the nine defining-set families, and checks
 Griesmer optimality, minimality, and self-orthogonality.
 """
 
-from .algebra import (
-    f2_gram_is_zero,
-    from_basis_coords,
-    r2_add,
-    r2_dot,
-    r2_mul,
-    to_basis_coords,
-    trace,
-    trace_triple,
-)
+from .algebra import f2_gram_is_zero
 from .analysis import (
     ashikhmin_barg_minimal,
     code_report,
     distance_optimal_by_griesmer,
-    exact_minimality,
     griesmer_sum,
     is_griesmer_code,
     optimality_condition,
@@ -40,11 +30,7 @@ from .codegen import (
     DefiningSetSpec,
     DegenerateConfigurationError,
     InvariantError,
-    build_defining_set,
-    codeword,
-    generator_matrix_subfield,
     min_distance,
-    subfield_defining_set,
     weight_distribution_bruteforce,
 )
 from .simplicial import ComplexSpec, Subset, char_sum, complex_size, enumerate_members, subset

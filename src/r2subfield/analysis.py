@@ -23,10 +23,9 @@ binary codes), self-orthogonality checks, and the catalogued per-family
 sufficiency conditions for minimality and self-orthogonality
 (``table10_conditions``).
 
-Minimality is decided exactly two ways.  :func:`spectral_minimality`, which
-the reports use, reads it off the three character-sum spectra and lists no
-codeword; :func:`exact_minimality` scans a list of all codewords for two
-with disjoint supports and is the reference the tests compare it with.
+Minimality is decided exactly by :func:`spectral_minimality`, which reads
+it off the three character-sum spectra and lists no codeword.  The tests
+compare it with a scan of all codewords for two with disjoint supports.
 """
 
 from __future__ import annotations
@@ -64,7 +63,6 @@ __all__ = [
     "distance_optimal_by_griesmer",
     "optimality_condition",
     "ashikhmin_barg_minimal",
-    "exact_minimality",
     "spectral_minimality",
     "self_orth_mod4",
     "table10_conditions",
@@ -307,59 +305,6 @@ def ashikhmin_barg_minimal(weights) -> bool:
     return 2 * min(positive) > max(positive)
 
 
-def exact_minimality(codewords, n: int) -> bool:
-    """Decide minimality by scanning a list of codewords for disjoint supports.
-
-    The reference route: the reports decide minimality with
-    :func:`spectral_minimality`, and the tests check it against this scan.
-    ``codewords`` must be all the words of one binary linear code (the zero
-    word included or not); the pruning below relies on it.
-
-    A binary linear code fails minimality exactly when some nonzero codeword
-    covers another, which happens iff two nonzero codewords have disjoint
-    supports (their sum covers both; conversely u covering v makes u + v
-    disjoint from v); Ding, Heng and Zhou, "Minimal binary linear codes"
-    (IEEE TIT 2018).  If a and b of weights w1 and w2 have disjoint
-    supports, then a + b is a nonzero codeword of weight w1 + w2, so a pair
-    of weight classes is scanned only when w1 + w2 is itself a nonzero
-    weight of the code.  Classes with w1 + w2 > n cannot hold disjoint
-    pairs; classes with w1 + w2 == n can only pair a word with its exact
-    complement, a set lookup.
-    """
-    if len(codewords) > MINIMALITY_CAP:
-        raise ValueError(f"code size {len(codewords)} exceeds cap {MINIMALITY_CAP}")
-    classes: dict[int, list[int]] = {}
-    for word in codewords:
-        wt = word.bit_count()
-        if wt:
-            classes.setdefault(wt, []).append(word)
-    ws = sorted(classes)
-    ones = (1 << n) - 1
-    for i, w1 in enumerate(ws):
-        for w2 in ws[i:]:
-            if w1 + w2 > n:
-                break
-            if w1 + w2 not in classes:
-                continue
-            if w1 + w2 == n:
-                partners = set(classes[w2])
-                if any(v ^ ones in partners for v in classes[w1]):
-                    return False
-            elif w1 == w2:
-                bucket = classes[w1]
-                for a in range(len(bucket)):
-                    va = bucket[a]
-                    for b in range(a + 1, len(bucket)):
-                        if not va & bucket[b]:
-                            return False
-            else:
-                for va in classes[w1]:
-                    for vb in classes[w2]:
-                        if not va & vb:
-                            return False
-    return True
-
-
 @cache
 def _pair_classes(m: int, size: int, complemented: bool) -> frozenset:
     """Realisable (S[u], S[v], S[u + v], u = 0, v = 0, u = v) over all u, v in F2^m.
@@ -421,16 +366,18 @@ def _minimal_by_classes(m: int, factors, global_complement: bool) -> bool:
 def spectral_minimality(spec: DefiningSetSpec) -> bool:
     """Decide minimality of the code of ``spec`` from the three spectra, listing no codeword.
 
-    The code fails minimality exactly when two nonzero codewords have
-    disjoint supports (see :func:`exact_minimality`).  The codewords of
-    messages a and b meet in (W(a) + W(b) - W(a + b)) / 2 positions, so
-    that happens exactly when some pair has W(a) > 0, W(b) > 0 and
-    W(a) + W(b) = W(a + b); two messages of one codeword have W(a + b) = 0
-    and never qualify.  The pairs come from :func:`_pair_weights` in a few
-    thousand classes at most, whatever the code's dimension.  They depend
-    only on m, the global complement and (|X|, complemented) of each
-    factor, so the decision is cached by those.  A code with no nonzero
-    codeword is vacuously minimal.
+    A binary linear code fails minimality exactly when some nonzero
+    codeword covers another, which happens iff two nonzero codewords have
+    disjoint supports: their sum covers both, and conversely u covering v
+    makes u + v disjoint from v (Ding, Heng and Zhou, "Minimal binary
+    linear codes", IEEE TIT 2018).  The codewords of messages a and b meet
+    in (W(a) + W(b) - W(a + b)) / 2 positions, so that happens exactly when
+    some pair has W(a) > 0, W(b) > 0 and W(a) + W(b) = W(a + b); two
+    messages of one codeword have W(a + b) = 0 and never qualify.  The
+    pairs come from :func:`_pair_weights` in a few thousand classes at
+    most, whatever the code's dimension.  They depend only on m, the global
+    complement and (|X|, complemented) of each factor, so the decision is
+    cached by those.  A code with no nonzero codeword is vacuously minimal.
 
     Raises ``ValueError`` above :data:`~r2subfield.codegen.BRUTE_FORCE_M_CAP`:
     the pair classes of one factor take 4^m steps to find.

@@ -1,7 +1,8 @@
 """Construction of the binary subfield code attached to a defining set.
 
-A defining set D is a subset of R^m (R the eight-element ring of
-:mod:`r2subfield.algebra`) built coordinatewise from three simplicial
+A defining set D is a subset of R^m, for the eight-element ring
+R = F2[x]/(x^3 - x) with u the image of x and the F2-basis e1 = 1 + u^2,
+e2 = u^2, e3 = u + u^2, built coordinatewise from three simplicial
 complexes:
 
     D = { e1*d1 + e2*d2 + e3*d3 : d1 in D1, d2 in D2, d3 in D3 }
@@ -12,11 +13,12 @@ Since (e1, e2, e3) is an F2-basis of R the triple map is injective, so
 |D| = |D1| * |D2| * |D3|.
 
 Each element x of R^m is flattened to the 3m-bit mask whose blocks are the
-coordinatewise values of (tau(x*e1), tau(x*e2), tau(x*e3)); the binary code
-is generated by the 3m rows of bit j across these masks.  For the element
-built from (d1, d2, d3) that mask is d1 | (d2 + d3) << m | d2 << 2m, so the
-codeword of a message (alpha, beta, gamma) in (F2^m)^3 has, at the position
-indexed by (d1, d2, d3), the bit
+coordinatewise values of (tau(x*e1), tau(x*e2), tau(x*e3)), where
+tau(a + b*u + c*u^2) = c; the binary code is generated by the 3m rows of
+bit j across these masks.  For the element built from (d1, d2, d3) that
+mask is d1 | (d2 + d3) << m | d2 << 2m, so the codeword of a message
+(alpha, beta, gamma) in (F2^m)^3 has, at the position indexed by
+(d1, d2, d3), the bit
 
     alpha . d1 + beta . (d2 + d3) + gamma . d2,
 
@@ -46,12 +48,11 @@ each a function of its own so a caller that needs several computes each once:
 * The weight distribution: the weight histogram divided by the kernel size
   (:func:`summarize_message_weights`).
 
-:func:`build_defining_set`, :func:`subfield_defining_set` and
-:func:`subfield_generator_rows` are the literal construction of the paper
-(R-vectors, trace triples, transposition) and serve as the reference the
-tests compare :func:`code_rows` with.  They give the same columns, in the
-same order for families 1-8; a global complement there runs over R^m in
-increasing vector encoding instead.
+No function here builds an element of R.  The tests keep the literal
+construction of the paper (R-vectors, trace triples, transposition) as a
+reference route in ``tests/reference.py`` and compare :func:`code_rows`
+with it: the same columns, in the same order for families 1-8; a global
+complement there runs over R^m in increasing vector encoding instead.
 
 The character-sum route is independent of the enumeration: the weight of
 (alpha, beta, gamma) is (|D| - S1[alpha] * S2[beta + gamma] * S3[beta]) / 2
@@ -68,7 +69,6 @@ from collections import Counter
 from dataclasses import dataclass
 from collections.abc import Mapping, Sequence
 
-from .algebra import from_basis_coords, trace_triple
 from .simplicial import ComplexSpec, complex_size, enumerate_members, spectrum
 
 __all__ = [
@@ -78,16 +78,9 @@ __all__ = [
     "DefiningSetSpec",
     "CodeSummary",
     "code_rows",
-    "build_defining_set",
-    "subfield_defining_set",
-    "subfield_generator_rows",
-    "generator_matrix_subfield",
-    "codeword",
     "message_weights_from_rows",
     "summarize_message_weights",
     "weight_distribution_bruteforce",
-    "code_words",
-    "code_words_from_rows",
     "charsum_message_weights",
     "min_distance",
 ]
@@ -142,106 +135,6 @@ class DefiningSetSpec:
     @property
     def parts(self) -> tuple[ComplexSpec, ComplexSpec, ComplexSpec]:
         return (self.d1, self.d2, self.d3)
-
-
-def _base_triples(spec: DefiningSetSpec) -> list[tuple[int, ...]]:
-    members1 = enumerate_members(spec.d1)
-    members2 = enumerate_members(spec.d2)
-    members3 = enumerate_members(spec.d3)
-    out = []
-    for v1 in members1:
-        for v2 in members2:
-            for v3 in members3:
-                out.append(
-                    tuple(
-                        from_basis_coords(v1 >> i & 1, v2 >> i & 1, v3 >> i & 1)
-                        for i in range(spec.m)
-                    )
-                )
-    return out
-
-
-def build_defining_set(spec: DefiningSetSpec) -> list[tuple[int, ...]]:
-    """The defining set as a list of R-vectors (tuples of element codes).
-
-    Plain sets are ordered with D1 outermost and D3 innermost, each complex
-    in increasing bitmask order; a global complement is ordered by increasing
-    vector encoding over all of R^m.
-    """
-    base = _base_triples(spec)
-    if len(set(base)) != len(base):
-        raise InvariantError("basis expansion must be injective")
-    if not spec.global_complement:
-        return base
-    skip = set(base)
-    out = []
-    for code in range(1 << (3 * spec.m)):
-        vec = tuple(code >> (3 * i) & 7 for i in range(spec.m))
-        if vec not in skip:
-            out.append(vec)
-    return out
-
-
-def subfield_defining_set(vectors: Sequence[tuple[int, ...]], m: int) -> list[int]:
-    """Flatten R-vectors to 3m-bit masks of coordinatewise trace triples.
-
-    Bit i of the low block is tau(x_i * e1), the middle block tau(x_i * e2),
-    the high block tau(x_i * e3).
-    """
-    out = []
-    for vec in vectors:
-        if len(vec) != m:
-            raise ValueError(f"vector {vec!r} has length {len(vec)}, expected {m}")
-        mask = 0
-        for i, x in enumerate(vec):
-            t1, t2, t3 = trace_triple(x)
-            mask |= t1 << i | t2 << (m + i) | t3 << (2 * m + i)
-        out.append(mask)
-    return out
-
-
-def subfield_generator_rows(masks: Sequence[int], m: int) -> list[int]:
-    """Rows of the 3m x n binary generator matrix (row j = bit j of each mask)."""
-    return [
-        sum((mask >> j & 1) << i for i, mask in enumerate(masks)) for j in range(3 * m)
-    ]
-
-
-def generator_matrix_subfield(
-    g1_rows: Sequence[int],
-    g2_rows: Sequence[int],
-    g3_rows: Sequence[int],
-    ncols: int,
-) -> list[int]:
-    """Stack the coefficient matrices of an R-generator matrix G = G1 + u*G2' ...
-
-    Given the three binary matrices G1, G2, G3 with G = e1*G1 + e2*G2 + e3*G3
-    entrywise, the binary generator of the subfield code is the vertical
-    stack [G1; G2 + G3; G2].
-    """
-    if not len(g1_rows) == len(g2_rows) == len(g3_rows):
-        raise ValueError("coefficient matrices must have equal row counts")
-    for rows in (g1_rows, g2_rows, g3_rows):
-        for r in rows:
-            if r >> ncols:
-                raise ValueError(f"row 0b{r:b} exceeds {ncols} columns")
-    stacked = list(g1_rows)
-    stacked.extend(r2 ^ r3 for r2, r3 in zip(g2_rows, g3_rows))
-    stacked.extend(g2_rows)
-    return stacked
-
-
-def codeword(alpha: int, beta: int, gamma: int, masks: Sequence[int], m: int) -> int:
-    """The length-n codeword of message (alpha, beta, gamma) as a bitmask."""
-    full = 1 << m
-    for name, part in (("alpha", alpha), ("beta", beta), ("gamma", gamma)):
-        if not 0 <= part < full:
-            raise ValueError(f"{name} out of range for F2^{m}: {part}")
-    v = alpha | beta << m | gamma << (2 * m)
-    word = 0
-    for i, mask in enumerate(masks):
-        word |= ((v & mask).bit_count() & 1) << i
-    return word
 
 
 def _check_m_cap(m: int) -> None:
@@ -447,19 +340,6 @@ def summarize_message_weights(weights: Sequence[int], n: int, m: int) -> CodeSum
     return CodeSummary(n=n, k=k, d=min_distance(dist), weights=dist)
 
 
-def code_words_from_rows(rows: Sequence[int], ncols: int) -> list[int]:
-    """All distinct words spanned by the rows, zero word first."""
-    from .algebra import f2_row_basis
-
-    basis = f2_row_basis(rows, ncols)
-    words = [0] * (1 << len(basis))
-    word = 0
-    for t in range(1, len(words)):
-        word ^= basis[(t & -t).bit_length() - 1]
-        words[t ^ (t >> 1)] = word
-    return words
-
-
 def weight_distribution_bruteforce(spec: DefiningSetSpec) -> CodeSummary:
     """Exact parameters of the code from the weights of all 2^(3m) messages.
 
@@ -469,12 +349,6 @@ def weight_distribution_bruteforce(spec: DefiningSetSpec) -> CodeSummary:
     """
     n, rows = code_rows(spec)
     return summarize_message_weights(message_weights_from_rows(rows, spec.m), n, spec.m)
-
-
-def code_words(spec: DefiningSetSpec) -> list[int]:
-    """All 2^k distinct codewords of the code defined by ``spec``."""
-    n, rows = code_rows(spec)
-    return code_words_from_rows(rows, n)
 
 
 def charsum_message_weights(spec: DefiningSetSpec) -> list[int]:
@@ -487,7 +361,11 @@ def charsum_message_weights(spec: DefiningSetSpec) -> list[int]:
     R^m.  For fixed (beta, gamma) the 2^m messages alpha form one contiguous
     slice, which depends only on S2[beta + gamma] * S3[beta]; each distinct
     product is evaluated once.
+
+    Raises ``ValueError`` above :data:`BRUTE_FORCE_M_CAP`, like
+    :func:`code_rows`: the table has 2^(3m) entries.
     """
+    _check_m_cap(spec.m)
     s1, s2, s3 = (spectrum(part) for part in spec.parts)
     m = spec.m
     low = (1 << m) - 1

@@ -13,8 +13,9 @@ character sums:
 where phi(w | L) = prod_{i in L} (1 - w_i) is 1 when the support of w avoids
 L and 0 otherwise.
 
-Vectors are bitmask ints (coordinate i in bit i - 1, so coordinate 1 is the
-least significant bit) as in :mod:`r2subfield.algebra`.
+A vector of F2^m is a bitmask int: coordinate i lives in bit i - 1, so
+coordinate 1 is the least significant bit.  Every module of the package
+uses this convention.
 """
 
 from __future__ import annotations

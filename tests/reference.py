@@ -1,0 +1,328 @@
+"""The reference route the tests compare the library with: the paper's construction, literally.
+
+The library builds each code straight from the product set D1 x D2 x D3 in
+F2^(3m) and decides minimality from three spectra.  This module keeps the
+paper's own route: arithmetic in the eight-element ring R = F2[x]/(x^3 - x),
+the defining set as R-vectors, their trace masks and the transposition to
+generator rows, the codeword map, and the codeword list with a scan for
+disjoint supports.  It is a plain module, not a test file; the tests import
+it as ``from reference import ...``.
+
+An element a + b*u + c*u**2 of R (u = image of x, so u**3 = u) is packed into
+an int in ``range(8)`` as ``a | b << 1 | c << 2``.  Addition is XOR; products
+are read from a precomputed 8 x 8 table.  The ring is an F2-algebra with the
+F2-basis ``1, u, u**2`` but the construction here works throughout with the
+alternative ordered basis
+
+    e1 = 1 + u**2,   e2 = u**2,   e3 = u + u**2,
+
+because the F2-linear form tau(a + b*u + c*u**2) = c pairs these basis
+vectors into the coordinate maps used by the subfield construction:
+writing x = g1*e1 + g2*e2 + g3*e3, the triple of trace values
+(tau(x*e1), tau(x*e2), tau(x*e3)) equals (g1, g2 + g3, g2).
+
+Binary vectors are bitmask ints as in the library: coordinate i of a
+length-n vector (1-based) lives in bit i - 1, and a matrix is a list of row
+masks over a common column count.
+"""
+
+from __future__ import annotations
+
+from collections.abc import Sequence
+
+from r2subfield.analysis import MINIMALITY_CAP
+from r2subfield.codegen import DefiningSetSpec, InvariantError, code_rows
+from r2subfield.simplicial import enumerate_members
+
+R2_ZERO = 0
+R2_ONE = 1
+R2_U = 2
+R2_USQ = 4
+
+E1 = R2_ONE | R2_USQ  # 1 + u^2
+E2 = R2_USQ  # u^2
+E3 = R2_U | R2_USQ  # u + u^2
+BASIS = (E1, E2, E3)
+
+
+def r2_add(x: int, y: int) -> int:
+    """Sum in R; characteristic 2, so this is XOR of packed coefficients."""
+    return x ^ y
+
+
+def _mul_raw(x: int, y: int) -> int:
+    # Polynomial product of (a1 + b1 u + c1 u^2)(a2 + b2 u + c2 u^2) reduced
+    # by u^3 = u (hence u^4 = u^2), coefficients mod 2.
+    a1, b1, c1 = x & 1, (x >> 1) & 1, (x >> 2) & 1
+    a2, b2, c2 = y & 1, (y >> 1) & 1, (y >> 2) & 1
+    a = a1 & a2
+    b = (a1 & b2) ^ (b1 & a2) ^ (b1 & c2) ^ (c1 & b2)
+    c = (a1 & c2) ^ (b1 & b2) ^ (c1 & a2) ^ (c1 & c2)
+    return a | b << 1 | c << 2
+
+
+_MUL = tuple(tuple(_mul_raw(x, y) for y in range(8)) for x in range(8))
+
+
+def r2_mul(x: int, y: int) -> int:
+    """Product in R via the precomputed table."""
+    return _MUL[x][y]
+
+
+def trace(x: int) -> int:
+    """The F2-valued form tau: a + b*u + c*u**2  |->  c.
+
+    tau is F2-linear and its kernel {a + b*u : a, b in F2} contains no
+    nonzero ideal of R, which is what makes the pairing
+    (x, y) |-> tau(x*y) non-degenerate enough to separate points.
+    """
+    return (x >> 2) & 1
+
+
+def to_basis_coords(x: int) -> tuple[int, int, int]:
+    """Coordinates (g1, g2, g3) of x with respect to (e1, e2, e3).
+
+    From x = g1*e1 + g2*e2 + g3*e3 one reads off a = g1, b = g3 and
+    c = g1 + g2 + g3, so the inverse map is g1 = a, g2 = a + b + c, g3 = b.
+    """
+    a, b, c = x & 1, (x >> 1) & 1, (x >> 2) & 1
+    return (a, a ^ b ^ c, b)
+
+
+def from_basis_coords(g1: int, g2: int, g3: int) -> int:
+    """Inverse of :func:`to_basis_coords`."""
+    return (g1 & 1) | (g3 & 1) << 1 | ((g1 ^ g2 ^ g3) & 1) << 2
+
+
+def trace_triple(x: int) -> tuple[int, int, int]:
+    """(tau(x*e1), tau(x*e2), tau(x*e3)) for a packed element x.
+
+    Equals (g1, g2 + g3, g2) in basis coordinates; the identity is
+    cross-checked against literal products in the test suite.
+    """
+    g1, g2, g3 = to_basis_coords(x)
+    return (g1, g2 ^ g3, g2)
+
+
+def r2_dot(xs: Sequence[int], ys: Sequence[int]) -> int:
+    """Sum of coordinatewise products of two equal-length R-vectors."""
+    if len(xs) != len(ys):
+        raise ValueError(f"length mismatch: {len(xs)} != {len(ys)}")
+    acc = 0
+    for x, y in zip(xs, ys):
+        acc ^= _MUL[x][y]
+    return acc
+
+
+def f2_row_basis(rows: Sequence[int], ncols: int) -> list[int]:
+    """Reduced row-echelon basis of the row space, pivots left to right."""
+    basis: list[int] = []
+    for r in rows:
+        if r >> ncols:
+            raise ValueError(f"row 0b{r:b} exceeds {ncols} columns")
+        for b in basis:
+            low = b & -b
+            if r & low:
+                r ^= b
+        if r:
+            low = r & -r
+            basis = [b ^ r if b & low else b for b in basis]
+            basis.append(r)
+    basis.sort(key=lambda b: b & -b)
+    return basis
+
+
+def _base_triples(spec: DefiningSetSpec) -> list[tuple[int, ...]]:
+    members1 = enumerate_members(spec.d1)
+    members2 = enumerate_members(spec.d2)
+    members3 = enumerate_members(spec.d3)
+    out = []
+    for v1 in members1:
+        for v2 in members2:
+            for v3 in members3:
+                out.append(
+                    tuple(
+                        from_basis_coords(v1 >> i & 1, v2 >> i & 1, v3 >> i & 1)
+                        for i in range(spec.m)
+                    )
+                )
+    return out
+
+
+def build_defining_set(spec: DefiningSetSpec) -> list[tuple[int, ...]]:
+    """The defining set as a list of R-vectors (tuples of element codes).
+
+    Plain sets are ordered with D1 outermost and D3 innermost, each complex
+    in increasing bitmask order; a global complement is ordered by increasing
+    vector encoding over all of R^m.
+    """
+    base = _base_triples(spec)
+    if len(set(base)) != len(base):
+        raise InvariantError("basis expansion must be injective")
+    if not spec.global_complement:
+        return base
+    skip = set(base)
+    out = []
+    for code in range(1 << (3 * spec.m)):
+        vec = tuple(code >> (3 * i) & 7 for i in range(spec.m))
+        if vec not in skip:
+            out.append(vec)
+    return out
+
+
+def subfield_defining_set(vectors: Sequence[tuple[int, ...]], m: int) -> list[int]:
+    """Flatten R-vectors to 3m-bit masks of coordinatewise trace triples.
+
+    Bit i of the low block is tau(x_i * e1), the middle block tau(x_i * e2),
+    the high block tau(x_i * e3).
+    """
+    out = []
+    for vec in vectors:
+        if len(vec) != m:
+            raise ValueError(f"vector {vec!r} has length {len(vec)}, expected {m}")
+        mask = 0
+        for i, x in enumerate(vec):
+            t1, t2, t3 = trace_triple(x)
+            mask |= t1 << i | t2 << (m + i) | t3 << (2 * m + i)
+        out.append(mask)
+    return out
+
+
+def subfield_generator_rows(masks: Sequence[int], m: int) -> list[int]:
+    """Rows of the 3m x n binary generator matrix (row j = bit j of each mask)."""
+    return [
+        sum((mask >> j & 1) << i for i, mask in enumerate(masks)) for j in range(3 * m)
+    ]
+
+
+def columns(rows: Sequence[int], n: int) -> list[int]:
+    """The mask of each of the n columns of ``rows``, first column first.
+
+    Inverse of :func:`subfield_generator_rows`: bit j of column i is bit i
+    of row j.
+    """
+    return [sum((row >> i & 1) << j for j, row in enumerate(rows)) for i in range(n)]
+
+
+def production_vectors(spec: DefiningSetSpec) -> list[tuple[int, ...]]:
+    """The reference R-vectors of ``spec`` in the column order of ``code_rows``.
+
+    Each production column is looked up among the trace masks of
+    :func:`build_defining_set`.  Raises ``ValueError`` unless the columns
+    are exactly those masks, each once.
+    """
+    vectors = build_defining_set(spec)
+    position = {mask: i for i, mask in enumerate(subfield_defining_set(vectors, spec.m))}
+    n, rows = code_rows(spec)
+    order = [position.get(column, -1) for column in columns(rows, n)]
+    if sorted(order) != list(range(len(vectors))):
+        raise ValueError(f"code_rows columns are not the reference trace masks of {spec}")
+    return [vectors[i] for i in order]
+
+
+def generator_matrix_subfield(
+    g1_rows: Sequence[int],
+    g2_rows: Sequence[int],
+    g3_rows: Sequence[int],
+    ncols: int,
+) -> list[int]:
+    """Stack the coefficient matrices of an R-generator matrix G = G1 + u*G2' ...
+
+    Given the three binary matrices G1, G2, G3 with G = e1*G1 + e2*G2 + e3*G3
+    entrywise, the binary generator of the subfield code is the vertical
+    stack [G1; G2 + G3; G2].
+    """
+    if not len(g1_rows) == len(g2_rows) == len(g3_rows):
+        raise ValueError("coefficient matrices must have equal row counts")
+    for rows in (g1_rows, g2_rows, g3_rows):
+        for r in rows:
+            if r >> ncols:
+                raise ValueError(f"row 0b{r:b} exceeds {ncols} columns")
+    stacked = list(g1_rows)
+    stacked.extend(r2 ^ r3 for r2, r3 in zip(g2_rows, g3_rows))
+    stacked.extend(g2_rows)
+    return stacked
+
+
+def codeword(alpha: int, beta: int, gamma: int, masks: Sequence[int], m: int) -> int:
+    """The length-n codeword of message (alpha, beta, gamma) as a bitmask."""
+    full = 1 << m
+    for name, part in (("alpha", alpha), ("beta", beta), ("gamma", gamma)):
+        if not 0 <= part < full:
+            raise ValueError(f"{name} out of range for F2^{m}: {part}")
+    v = alpha | beta << m | gamma << (2 * m)
+    word = 0
+    for i, mask in enumerate(masks):
+        word |= ((v & mask).bit_count() & 1) << i
+    return word
+
+
+def message_words(masks: Sequence[int], m: int) -> list[int]:
+    """The codeword of every message, indexed by packed mask alpha | beta << m | gamma << 2m."""
+    low = (1 << m) - 1
+    return [codeword(v & low, v >> m & low, v >> 2 * m, masks, m) for v in range(1 << 3 * m)]
+
+
+def code_words_from_rows(rows: Sequence[int], ncols: int) -> list[int]:
+    """All distinct words spanned by the rows, zero word first."""
+    basis = f2_row_basis(rows, ncols)
+    words = [0] * (1 << len(basis))
+    word = 0
+    for t in range(1, len(words)):
+        word ^= basis[(t & -t).bit_length() - 1]
+        words[t ^ (t >> 1)] = word
+    return words
+
+
+def code_words(spec: DefiningSetSpec) -> list[int]:
+    """All 2^k distinct codewords of the code defined by ``spec``."""
+    n, rows = code_rows(spec)
+    return code_words_from_rows(rows, n)
+
+
+def exact_minimality(codewords, n: int) -> bool:
+    """Decide minimality by scanning a list of codewords for disjoint supports.
+
+    The tests check ``analysis.spectral_minimality``, which the reports use,
+    against this scan; its docstring states the disjoint-support lemma.
+    ``codewords`` must be all the words of one binary linear code (the zero
+    word included or not); the pruning below relies on it.
+
+    If a and b of weights w1 and w2 have disjoint supports, then a + b is a nonzero codeword of weight w1 + w2, so a pair
+    of weight classes is scanned only when w1 + w2 is itself a nonzero
+    weight of the code.  Classes with w1 + w2 > n cannot hold disjoint
+    pairs; classes with w1 + w2 == n can only pair a word with its exact
+    complement, a set lookup.
+    """
+    if len(codewords) > MINIMALITY_CAP:
+        raise ValueError(f"code size {len(codewords)} exceeds cap {MINIMALITY_CAP}")
+    classes: dict[int, list[int]] = {}
+    for word in codewords:
+        wt = word.bit_count()
+        if wt:
+            classes.setdefault(wt, []).append(word)
+    ws = sorted(classes)
+    ones = (1 << n) - 1
+    for i, w1 in enumerate(ws):
+        for w2 in ws[i:]:
+            if w1 + w2 > n:
+                break
+            if w1 + w2 not in classes:
+                continue
+            if w1 + w2 == n:
+                partners = set(classes[w2])
+                if any(v ^ ones in partners for v in classes[w1]):
+                    return False
+            elif w1 == w2:
+                bucket = classes[w1]
+                for a in range(len(bucket)):
+                    va = bucket[a]
+                    for b in range(a + 1, len(bucket)):
+                        if not va & bucket[b]:
+                            return False
+            else:
+                for va in classes[w1]:
+                    for vb in classes[w2]:
+                        if not va & vb:
+                            return False
+    return True

@@ -10,7 +10,6 @@ from collections import Counter
 
 import pytest
 
-from r2subfield.algebra import to_basis_coords
 from r2subfield.analysis import (
     FAMILIES,
     distance_optimal_by_griesmer,
@@ -23,19 +22,22 @@ from r2subfield.analysis import (
 from r2subfield.cli import BUNDLED_MANIFEST, _scan_result
 from r2subfield.codegen import (
     DegenerateConfigurationError,
-    build_defining_set,
-    code_rows,
-    code_words,
-    code_words_from_rows,
-    codeword,
-    generator_matrix_subfield,
     message_weights_from_rows,
-    subfield_defining_set,
-    subfield_generator_rows,
     summarize_message_weights,
     weight_distribution_bruteforce,
 )
 from r2subfield.simplicial import ComplexSpec, Subset, char_sum, phi
+from reference import (
+    build_defining_set,
+    code_words,
+    code_words_from_rows,
+    generator_matrix_subfield,
+    message_words,
+    production_vectors,
+    subfield_defining_set,
+    subfield_generator_rows,
+    to_basis_coords,
+)
 
 
 def _verdict(num: int, name: str, ok: bool, detail: str = "") -> None:
@@ -257,56 +259,36 @@ def test_criterion_7_construction_consistency():
                             direct = set(code_words(spec))
                         except DegenerateConfigurationError:
                             continue
+                        config = (family, m, str(lset), str(mset), str(nset))
                         # route 1 may order the columns of a global complement
-                        # its own way: find each of its columns among the
-                        # trace masks of the reference R-vectors
-                        vectors = build_defining_set(spec)
-                        position = {
-                            mask: i
-                            for i, mask in enumerate(subfield_defining_set(vectors, m))
-                        }
-                        n, rows = code_rows(spec)
-                        order = [
-                            position.get(
-                                sum((row >> i & 1) << j for j, row in enumerate(rows)), -1
-                            )
-                            for i in range(n)
-                        ]
-                        if sorted(order) != list(range(len(vectors))):
-                            mismatches.append(
-                                (family, m, str(lset), str(mset), str(nset))
-                            )
+                        # its own way: take the reference R-vectors in its order
+                        try:
+                            vectors = production_vectors(spec)
+                        except ValueError:
+                            mismatches.append(config)
                             continue
-                        vectors = [vectors[i] for i in order]
-                        # route 2: split the R-generator matrix entrywise
-                        # into coefficient matrices and stack [G1; G2+G3; G2]
-                        g1_rows, g2_rows, g3_rows = [], [], []
-                        for i in range(m):
-                            r1 = r2 = r3 = 0
-                            for j, vec in enumerate(vectors):
-                                c1, c2, c3 = to_basis_coords(vec[i])
-                                r1 |= c1 << j
-                                r2 |= c2 << j
-                                r3 |= c3 << j
-                            g1_rows.append(r1)
-                            g2_rows.append(r2)
-                            g3_rows.append(r3)
+                        n = len(vectors)
+                        # route 2: split the R-generator matrix entrywise into
+                        # coefficient matrices G1, G2, G3 (the transposed basis
+                        # coordinates) and stack [G1; G2+G3; G2]
+                        coords = [
+                            sum(
+                                g << (b * m + i)
+                                for i, x in enumerate(vec)
+                                for b, g in enumerate(to_basis_coords(x))
+                            )
+                            for vec in vectors
+                        ]
+                        blocks = subfield_generator_rows(coords, m)
                         stacked = generator_matrix_subfield(
-                            g1_rows, g2_rows, g3_rows, n
+                            blocks[:m], blocks[m : 2 * m], blocks[2 * m :], n
                         )
                         span = set(code_words_from_rows(stacked, n))
                         # route 3: the image of the codeword map
                         masks = subfield_defining_set(vectors, m)
-                        image = {
-                            codeword(a, b, g, masks, m)
-                            for a in range(1 << m)
-                            for b in range(1 << m)
-                            for g in range(1 << m)
-                        }
+                        image = set(message_words(masks, m))
                         if not direct == span == image:
-                            mismatches.append(
-                                (family, m, str(lset), str(mset), str(nset))
-                            )
+                            mismatches.append(config)
                         compared += 1
     _verdict(
         7, "construction consistency", not mismatches,

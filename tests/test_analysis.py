@@ -14,7 +14,6 @@ from r2subfield.analysis import (
     ashikhmin_barg_minimal,
     code_report,
     distance_optimal_by_griesmer,
-    exact_minimality,
     family_of_spec,
     griesmer_sum,
     is_griesmer_code,
@@ -34,10 +33,10 @@ from r2subfield.codegen import (
     BRUTE_FORCE_M_CAP,
     DegenerateConfigurationError,
     code_rows,
-    code_words_from_rows,
     message_weights_from_rows,
 )
 from r2subfield.simplicial import Subset, subset
+from reference import code_words_from_rows, exact_minimality
 
 
 def test_predicted_parameters_anchors():

@@ -9,7 +9,6 @@ from pathlib import Path
 import pytest
 
 from r2subfield import codegen
-from r2subfield.algebra import f2_row_basis, from_basis_coords, r2_dot, trace
 from r2subfield.analysis import FAMILIES, spec_for_family
 from r2subfield.codegen import (
     BRUTE_FORCE_M_CAP,
@@ -17,21 +16,30 @@ from r2subfield.codegen import (
     DefiningSetSpec,
     DegenerateConfigurationError,
     InvariantError,
-    build_defining_set,
     charsum_message_weights,
     code_rows,
-    code_words,
-    code_words_from_rows,
-    codeword,
-    generator_matrix_subfield,
     message_weights_from_rows,
     min_distance,
-    subfield_defining_set,
-    subfield_generator_rows,
     summarize_message_weights,
     weight_distribution_bruteforce,
 )
 from r2subfield.simplicial import ComplexSpec, Subset, complex_size, spectrum, subset
+from reference import (
+    build_defining_set,
+    code_words,
+    code_words_from_rows,
+    codeword,
+    columns,
+    f2_row_basis,
+    from_basis_coords,
+    generator_matrix_subfield,
+    message_words,
+    production_vectors,
+    r2_dot,
+    subfield_defining_set,
+    subfield_generator_rows,
+    trace,
+)
 
 
 def spec(family, m, lmembers, mmembers, nmembers):
@@ -43,23 +51,6 @@ def spec(family, m, lmembers, mmembers, nmembers):
 def enumerated_weights(s):
     """The weight of every message of the code defined by ``s``, from its rows."""
     return message_weights_from_rows(code_rows(s)[1], s.m)
-
-
-def columns(rows, n):
-    """The 3m-bit mask of each of the n columns of ``rows``, first column first."""
-    return [sum((row >> i & 1) << j for j, row in enumerate(rows)) for i in range(n)]
-
-
-def production_vectors(s):
-    """The reference R-vectors of ``s`` permuted to the column order of ``code_rows``.
-
-    Each production column is looked up among the reference trace masks, so a
-    column the reference route does not have raises ``KeyError``.
-    """
-    vectors = build_defining_set(s)
-    position = {mask: i for i, mask in enumerate(subfield_defining_set(vectors, s.m))}
-    n, rows = code_rows(s)
-    return [vectors[position[column]] for column in columns(rows, n)]
 
 
 def test_defining_set_spec_validation():
@@ -230,7 +221,7 @@ def test_m_cap_enforced():
     with pytest.raises(ValueError):
         message_weights_from_rows([0] * (3 * s.m), s.m)
     with pytest.raises(ValueError):
-        code_words(s)
+        charsum_message_weights(s)
 
 
 def literal_message_weights(rows, m):
@@ -271,13 +262,6 @@ def test_message_weights_from_rank_deficient_rows():
             assert message_weights_from_rows(rows, m) == literal_message_weights(rows, m)
 
 
-def rows_from_columns(column_masks, m):
-    """The 3m rows whose i-th column is ``column_masks[i]``; inverse of ``columns``."""
-    return [
-        sum((mask >> j & 1) << i for i, mask in enumerate(column_masks)) for j in range(3 * m)
-    ]
-
-
 @pytest.mark.parametrize("m", [1, 2, 3])
 def test_message_weights_edge_columns(m):
     # m = 1, 2 fit the column patterns in one byte plane, m = 3 needs two
@@ -286,9 +270,9 @@ def test_message_weights_edge_columns(m):
     some = [rng.randrange(top + 1) for _ in range(20)]
     cases = [
         [0] * (3 * m),
-        rows_from_columns([top] * 300, m),
-        rows_from_columns([1] * 256 + [top] * 257 + some, m),
-        rows_from_columns(some * 40, m),
+        subfield_generator_rows([top] * 300, m),
+        subfield_generator_rows([1] * 256 + [top] * 257 + some, m),
+        subfield_generator_rows(some * 40, m),
         # row j ends at column j: every row but the last has zero columns above its top bit
         [1 << j for j in range(3 * m)],
         [rng.getrandbits(3) for _ in range(3 * m - 1)] + [1 << 40],
@@ -315,12 +299,7 @@ def test_message_weights_validates_input():
 def test_code_words_matches_message_image():
     for s, expected in frozen_cases():
         masks = subfield_defining_set(production_vectors(s), s.m)
-        image = {
-            codeword(a, b, g, masks, s.m)
-            for a in range(1 << s.m)
-            for b in range(1 << s.m)
-            for g in range(1 << s.m)
-        }
+        image = set(message_words(masks, s.m))
         words = code_words(s)
         assert len(words) == len(set(words)) == 1 << expected.k
         assert set(words) == image
@@ -396,12 +375,9 @@ def test_charsum_table_equals_enumeration():
         spec(9, 2, (1, 2), (1, 2), ()),
     ]
     for s in cases:
-        m = s.m
-        low = (1 << m) - 1
-        masks = subfield_defining_set(build_defining_set(s), m)
+        masks = subfield_defining_set(build_defining_set(s), s.m)
         assert charsum_message_weights(s) == [
-            codeword(v & low, v >> m & low, v >> 2 * m, masks, m).bit_count()
-            for v in range(1 << 3 * m)
+            word.bit_count() for word in message_words(masks, s.m)
         ], s
 
 

@@ -18,6 +18,26 @@ def test_every_exported_name_resolves(module):
     assert [name for name in mod.__all__ if not hasattr(mod, name)] == []
 
 
+# The ring R and the codeword-list route live in tests/reference.py only.
+MOVED_TO_TESTS = """
+    R2_ZERO R2_ONE R2_U R2_USQ E1 E2 E3 BASIS r2_add r2_mul trace to_basis_coords
+    from_basis_coords trace_triple r2_dot f2_row_basis build_defining_set
+    subfield_defining_set subfield_generator_rows generator_matrix_subfield codeword
+    code_words code_words_from_rows exact_minimality
+""".split()
+
+
+def test_reference_route_is_not_in_the_library():
+    assert len(set(MOVED_TO_TESTS)) == 24
+    modules = [importlib.import_module(name) for name in (
+        "r2subfield", "r2subfield.algebra", "r2subfield.codegen", "r2subfield.analysis"
+    )]
+    leaked = [(mod.__name__, name) for mod in modules for name in MOVED_TO_TESTS
+              if hasattr(mod, name)]
+    assert leaked == []
+    assert importlib.import_module("r2subfield.algebra").__all__ == ["f2_gram_is_zero"]
+
+
 def test_star_import_of_the_package():
     namespace = {}
     exec("from r2subfield import *", namespace)

@@ -18,15 +18,18 @@ from hypothesis import strategies as st  # noqa: E402
 from r2subfield.analysis import FAMILIES, spec_for_family  # noqa: E402
 from r2subfield.codegen import (  # noqa: E402
     DegenerateConfigurationError,
-    build_defining_set,
     charsum_message_weights,
     code_rows,
-    codeword,
     message_weights_from_rows,
+)
+from r2subfield.simplicial import Subset  # noqa: E402
+from reference import (  # noqa: E402
+    build_defining_set,
+    codeword,
+    columns,
     subfield_defining_set,
     subfield_generator_rows,
 )
-from r2subfield.simplicial import Subset  # noqa: E402
 
 
 # No shrink phase: every m = 5 example rebuilds the R^m reference route, so
@@ -52,8 +55,7 @@ def check_against_reference(config, messages):
         return
     assert n == len(masks)
     if spec.global_complement:
-        columns = [sum((row >> i & 1) << j for j, row in enumerate(rows)) for i in range(n)]
-        assert sorted(set(columns)) == sorted(masks)
+        assert sorted(set(columns(rows, n))) == sorted(masks)
     else:
         assert rows == subfield_generator_rows(masks, m)
     table = message_weights_from_rows(rows, m)
