@@ -42,9 +42,10 @@ each a function of its own so a caller that needs several computes each once:
 * The weights of all 2^(3m) messages (:func:`message_weights_from_rows`):
   one counting pass over the n columns gives the multiplicity of each 3m-bit
   column pattern, and a Walsh-Hadamard transform of those 2^(3m) counts,
-  packed into one int, gives every weight at once.  It reads only the rows,
-  never the spectra of the complexes, so the character-sum table below
-  stays an independent check of it.
+  packed into one int of 1-, 2- or 4-byte fields (the narrowest that holds
+  n), gives every weight at once.  It reads only the rows, never the
+  spectra of the complexes, so the character-sum table below stays an
+  independent check of it.
 * The weight distribution: the weight histogram divided by the kernel size
   (:func:`summarize_message_weights`).
 
@@ -87,17 +88,19 @@ __all__ = [
 
 BRUTE_FORCE_M_CAP = 5
 
-# :func:`message_weights_from_rows` packs one value per 32-bit field of an
-# int and reads the fields back as native array items.  Every partial sum of
-# its transform lies in [-n, n], so a bias of at least n keeps each field
-# non-negative, and 2 * _BIAS < 2^32 keeps it inside its field.  2^20
-# columns is 32 times the longest code the m cap allows (2^15 distinct
-# columns) and bounds the n-byte strings the column count builds.
-_FIELD_BYTES = 4
-_BIAS = 1 << 20
+# :func:`message_weights_from_rows` packs one value per field of an int and
+# reads the fields back as native array items.  Every partial sum of its
+# transform lies in [-n, n], so a bias of 2^(8w - 1) keeps each w-byte field
+# in range exactly when n < 2^(8w - 1): the narrowest of 1, 2 or 4 bytes that
+# holds n is used (_field_typecode).  2^20 columns is 32 times the longest
+# code the m cap allows (2^15 distinct columns) and bounds the n-byte strings
+# the column count builds.
+_MAX_COLUMNS = 1 << 20
 _SPREAD = bytes.maketrans(b"01", b"\0\1")
-if array("I").itemsize != _FIELD_BYTES or array("H").itemsize != 2:
-    raise ImportError("r2subfield needs 2-byte array('H') and 4-byte array('I') items")
+if [array(typecode).itemsize for typecode in "BHI"] != [1, 2, 4]:
+    raise ImportError(
+        "r2subfield needs 1-byte array('B'), 2-byte array('H') and 4-byte array('I') items"
+    )
 
 
 class DegenerateConfigurationError(ValueError):
@@ -219,13 +222,14 @@ def message_weights_from_rows(rows: Sequence[int], m: int) -> list[int]:
     as n columns of 3m bits, and h[p] counts the columns with pattern p.
     Message v then has weight (n - H[v]) / 2, where H is the Walsh-Hadamard
     transform of h: H[v] is the sum of (-1)^(p . v) h[p] over all p.  The
-    transform costs O(3m 2^(3m)) small-integer operations whatever n and the
-    dimension are.  It reads only the rows, so the table stays independent of
-    the spectra behind :func:`charsum_message_weights`.
+    transform costs O(3m 2^(3m)) operations on one int of 2^(3m) fields of
+    1, 2 or 4 bytes, the narrowest that holds n, whatever the dimension is.
+    It reads only the rows, so the table stays independent of the spectra
+    behind :func:`charsum_message_weights`.
 
     Raises ``ValueError`` above :data:`BRUTE_FORCE_M_CAP`, for a row count
     other than 3m, for a negative row and for rows of more than 2^20 columns
-    (``_BIAS``).
+    (``_MAX_COLUMNS``).
     """
     _check_m_cap(m)
     if len(rows) != 3 * m:
@@ -233,42 +237,61 @@ def message_weights_from_rows(rows: Sequence[int], m: int) -> list[int]:
     if min(rows) < 0:
         raise ValueError("generator rows must be non-negative bitmasks")
     n = max(rows).bit_length()
-    if n > _BIAS:
-        raise ValueError(f"rows of {n} columns exceed the {_BIAS} the weight fields hold")
+    if n > _MAX_COLUMNS:
+        raise ValueError(
+            f"rows of {n} columns exceed the {_MAX_COLUMNS} the weight fields hold"
+        )
+    typecode = _field_typecode(n)
+    width = array(typecode).itemsize
+    bias = 1 << (8 * width - 1)
     fields = 1 << len(rows)
-    ones = int.from_bytes(array("I", [1]) * fields, sys.byteorder)
-    transform = _walsh_hadamard(_column_counts(rows, n, fields), _BIAS * ones, fields)
+    ones = int.from_bytes(array(typecode, [1]) * fields, sys.byteorder)
+    counts = _column_counts(rows, n, fields, typecode)
+    transform = _walsh_hadamard(counts, bias * ones, fields, width)
     # every n - H[v] is even, so one shift halves each field exactly
-    weights = ((n + _BIAS) * ones - transform) >> 1
-    return array("I", weights.to_bytes(_FIELD_BYTES * fields, sys.byteorder)).tolist()
+    weights = ((n + bias) * ones - transform) >> 1
+    return array(typecode, weights.to_bytes(width * fields, sys.byteorder)).tolist()
 
 
-def _column_counts(rows: Sequence[int], n: int, fields: int) -> int:
-    """How many of the n columns have pattern p, in the 32-bit field at bit 32p."""
-    counts = array("I", [0]) * fields
+def _field_typecode(n: int) -> str:
+    """The ``array`` typecode of the narrowest w-byte field with n < 2^(8w - 1)."""
+    if n < 1 << 7:
+        return "B"
+    if n < 1 << 15:
+        return "H"
+    return "I"
+
+
+def _column_counts(rows: Sequence[int], n: int, fields: int, typecode: str) -> int:
+    """How many of the n columns have pattern p, in field p of ``typecode`` items."""
+    counts = array(typecode, [0]) * fields
     for pattern in _column_patterns(rows, n):
         counts[pattern] += 1
     return int.from_bytes(counts, sys.byteorder)
 
 
-def _walsh_hadamard(packed: int, bias: int, fields: int) -> int:
-    """The Walsh-Hadamard transform H of the values in ``fields`` packed 32-bit fields.
+def _walsh_hadamard(packed: int, bias: int, fields: int, width: int) -> int:
+    """The Walsh-Hadamard transform H of the values in ``fields`` packed fields.
 
-    ``bias`` holds _BIAS in every field, and the result holds H[v] + _BIAS
-    in field v.  Each stage folds the pairs (x, y) that lie ``shift`` bits
-    apart into (x + y, x - y) with a few whole-int operations.  sel selects
+    Each field is ``width`` bytes.  ``bias`` holds the same bias B in every
+    field, and the result holds H[v] + B in field v.  Each stage folds the
+    pairs (x, y) that lie ``shift`` bits apart into (x + y, x - y) with a few
+    whole-int operations.  Once the bias is taken off hi, lo + hi and lo - hi
+    are the sums of x + y + B and x - y + B at the fields' offsets; those
+    values lie in [B - n, B + n], inside a field, so the two ints are exactly
+    the packed fields, whatever borrows the unbiased hi holds.  sel selects
     the low half of every block of 2 * shift bits; once shift is halved,
     sel ^ sel << shift is the next one, and as the top half of the top block
     is clear, nothing lands above the packed width.
     """
     packed += bias
-    shift = 4 * _FIELD_BYTES * fields
+    shift = 4 * width * fields
     sel = (1 << shift) - 1
-    while shift >= 8 * _FIELD_BYTES:
+    while shift >= 8 * width:
         lo = packed & sel
         hi = packed >> shift & sel
-        half = bias & sel
-        packed = (lo + hi - half) | (lo + half - hi) << shift
+        hi -= bias & sel
+        packed = (lo + hi) | (lo - hi) << shift
         shift >>= 1
         sel ^= sel << shift
     return packed

@@ -281,6 +281,36 @@ def test_message_weights_edge_columns(m):
         assert message_weights_from_rows(rows, m) == literal_message_weights(rows, m)
 
 
+@pytest.mark.parametrize("n", [127, 128, 2**15 - 1, 2**15])
+def test_message_weights_at_field_width_boundaries(n):
+    # 1-byte fields hold n < 2^7, 2-byte fields n < 2^15; on the all-ones row
+    # H reaches -n, and at the zero message H is always n
+    rng = random.Random(n)
+    full = (1 << n) - 1
+    cases = [
+        [full, 0, 0],
+        [full, full, 1 << (n - 1)],
+        [rng.getrandbits(n - 1), full, rng.getrandbits(n)],
+    ]
+    for rows in cases:
+        assert max(rows).bit_length() == n
+        assert message_weights_from_rows(rows, 1) == literal_message_weights(rows, 1)
+
+
+@pytest.mark.parametrize(
+    "family, members, n",
+    [
+        (1, (1, 2), 64),  # 1-byte fields
+        (9, (), 2**15 - 1),  # the longest code with 2-byte fields
+        (1, (1, 2, 3, 4, 5), 2**15),  # 4-byte fields
+    ],
+)
+def test_message_weights_match_charsum_per_field_width_at_m5(family, members, n):
+    s = spec(family, 5, members, members, members)
+    assert code_rows(s)[0] == n
+    assert enumerated_weights(s) == charsum_message_weights(s)
+
+
 def test_message_weights_validates_input():
     # the m cap is asserted in test_m_cap_enforced
     for count in (5, 7):
