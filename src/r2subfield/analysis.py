@@ -35,7 +35,6 @@ from concurrent.futures import ProcessPoolExecutor
 from functools import cache
 from typing import NamedTuple
 
-from .algebra import f2_gram_is_zero
 from .codegen import (
     BRUTE_FORCE_M_CAP,
     CodeSummary,
@@ -43,8 +42,7 @@ from .codegen import (
     DegenerateConfigurationError,
     InvariantError,
     charsum_message_weights,
-    code_rows,
-    message_weights_from_rows,
+    message_weights,
     min_distance,
     summarize_message_weights,
 )
@@ -390,6 +388,23 @@ def spectral_minimality(spec: DefiningSetSpec) -> bool:
     return _minimal_by_classes(spec.m, factors, spec.global_complement)
 
 
+def _self_orthogonal(weights_by_message, m: int) -> bool:
+    """Exact self-orthogonality from the weight of every message.
+
+    Row i of a generator matrix is the codeword of the unit message e_i,
+    and two rows meet in |r_i & r_j| = (W(e_i) + W(e_j) - W(e_i + e_j)) / 2
+    positions.  So the Gram matrix over F2 vanishes, and the code lies in
+    its dual, exactly when every W(e_i) is even and every
+    W(e_i) + W(e_j) - W(e_i + e_j) is 0 mod 4.
+    """
+    units = [1 << i for i in range(3 * m)]
+    return all(weights_by_message[a] % 2 == 0 for a in units) and all(
+        (weights_by_message[a] + weights_by_message[b] - weights_by_message[a ^ b]) % 4 == 0
+        for i, a in enumerate(units)
+        for b in units[i + 1 :]
+    )
+
+
 def self_orth_mod4(weights) -> bool:
     """Sufficient condition for self-orthogonality: every weight is 0 mod 4."""
     return all(w % 4 == 0 for w, c in weights.items() if c > 0)
@@ -439,8 +454,7 @@ def _evaluate(family: int, spec: DefiningSetSpec, claimed_only: bool):
     """
     lset, mset, nset = (part.generator for part in spec.parts)
     m = spec.m
-    n, rows = code_rows(spec)
-    weights_by_message = message_weights_from_rows(rows, m)
+    n, weights_by_message = message_weights(spec)
     measured = summarize_message_weights(weights_by_message, n, m)
 
     try:
@@ -474,7 +488,7 @@ def _evaluate(family: int, spec: DefiningSetSpec, claimed_only: bool):
             "optimality_condition": opt,
             "minimal_exact": minimal_exact,
             "minimal_ab": minimal_ab,
-            "self_orth_exact": f2_gram_is_zero(rows),
+            "self_orth_exact": _self_orthogonal(weights_by_message, m),
             "self_orth_mod4": self_orth_mod4(measured.weights),
             "table10_minimal": conditions.minimal,
             "table10_self_orth": conditions.self_orthogonal,

@@ -283,27 +283,31 @@ def _load_manifest(path: str | None) -> list[tuple[int, int, str, str, str, int,
         return list(BUNDLED_MANIFEST)
     with open(path, newline="", encoding="utf-8") as handle:
         reader = csv.DictReader(handle)
-        if reader.fieldnames != MANIFEST_HEADER:
-            raise ValueError(
-                f"manifest header must be {','.join(MANIFEST_HEADER)}, "
-                f"got {reader.fieldnames}"
-            )
         rows = []
-        for record in reader:
-            # DictReader files a long row's extra fields under None and fills
-            # a short row's missing fields with None.
-            if None in record or None in record.values():
+        try:
+            if reader.fieldnames != MANIFEST_HEADER:
                 raise ValueError(
-                    f"manifest line {reader.line_num} must have "
-                    f"{len(MANIFEST_HEADER)} fields"
+                    f"manifest header must be {','.join(MANIFEST_HEADER)}, "
+                    f"got {reader.fieldnames}"
                 )
-            rows.append(
-                (
-                    int(record["family"]), int(record["m"]),
-                    record["L"], record["M"], record["N"],
-                    int(record["n"]), int(record["k"]), int(record["d"]),
+            for record in reader:
+                # DictReader files a long row's extra fields under None and fills
+                # a short row's missing fields with None.
+                if None in record or None in record.values():
+                    raise ValueError(
+                        f"manifest line {reader.line_num} must have "
+                        f"{len(MANIFEST_HEADER)} fields"
+                    )
+                rows.append(
+                    (
+                        int(record["family"]), int(record["m"]),
+                        record["L"], record["M"], record["N"],
+                        int(record["n"]), int(record["k"]), int(record["d"]),
+                    )
                 )
-            )
+        except csv.Error as exc:
+            # DictReader copies line_num only once a row parses; its reader counts every line
+            raise ValueError(f"manifest line {reader.reader.line_num}: {exc}") from None
     return rows
 
 

@@ -5,8 +5,11 @@ F2^(3m) and decides minimality from three spectra.  This module keeps the
 paper's own route: arithmetic in the eight-element ring R = F2[x]/(x^3 - x),
 the defining set as R-vectors, their trace masks and the transposition to
 generator rows, the codeword map, and the codeword list with a scan for
-disjoint supports.  It is a plain module, not a test file; the tests import
-it as ``from reference import ...``.
+disjoint supports.  It also keeps the generator rows of the product set
+(:func:`code_rows`) and a Gray-code walk that weighs every message from
+rows (:func:`row_message_weights`), which the tests compare with the
+library's message weights.  It is a plain module, not a test file; the
+tests import it as ``from reference import ...``.
 
 An element a + b*u + c*u**2 of R (u = image of x, so u**3 = u) is packed into
 an int in ``range(8)`` as ``a | b << 1 | c << 2``.  Addition is XOR; products
@@ -31,8 +34,8 @@ from __future__ import annotations
 from collections.abc import Sequence
 
 from r2subfield.analysis import MINIMALITY_CAP
-from r2subfield.codegen import DefiningSetSpec, InvariantError, code_rows
-from r2subfield.simplicial import enumerate_members
+from r2subfield.codegen import DefiningSetSpec, DegenerateConfigurationError, InvariantError
+from r2subfield.simplicial import ComplexSpec, enumerate_members
 
 R2_ZERO = 0
 R2_ONE = 1
@@ -202,6 +205,96 @@ def columns(rows: Sequence[int], n: int) -> list[int]:
     of row j.
     """
     return [sum((row >> i & 1) << j for j, row in enumerate(rows)) for i in range(n)]
+
+
+def _blocks(members: Sequence[int], j: int, width: int) -> int:
+    """Bit j of each member, widened to ``width`` equal bits; first member lowest."""
+    block = (1 << width) - 1
+    out = 0
+    for i, v in enumerate(members):
+        if v >> j & 1:
+            out |= block << (i * width)
+    return out
+
+
+def _repunit(width: int, times: int) -> int:
+    """Bits 0, width, 2*width, ...: times a width-bit pattern repeats it ``times`` times."""
+    return ((1 << (width * times)) - 1) // ((1 << width) - 1)
+
+
+def _product_rows(
+    members1: Sequence[int], members2: Sequence[int], members3: Sequence[int], m: int
+) -> tuple[int, list[int]]:
+    """n and the 3m generator rows of the product set of three member lists."""
+    n1, n2, n3 = len(members1), len(members2), len(members3)
+    n = n1 * n2 * n3
+    if n == 0:
+        return 0, [0] * (3 * m)
+    repeat2 = _repunit(n2 * n3, n1)
+    repeat3 = _repunit(n3, n1 * n2)
+    rows1 = [_blocks(members1, j, n2 * n3) for j in range(m)]
+    rows2 = [_blocks(members2, j, n3) * repeat2 for j in range(m)]
+    rows3 = [_blocks(members3, j, 1) * repeat3 for j in range(m)]
+    return n, rows1 + [r2 ^ r3 for r2, r3 in zip(rows2, rows3)] + rows2
+
+
+def _column_products(spec: DefiningSetSpec) -> list[tuple[list[int], list[int], list[int]]]:
+    """The defining set as disjoint products of member lists, in column order.
+
+    One product for families 1-8, three for a global complement (see
+    :func:`code_rows`).
+    """
+    inside = [enumerate_members(part) for part in spec.parts]
+    if not spec.global_complement:
+        return [tuple(inside)]
+    outside = [enumerate_members(ComplexSpec(part.generator, True)) for part in spec.parts]
+    full = list(range(1 << spec.m))
+    return [
+        (outside[0], full, full),
+        (inside[0], outside[1], full),
+        (inside[0], inside[1], outside[2]),
+    ]
+
+
+def code_rows(spec: DefiningSetSpec) -> tuple[int, list[int]]:
+    """n and the 3m generator rows of the code defined by ``spec``.
+
+    For families 1-8 the columns are the product D1 x D2 x D3, D1 outermost
+    and D3 innermost, each complex in increasing bitmask order, and the rows
+    are repeated bit patterns of the three member lists: row j (j < m)
+    repeats bit j of each d1 over a block of |D2|*|D3| columns, row 2m+j
+    repeats bit j of each d2 over |D3| columns and that pattern |D1| times,
+    and row m+j is row 2m+j XOR the pattern of bit j of each d3 repeated
+    |D1|*|D2| times.  A global complement (family 9) is F2^(3m) minus
+    D1 x D2 x D3 in (d1, d2, d3) coordinates, the disjoint union of three
+    products with F = F2^m and Di' the complement of Di in F: first
+    D1' x F x F, then D1 x D2' x F, then D1 x D2 x D3'.  Each piece takes its
+    columns in the same order as a family 1-8 product, after the columns of
+    the pieces before it.  Raises :class:`DegenerateConfigurationError` for
+    an empty defining set.
+    """
+    n, rows = 0, [0] * (3 * spec.m)
+    for members in _column_products(spec):
+        width, piece = _product_rows(*members, spec.m)
+        rows = [row | p << n for row, p in zip(rows, piece)]
+        n += width
+    if not n:
+        raise DegenerateConfigurationError("empty defining set")
+    return n, rows
+
+
+def row_message_weights(rows: Sequence[int]) -> list[int]:
+    """The weight of every message, indexed by packed mask: bit j selects row j.
+
+    A Gray-code walk: step t XORs in the one row whose bit flips, then
+    popcounts the word.
+    """
+    weights = [0] * (1 << len(rows))
+    word = 0
+    for t in range(1, len(weights)):
+        word ^= rows[(t & -t).bit_length() - 1]
+        weights[t ^ (t >> 1)] = word.bit_count()
+    return weights
 
 
 def production_vectors(spec: DefiningSetSpec) -> list[tuple[int, ...]]:

@@ -5,8 +5,11 @@ as they happen; without ``-s`` pytest shows the captured lines for failing
 criteria only.
 """
 
+import hashlib
+import json
 import time
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -19,21 +22,20 @@ from r2subfield.analysis import (
     run_sweep,
     spec_for_family,
 )
-from r2subfield.cli import BUNDLED_MANIFEST, _scan_result
+from r2subfield.cli import BUNDLED_MANIFEST, _json_text, _scan_result
 from r2subfield.codegen import (
     DegenerateConfigurationError,
-    message_weights_from_rows,
+    message_weights,
     summarize_message_weights,
     weight_distribution_bruteforce,
 )
 from r2subfield.simplicial import ComplexSpec, Subset, char_sum, phi
 from reference import (
     build_defining_set,
-    code_words,
     code_words_from_rows,
     generator_matrix_subfield,
     message_words,
-    production_vectors,
+    row_message_weights,
     subfield_defining_set,
     subfield_generator_rows,
     to_basis_coords,
@@ -116,6 +118,18 @@ def test_criterion_3_oracle_sweep_m3(sweep_m3):
     )
 
 
+def test_sweep_m3_json_matches_the_recorded_digest(sweep_m3):
+    # `verify --m 3 --format json` prints this text; perfbench/expected.json
+    # holds its digest from a commit known to be right
+    rows, summary, _ = sweep_m3
+    expected_path = Path(__file__).resolve().parents[1] / "perfbench" / "expected.json"
+    expected = json.loads(expected_path.read_text(encoding="utf-8"))["sweep_m3"]
+    assert expected["argv"] == ["verify", "--m", "3", "--format", "json"]
+    text = _json_text({"rows": rows, "summary": summary}).encode()
+    assert len(text) == expected["bytes"]
+    assert hashlib.sha256(text).hexdigest() == expected["sha256"]
+
+
 def _family1_shortfall(row) -> str:
     """Why a family-1 row misses Griesmer equality, or a problem description.
 
@@ -141,9 +155,7 @@ def _family1_shortfall(row) -> str:
     j = zero_columns[0]
     low = (1 << j) - 1
     punctured_rows = [r & low | r >> (j + 1) << j for r in rows]
-    punctured = summarize_message_weights(
-        message_weights_from_rows(punctured_rows, m), n - 1, m
-    )
+    punctured = summarize_message_weights(row_message_weights(punctured_rows), n - 1, m)
     if (punctured.k, punctured.d) != (k, d) or not is_griesmer_code(n - 1, k, d):
         return f"punctured code [{n - 1},{punctured.k},{punctured.d}] is not Griesmer"
     return ""
@@ -256,18 +268,10 @@ def test_criterion_7_construction_consistency():
                     for nset in subsets:
                         spec = spec_for_family(family, lset, mset, nset)
                         try:
-                            direct = set(code_words(spec))
+                            n, table = message_weights(spec)
                         except DegenerateConfigurationError:
                             continue
-                        config = (family, m, str(lset), str(mset), str(nset))
-                        # route 1 may order the columns of a global complement
-                        # its own way: take the reference R-vectors in its order
-                        try:
-                            vectors = production_vectors(spec)
-                        except ValueError:
-                            mismatches.append(config)
-                            continue
-                        n = len(vectors)
+                        vectors = build_defining_set(spec)
                         # route 2: split the R-generator matrix entrywise into
                         # coefficient matrices G1, G2, G3 (the transposed basis
                         # coordinates) and stack [G1; G2+G3; G2]
@@ -281,19 +285,23 @@ def test_criterion_7_construction_consistency():
                         ]
                         blocks = subfield_generator_rows(coords, m)
                         stacked = generator_matrix_subfield(
-                            blocks[:m], blocks[m : 2 * m], blocks[2 * m :], n
+                            blocks[:m], blocks[m : 2 * m], blocks[2 * m :], len(vectors)
                         )
-                        span = set(code_words_from_rows(stacked, n))
-                        # route 3: the image of the codeword map
-                        masks = subfield_defining_set(vectors, m)
-                        image = set(message_words(masks, m))
-                        if not direct == span == image:
-                            mismatches.append(config)
+                        span = set(code_words_from_rows(stacked, len(vectors)))
+                        # route 3: the image of the codeword map; route 1, the
+                        # production table, weighs each message's word
+                        words = message_words(subfield_defining_set(vectors, m), m)
+                        if not (
+                            n == len(vectors)
+                            and table == [word.bit_count() for word in words]
+                            and span == set(words)
+                        ):
+                            mismatches.append((family, m, str(lset), str(mset), str(nset)))
                         compared += 1
     _verdict(
         7, "construction consistency", not mismatches,
-        f"{compared} configurations agree across generator-matrix stack, "
-        f"mask rows, and codeword image" if not mismatches
+        f"{compared} configurations agree across the message-weight table, "
+        f"generator-matrix stack, and codeword image" if not mismatches
         else f"{len(mismatches)} disagreements: {mismatches[:5]}",
     )
 

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 
 import pytest
@@ -29,14 +30,9 @@ from r2subfield.analysis import (
     sweep_workers,
     table10_conditions,
 )
-from r2subfield.codegen import (
-    BRUTE_FORCE_M_CAP,
-    DegenerateConfigurationError,
-    code_rows,
-    message_weights_from_rows,
-)
+from r2subfield.codegen import BRUTE_FORCE_M_CAP, DegenerateConfigurationError, message_weights
 from r2subfield.simplicial import Subset, subset
-from reference import code_words_from_rows, exact_minimality
+from reference import code_rows, code_words_from_rows, exact_minimality
 
 
 def test_predicted_parameters_anchors():
@@ -343,6 +339,47 @@ def test_spectral_minimality_matches_the_scan_on_m5_report_classes(family, sizes
     assert spectral_minimality(spec) == scanned_minimality(spec)
 
 
+def unit_message_weights(rows):
+    """W(e_i) and W(e_i + e_j) for all rows i <= j, keyed by packed message mask."""
+    return {
+        1 << i | 1 << j: (rows[i] ^ rows[j] if i != j else rows[i]).bit_count()
+        for i in range(len(rows))
+        for j in range(i, len(rows))
+    }
+
+
+def test_self_orthogonality_from_the_table_matches_the_gram_check():
+    # Every configuration at m <= 3 on the table of message_weights, then one
+    # code per size class at m = 4 and 5 on the unit-message weights of the
+    # rows (the whole table takes seconds there); a class fails in 81 codes
+    # per m, 9 size triples in every family.
+    specs = [
+        spec_for_family(family, *(Subset.from_mask(m, x) for x in masks))
+        for m in (1, 2, 3)
+        for family in FAMILIES
+        for masks in itertools.product(range(1 << m), repeat=3)
+    ] + [
+        class_spec(family, m, *sizes)
+        for m in (4, 5)
+        for family in FAMILIES
+        for sizes in itertools.product(range(m + 1), repeat=3)
+    ]
+    decided = Counter()
+    for spec in specs:
+        try:
+            _, rows = code_rows(spec)
+        except DegenerateConfigurationError:
+            continue
+        weights = message_weights(spec)[1] if spec.m <= 3 else unit_message_weights(rows)
+        exact = f2_gram_is_zero(rows)
+        assert analysis._self_orthogonal(weights, spec.m) == exact, spec
+        decided[max(spec.m, 3), exact] += 1
+    assert decided == {
+        (3, True): 3706, (3, False): 620, (4, True): 772, (4, False): 81,
+        (5, True): 1465, (5, False): 81,
+    }
+
+
 def test_pair_weights_match_the_message_table():
     # The realisable (2W(a), 2W(b), 2W(a + b)) agree with the enumerated
     # message weights over all pairs of messages.  This pins the family-9
@@ -358,10 +395,10 @@ def test_pair_weights_match_the_message_table():
     checked = 0
     for spec in specs:
         try:
-            n, rows = code_rows(spec)
+            _, weights = message_weights(spec)
         except DegenerateConfigurationError:
             continue
-        doubled = [2 * w for w in message_weights_from_rows(rows, spec.m)]
+        doubled = [2 * w for w in weights]
         messages = range(len(doubled))
         enumerated = {(doubled[a], doubled[b], doubled[a ^ b]) for a in messages for b in messages}
         assert set(pair_weights(spec)) == enumerated, spec

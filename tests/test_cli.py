@@ -235,6 +235,18 @@ def test_scan_rejects_row_with_wrong_field_count(tmp_path, capsys, row):
     assert "manifest line 3 must have 8 fields" in err
 
 
+def test_scan_rejects_field_over_the_csv_limit(tmp_path, capsys):
+    path = tmp_path / "big.csv"
+    field = "1" * (csv.field_size_limit() + 1)
+    path.write_text(
+        ",".join(MANIFEST_HEADER) + f"\n2,3,{field},-,-,8,3,4\n", encoding="utf-8"
+    )
+    rc, out, err = run_cli(capsys, "scan", "--manifest", str(path))
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("error: manifest line 2: field larger than field limit")
+
+
 def test_scan_missing_manifest_exits_2(tmp_path, capsys):
     rc, _, err = run_cli(capsys, "scan", "--manifest", str(tmp_path / "nope.csv"))
     assert rc == 2

@@ -1,7 +1,6 @@
 """Unit tests for defining sets, codeword generation, and brute-force sweeps."""
 
 import os
-import random
 import subprocess
 import sys
 from pathlib import Path
@@ -17,8 +16,7 @@ from r2subfield.codegen import (
     DegenerateConfigurationError,
     InvariantError,
     charsum_message_weights,
-    code_rows,
-    message_weights_from_rows,
+    message_weights,
     min_distance,
     summarize_message_weights,
     weight_distribution_bruteforce,
@@ -26,16 +24,16 @@ from r2subfield.codegen import (
 from r2subfield.simplicial import ComplexSpec, Subset, complex_size, spectrum, subset
 from reference import (
     build_defining_set,
+    code_rows,
     code_words,
-    code_words_from_rows,
     codeword,
     columns,
-    f2_row_basis,
     from_basis_coords,
     generator_matrix_subfield,
     message_words,
     production_vectors,
     r2_dot,
+    row_message_weights,
     subfield_defining_set,
     subfield_generator_rows,
     trace,
@@ -49,8 +47,8 @@ def spec(family, m, lmembers, mmembers, nmembers):
 
 
 def enumerated_weights(s):
-    """The weight of every message of the code defined by ``s``, from its rows."""
-    return message_weights_from_rows(code_rows(s)[1], s.m)
+    """The weight of every message of the code defined by ``s``, from its member lists."""
+    return message_weights(s)[1]
 
 
 def test_defining_set_spec_validation():
@@ -217,113 +215,24 @@ def test_all_zero_defining_set_is_degenerate():
 def test_m_cap_enforced():
     s = spec(1, BRUTE_FORCE_M_CAP + 1, (1,), (), ())
     with pytest.raises(ValueError):
-        code_rows(s)
-    with pytest.raises(ValueError):
-        message_weights_from_rows([0] * (3 * s.m), s.m)
+        message_weights(s)
     with pytest.raises(ValueError):
         charsum_message_weights(s)
-
-
-def literal_message_weights(rows, m):
-    """Weight of every packed message: XOR the rows its bits select, then popcount."""
-    weights = []
-    for t in range(1 << (3 * m)):
-        word = 0
-        for j, row in enumerate(rows):
-            if t >> j & 1:
-                word ^= row
-        weights.append(word.bit_count())
-    return weights
-
-
-def rank_deficient_rows(rng, m):
-    """3m rows spanned by fewer than 3m random words, with a zero and a repeated row."""
-    n = rng.randint(1, 12)
-    base = [rng.getrandbits(n) for _ in range(rng.randint(1, 3 * m - 1))]
-    rows = []
-    for _ in range(3 * m - 2):
-        row = 0
-        for b in base:
-            if rng.getrandbits(1):
-                row ^= b
-        rows.append(row)
-    rows += [0, rows[0]]
-    rng.shuffle(rows)
-    return rows
-
-
-def test_message_weights_from_rank_deficient_rows():
-    rng = random.Random(6)
-    for m in (1, 2, 3):
-        cases = [[0] * (3 * m), [0b1011] * (3 * m), [0b01, 0b10, 0b11] * m]
-        cases += [rank_deficient_rows(rng, m) for _ in range(20)]
-        for rows in cases:
-            assert len(f2_row_basis(rows, 12)) < 3 * m
-            assert message_weights_from_rows(rows, m) == literal_message_weights(rows, m)
-
-
-@pytest.mark.parametrize("m", [1, 2, 3])
-def test_message_weights_edge_columns(m):
-    # m = 1, 2 fit the column patterns in one byte plane, m = 3 needs two
-    rng = random.Random(m)
-    top = (1 << (3 * m)) - 1
-    some = [rng.randrange(top + 1) for _ in range(20)]
-    cases = [
-        [0] * (3 * m),
-        subfield_generator_rows([top] * 300, m),
-        subfield_generator_rows([1] * 256 + [top] * 257 + some, m),
-        subfield_generator_rows(some * 40, m),
-        # row j ends at column j: every row but the last has zero columns above its top bit
-        [1 << j for j in range(3 * m)],
-        [rng.getrandbits(3) for _ in range(3 * m - 1)] + [1 << 40],
-    ]
-    for rows in cases:
-        assert message_weights_from_rows(rows, m) == literal_message_weights(rows, m)
-
-
-@pytest.mark.parametrize("n", [127, 128, 2**15 - 1, 2**15])
-def test_message_weights_at_field_width_boundaries(n):
-    # 1-byte fields hold n < 2^7, 2-byte fields n < 2^15; on the all-ones row
-    # H reaches -n, and at the zero message H is always n
-    rng = random.Random(n)
-    full = (1 << n) - 1
-    cases = [
-        [full, 0, 0],
-        [full, full, 1 << (n - 1)],
-        [rng.getrandbits(n - 1), full, rng.getrandbits(n)],
-    ]
-    for rows in cases:
-        assert max(rows).bit_length() == n
-        assert message_weights_from_rows(rows, 1) == literal_message_weights(rows, 1)
 
 
 @pytest.mark.parametrize(
     "family, members, n",
     [
-        (1, (1, 2), 64),  # 1-byte fields
-        (9, (), 2**15 - 1),  # the longest code with 2-byte fields
-        (1, (1, 2, 3, 4, 5), 2**15),  # 4-byte fields
+        (1, ((1, 2),) * 3, 64),  # 1-byte fields
+        (9, ((),) * 3, 2**15 - 1),  # the longest code with 2-byte fields
+        (1, ((1, 2, 3, 4, 5),) * 3, 2**15),  # 4-byte fields
+        (1, ((1, 2, 3), (1, 2), (1, 2)), 128),  # the shortest code with 2-byte fields
     ],
 )
 def test_message_weights_match_charsum_per_field_width_at_m5(family, members, n):
-    s = spec(family, 5, members, members, members)
-    assert code_rows(s)[0] == n
-    assert enumerated_weights(s) == charsum_message_weights(s)
-
-
-def test_message_weights_validates_input():
-    # the m cap is asserted in test_m_cap_enforced
-    for count in (5, 7):
-        with pytest.raises(ValueError, match="generator rows"):
-            message_weights_from_rows([1] * count, 2)
-    with pytest.raises(ValueError, match="non-negative"):
-        message_weights_from_rows([-1, 2, 3], 1)
-    # the packed fields hold rows of up to 2^20 columns, the all-ones row included
-    widest = [(1 << 2**20) - 1, 0, 1 << (2**20 - 1)]
-    assert message_weights_from_rows(widest, 1) == literal_message_weights(widest, 1)
-    for length in (2**20 + 1, 2**21):
-        with pytest.raises(ValueError, match="columns"):
-            message_weights_from_rows([1 << (length - 1), 0, 0], 1)
+    # 1-byte fields hold n < 2^7, 2-byte fields n < 2^15
+    s = spec(family, 5, *members)
+    assert message_weights(s) == (n, charsum_message_weights(s))
 
 
 def test_code_words_matches_message_image():
@@ -358,7 +267,8 @@ def test_code_summary_as_dict():
 def test_code_rows_match_reference_route():
     # every configuration of all nine families at m <= 3: same length as
     # R-vectors -> trace masks -> transposition; families 1-8 also have the
-    # same rows, a global complement the same columns in its own order
+    # same rows, a global complement the same columns in its own order; and
+    # message_weights gives the weights of a Gray-code walk over those rows
     compared = 0
     for m in (1, 2, 3):
         subsets = [Subset.from_mask(m, mask) for mask in range(1 << m)]
@@ -371,6 +281,8 @@ def test_code_rows_match_reference_route():
                         if not masks:
                             with pytest.raises(DegenerateConfigurationError):
                                 code_rows(s)
+                            with pytest.raises(DegenerateConfigurationError):
+                                message_weights(s)
                             continue
                         n, rows = code_rows(s)
                         assert n == len(masks), s
@@ -378,17 +290,16 @@ def test_code_rows_match_reference_route():
                             assert sorted(set(columns(rows, n))) == sorted(masks), s
                         else:
                             assert rows == subfield_generator_rows(masks, m), s
+                        assert message_weights(s) == (n, row_message_weights(rows)), s
                         compared += 1
     assert compared == 4326
 
 
 def test_spec_functions_compose_the_stages():
     for s, expected in frozen_cases():
-        n, rows = code_rows(s)
-        weights = message_weights_from_rows(rows, s.m)
+        n, weights = message_weights(s)
         assert summarize_message_weights(weights, n, s.m) == expected
         assert weight_distribution_bruteforce(s) == expected
-        assert code_words(s) == code_words_from_rows(rows, n)
 
 
 def test_charsum_table_equals_enumeration():

@@ -1,11 +1,12 @@
 """Property tests at m = 4 and 5: the production route against the reference route.
 
-Random (family, L, M, N) draws compare the generator rows of
+Random (family, L, M, N) draws compare the generator rows of the reference
 :func:`code_rows` with the literal construction (R-vectors, trace masks,
 transposition; for a global complement, which orders its columns its own
-way, the sorted columns), the enumerated message-weight table with the
-literal codewords of drawn messages, and the spectral character-sum table
-with the whole enumerated table.  Skipped when hypothesis is not installed.
+way, the sorted columns).  The table of :func:`message_weights` is compared
+with a Gray-code walk over those rows, with the literal codewords of drawn
+messages, and with the spectral character-sum table.  Skipped when
+hypothesis is not installed.
 """
 
 import pytest
@@ -19,14 +20,15 @@ from r2subfield.analysis import FAMILIES, spec_for_family  # noqa: E402
 from r2subfield.codegen import (  # noqa: E402
     DegenerateConfigurationError,
     charsum_message_weights,
-    code_rows,
-    message_weights_from_rows,
+    message_weights,
 )
 from r2subfield.simplicial import Subset  # noqa: E402
 from reference import (  # noqa: E402
     build_defining_set,
+    code_rows,
     codeword,
     columns,
+    row_message_weights,
     subfield_defining_set,
     subfield_generator_rows,
 )
@@ -49,16 +51,17 @@ def check_against_reference(config, messages):
     )
     masks = subfield_defining_set(build_defining_set(spec), m)
     try:
-        n, rows = code_rows(spec)
+        n, table = message_weights(spec)
     except DegenerateConfigurationError:
         assert not masks
         return
-    assert n == len(masks)
+    columns_n, rows = code_rows(spec)
+    assert columns_n == n == len(masks)
     if spec.global_complement:
         assert sorted(set(columns(rows, n))) == sorted(masks)
     else:
         assert rows == subfield_generator_rows(masks, m)
-    table = message_weights_from_rows(rows, m)
+    assert table == row_message_weights(rows)
     low = (1 << m) - 1
     for v in messages:
         assert table[v] == codeword(v & low, v >> m & low, v >> 2 * m, masks, m).bit_count()
