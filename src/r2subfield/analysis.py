@@ -7,7 +7,11 @@ A family is a complement pattern for the defining-set triple (D1, D2, D3):
     9: global complement inside R^m of the family-1 set
 
 Each family carries an exact predicted weight table in the subset sizes
-(|L|, |M|, |N|).  The tables are instantiated over the integers and then
+(|L|, |M|, |N|).  Families with as many complemented factors are one
+theorem with the roles of L, M, N permuted, so the tables, the sufficiency
+conditions and the optimality rule are written once per complement shape
+(none, one, two, three, global), in the complemented sizes and p, the sum
+of the plain ones.  The tables are instantiated over the integers and then
 normalized: zero-count rows are dropped, rows whose weights collide are
 merged, and if a row lands on weight 0 with positive count (possible in
 families 2-8 when a complement degenerates, say |L| = |M| = m - 1 in family
@@ -33,6 +37,7 @@ from __future__ import annotations
 import os
 from concurrent.futures import ProcessPoolExecutor
 from functools import cache
+from itertools import compress
 from typing import NamedTuple
 
 from .codegen import (
@@ -41,6 +46,7 @@ from .codegen import (
     DefiningSetSpec,
     DegenerateConfigurationError,
     InvariantError,
+    _charsum_terms,
     charsum_message_weights,
     message_weights,
     min_distance,
@@ -100,26 +106,16 @@ def spec_for_family(family: int, lset: Subset, mset: Subset, nset: Subset) -> De
     if not lset.m == mset.m == nset.m:
         raise ValueError("L, M, N must share one ground set")
     c1, c2, c3, global_c = _PATTERNS[family]
-    return DefiningSetSpec(
-        m=lset.m,
-        d1=ComplexSpec(lset, c1),
-        d2=ComplexSpec(mset, c2),
-        d3=ComplexSpec(nset, c3),
-        global_complement=global_c,
-    )
+    parts = ComplexSpec(lset, c1), ComplexSpec(mset, c2), ComplexSpec(nset, c3)
+    return DefiningSetSpec(lset.m, *parts, global_c)
+
+
+_FAMILY_OF_PATTERN = {pattern: family for family, pattern in _PATTERNS.items()}
 
 
 def family_of_spec(spec: DefiningSetSpec) -> int:
-    pattern = (
-        spec.d1.complemented,
-        spec.d2.complemented,
-        spec.d3.complemented,
-        spec.global_complement,
-    )
-    for family, candidate in _PATTERNS.items():
-        if candidate == pattern:
-            return family
-    raise ValueError(f"no family matches pattern {pattern}")
+    pattern = (spec.d1.complemented, spec.d2.complemented, spec.d3.complemented)
+    return _FAMILY_OF_PATTERN[(*pattern, spec.global_complement)]
 
 
 def _check_sizes(family: int, m: int, sl: int, sm: int, sn: int) -> None:
@@ -131,76 +127,58 @@ def _check_sizes(family: int, m: int, sl: int, sm: int, sn: int) -> None:
             raise ValueError(f"|{name}| must be in 0..{m}, got {size}")
 
 
+def _shape(family: int, sl: int, sm: int, sn: int) -> tuple[tuple[int, ...], int, bool]:
+    """The complemented sizes in D1, D2, D3 order, p = the sum of the plain ones, global flag."""
+    pattern = _PATTERNS[family]
+    comp = tuple(compress((sl, sm, sn), pattern))
+    return comp, sl + sm + sn - sum(comp), pattern[3]
+
+
 def _table_rows(family: int, m: int, sl: int, sm: int, sn: int):
     """Raw table rows as (doubled weight, count), plus n and the nominal k.
 
     Weights are kept doubled so every entry is an integer even in rows whose
     count vanishes; counts are exact codeword counts before normalization.
+    One formula serves each complement shape, in the complemented sizes and
+    p, the sum of the plain ones.
     """
+    comp, p, global_c = _shape(family, sl, sm, sn)
+    if global_c:
+        rows = [
+            (1 << 3 * m, (1 << (3 * m - p)) - 1),
+            ((1 << 3 * m) - (1 << p), (1 << 3 * m) - (1 << (3 * m - p))),
+        ]
+        return rows, (1 << 3 * m) - (1 << p), 3 * m
+    if not comp:
+        return [(1 << p, (1 << p) - 1)], 1 << p, p
     big = 1 << m
-    s = sl + sm + sn
-    al, am, an = big - (1 << sl), big - (1 << sm), big - (1 << sn)
-    if family == 1:
-        return [(1 << s, (1 << s) - 1)], 1 << s, s
-    if family == 2:
+    # |Delta_X^c| and the nonzero w avoiding X, per complemented factor
+    a = [big - (1 << x) for x in comp]
+    t = [(1 << (m - x)) - 1 for x in comp]
+    if len(comp) == 1:
         rows = [
-            (al << (sm + sn), (1 << (m + sm + sn)) - (1 << (m - sl))),
-            (1 << (m + sm + sn), (1 << (m - sl)) - 1),
+            (a[0] << p, (1 << (m + p)) - (1 << (m - comp[0]))),
+            (1 << (m + p), t[0]),
         ]
-        return rows, al << (sm + sn), m + sm + sn
-    if family == 3:
+        return rows, a[0] << p, m + p
+    if len(comp) == 2:
+        x, y = comp
         rows = [
-            (am << (sl + sn), (1 << (m + sl + sn)) - (1 << (m - sm))),
-            (1 << (m + sl + sn), (1 << (m - sm)) - 1),
+            (a[0] * a[1] << p, (1 << (2 * m + p)) - (1 << (2 * m - x - y))),
+            (a[1] << (m + p), t[0]),
+            (a[0] << (m + p), t[1]),
+            ((big - (1 << x) - (1 << y)) << (m + p), t[0] * t[1]),
         ]
-        return rows, am << (sl + sn), m + sl + sn
-    if family == 4:
-        rows = [
-            (an << (sl + sm), (1 << (m + sl + sm)) - (1 << (m - sn))),
-            (1 << (m + sl + sm), (1 << (m - sn)) - 1),
-        ]
-        return rows, an << (sl + sm), m + sl + sm
-    if family == 5:
-        rows = [
-            (al * am << sn, (1 << (2 * m + sn)) - (1 << (2 * m - sl - sm))),
-            (am << (m + sn), (1 << (m - sl)) - 1),
-            (al << (m + sn), (1 << (m - sm)) - 1),
-            ((big - (1 << sl) - (1 << sm)) << (m + sn), ((1 << (m - sl)) - 1) * ((1 << (m - sm)) - 1)),
-        ]
-        return rows, al * am << sn, 2 * m + sn
-    if family == 6:
-        rows = [
-            (al * an << sm, (1 << (2 * m + sm)) - (1 << (2 * m - sl - sn))),
-            (an << (m + sm), (1 << (m - sl)) - 1),
-            (al << (m + sm), (1 << (m - sn)) - 1),
-            ((big - (1 << sl) - (1 << sn)) << (m + sm), ((1 << (m - sl)) - 1) * ((1 << (m - sn)) - 1)),
-        ]
-        return rows, al * an << sm, 2 * m + sm
-    if family == 7:
-        rows = [
-            (am * an << sl, (1 << (2 * m + sl)) - (1 << (2 * m - sm - sn))),
-            (am << (m + sl), (1 << (m - sn)) - 1),
-            (an << (m + sl), (1 << (m - sm)) - 1),
-            ((big - (1 << sm) - (1 << sn)) << (m + sl), ((1 << (m - sm)) - 1) * ((1 << (m - sn)) - 1)),
-        ]
-        return rows, am * an << sl, 2 * m + sl
-    if family == 8:
-        rows = [
-            (al * am * an, (1 << 3 * m) - (1 << (3 * m - s))),
-            (am * an << m, (1 << (m - sl)) - 1),
-            (al * an << m, (1 << (m - sm)) - 1),
-            (al * am << m, (1 << (m - sn)) - 1),
-            (al * (big - (1 << sm) - (1 << sn)) << m, ((1 << (m - sm)) - 1) * ((1 << (m - sn)) - 1)),
-            (am * (big - (1 << sl) - (1 << sn)) << m, ((1 << (m - sl)) - 1) * ((1 << (m - sn)) - 1)),
-            (an * (big - (1 << sl) - (1 << sm)) << m, ((1 << (m - sl)) - 1) * ((1 << (m - sm)) - 1)),
-            (al * am * an + (1 << s), ((1 << (m - sl)) - 1) * ((1 << (m - sm)) - 1) * ((1 << (m - sn)) - 1)),
-        ]
-        return rows, al * am * an, 3 * m
+        return rows, a[0] * a[1] << p, 2 * m + p
+    s = sum(comp)
     rows = [
-        (1 << 3 * m, (1 << (3 * m - s)) - 1),
-        ((1 << 3 * m) - (1 << s), (1 << 3 * m) - (1 << (3 * m - s))),
+        (a[0] * a[1] * a[2], (1 << 3 * m) - (1 << (3 * m - s))),
+        (a[0] * a[1] * a[2] + (1 << s), t[0] * t[1] * t[2]),
     ]
-    return rows, (1 << 3 * m) - (1 << s), 3 * m
+    for i, j, k in ((0, 1, 2), (1, 0, 2), (2, 0, 1)):
+        rows.append((a[j] * a[k] << m, t[i]))
+        rows.append((a[i] * (big - (1 << comp[j]) - (1 << comp[k])) << m, t[j] * t[k]))
+    return rows, a[0] * a[1] * a[2], 3 * m
 
 
 def _instantiate(family: int, m: int, sl: int, sm: int, sn: int):
@@ -273,26 +251,29 @@ def distance_optimal_by_griesmer(n: int, k: int, d: int) -> bool:
 def optimality_condition(family: int, m: int, sl: int, sm: int, sn: int) -> bool:
     """Whether the family's distance-optimality rule holds for these sizes.
 
-    Families 2-4 and 9 are distance-optimal without conditions.  Family 1
-    requires s = |L|+|M|+|N| >= 2: its code is [2^s, s, 2^(s-1)] with one
+    The rule is written per complement shape, in the complemented sizes and
+    p, the sum of the plain ones.  One complemented factor (families 2-4)
+    and the global complement (family 9) are distance-optimal without
+    conditions.  No complemented factor (family 1) requires
+    p = |L|+|M|+|N| >= 2: its code is [2^p, p, 2^(p-1)] with one
     identically zero coordinate, and the Griesmer sum for d + 1 is
-    2^s - 1 + s, which exceeds n exactly when s >= 2; at s = 1 the code is
+    2^p - 1 + p, which exceeds n exactly when p >= 2; at p = 1 the code is
     [2, 1, 1] and the repetition code [2, 1, 2] beats it.  (The paper's
     abstract says only that "most" of the codes are distance-optimal, so this
-    bound is derived here, not quoted.)  Families 5-7 require
-    2^(|L|+|M|+|N|) to be at most 2(m-1) plus the size of the one
-    uncomplemented subset.  Family 8 carries no rule; use
-    :func:`distance_optimal_by_griesmer` on its computed parameters instead.
+    bound is derived here, not quoted.)  Two complemented factors (families
+    5-7) require 2^(|L|+|M|+|N|) to be at most 2(m-1) + p.  Three (family
+    8) carry no rule; use :func:`distance_optimal_by_griesmer` on the
+    computed parameters instead.
     """
     _check_sizes(family, m, sl, sm, sn)
-    if family == 8:
+    comp, p, global_c = _shape(family, sl, sm, sn)
+    if len(comp) == 3:
         raise ValueError("family 8 has no closed-form optimality rule")
-    if family == 1:
-        return sl + sm + sn >= 2
-    if family in (2, 3, 4, 9):
+    if global_c or len(comp) == 1:
         return True
-    plain = {5: sn, 6: sm, 7: sl}[family]
-    return (1 << (sl + sm + sn)) <= 2 * (m - 1) + plain
+    if not comp:
+        return p >= 2
+    return (1 << (sum(comp) + p)) <= 2 * (m - 1) + p
 
 
 def ashikhmin_barg_minimal(weights) -> bool:
@@ -317,7 +298,7 @@ def _pair_classes(m: int, size: int, complemented: bool) -> frozenset:
     return frozenset((s[u], s[v], s[u ^ v], u == 0, v == 0, u == v) for u in full for v in full)
 
 
-def _pair_weights(m: int, factors, global_complement: bool):
+def _pair_weights(m: int, factors, n: int, sign: int, whole: int):
     """Doubled weights (2W(a), 2W(b), 2W(a + b)) of the realisable message pairs.
 
     ``factors`` holds (|X|, complemented) for D1, D2 and D3.  Message
@@ -326,18 +307,12 @@ def _pair_weights(m: int, factors, global_complement: bool):
     a pair of messages is a pair (u, v) per factor, and its weights follow
     from the three :func:`_pair_classes`:
 
-        2W(a) = n + sign * S1[alpha] * S2[x] * S3[y] - 2^(3m) * [family 9, a = 0]
+        2W(a) = n + sign * S1[alpha] * S2[x] * S3[y] - whole * [a = 0]
 
-    with sign = -1, or +1 for a global complement (the weight formula of
-    :func:`~r2subfield.codegen.charsum_message_weights`).  Every realisable
-    triple is yielded at least once, some more than once.
+    with n, sign and whole from :func:`~r2subfield.codegen._charsum_terms`,
+    as in :func:`~r2subfield.codegen.charsum_message_weights`.  Every
+    realisable triple is yielded at least once, some more than once.
     """
-    n = 1
-    for size, complemented in factors:
-        n *= (1 << m) - (1 << size) if complemented else 1 << size
-    sign, whole = -1, 0
-    if global_complement:
-        n, sign, whole = (1 << 3 * m) - n, 1, 1 << 3 * m
     first, second, third = (_pair_classes(m, *factor) for factor in factors)
     products = {
         (sa * ta, sb * tb, sab * tab, za and ya, zb and yb, zab and yab)
@@ -354,10 +329,9 @@ def _pair_weights(m: int, factors, global_complement: bool):
 
 
 @cache
-def _minimal_by_classes(m: int, factors, global_complement: bool) -> bool:
+def _minimal_by_classes(m: int, factors, terms) -> bool:
     return not any(
-        wa > 0 and wb > 0 and wa + wb == wab
-        for wa, wb, wab in _pair_weights(m, factors, global_complement)
+        wa > 0 and wb > 0 and wa + wb == wab for wa, wb, wab in _pair_weights(m, factors, *terms)
     )
 
 
@@ -385,7 +359,7 @@ def spectral_minimality(spec: DefiningSetSpec) -> bool:
             f"spectral minimality is capped at m <= {BRUTE_FORCE_M_CAP}, got m = {spec.m}"
         )
     factors = tuple((part.generator.size, part.complemented) for part in spec.parts)
-    return _minimal_by_classes(spec.m, factors, spec.global_complement)
+    return _minimal_by_classes(spec.m, factors, _charsum_terms(spec))
 
 
 def _self_orthogonal(weights_by_message, m: int) -> bool:
@@ -420,30 +394,17 @@ def table10_conditions(family: int, m: int, sl: int, sm: int, sn: int) -> Suffic
 
     ``minimal`` guarantees the code is minimal, ``self_orthogonal`` that it
     is self-orthogonal; both are sufficient only, and both are checked
-    against the exact decisions across full sweeps in the test suite.
+    against the exact decisions across full sweeps in the test suite.  They
+    are written per complement shape, like :func:`_table_rows`.
     """
     _check_sizes(family, m, sl, sm, sn)
-    s = sl + sm + sn
-    if family == 1:
-        return SufficiencyConditions(True, s >= 3)
-    if family == 2:
-        return SufficiencyConditions(sl <= m - 2, sm + sn >= 3)
-    if family == 3:
-        return SufficiencyConditions(sm <= m - 2, sl + sn >= 3)
-    if family == 4:
-        return SufficiencyConditions(sn <= m - 2, sl + sm >= 3)
-    if family == 5:
-        return SufficiencyConditions(max(sl, sm) <= m - 2, sn >= 3)
-    if family == 6:
-        return SufficiencyConditions(max(sl, sn) <= m - 2, sm >= 3)
-    if family == 7:
-        return SufficiencyConditions(max(sm, sn) <= m - 2, sl >= 3)
-    if family == 8:
-        return SufficiencyConditions(max(sl, sm, sn) <= m - 2, min(sl, sm, sn) >= 1)
-    return SufficiencyConditions(s <= 3 * m - 2, s >= 3)
+    comp, p, global_c = _shape(family, sl, sm, sn)
+    minimal = p <= 3 * m - 2 if global_c else not comp or max(comp) <= m - 2
+    self_orthogonal = min(comp) >= 1 if len(comp) == 3 else p >= 3
+    return SufficiencyConditions(minimal, self_orthogonal)
 
 
-def _evaluate(family: int, spec: DefiningSetSpec, claimed_only: bool):
+def _evaluate(spec: DefiningSetSpec, claimed_only: bool):
     """Full pipeline for one configuration: measured code, predictions, flags.
 
     Exact minimality (:func:`spectral_minimality`) is decided for codes of
@@ -452,10 +413,12 @@ def _evaluate(family: int, spec: DefiningSetSpec, claimed_only: bool):
     Returns the report, in the stable JSON layout of the CLI, and the
     enumerated weight of every message.
     """
+    family = family_of_spec(spec)
     lset, mset, nset = (part.generator for part in spec.parts)
     m = spec.m
     n, weights_by_message = message_weights(spec)
     measured = summarize_message_weights(weights_by_message, n, m)
+    params = (measured.n, measured.k, measured.d)
 
     try:
         pn, pk, ptable = _instantiate(family, m, lset.size, mset.size, nset.size)
@@ -481,10 +444,8 @@ def _evaluate(family: int, spec: DefiningSetSpec, claimed_only: bool):
         **measured.as_dict(),
         "predicted": predicted.as_dict(),
         "flags": {
-            "griesmer_equal": is_griesmer_code(measured.n, measured.k, measured.d),
-            "distance_optimal_by_griesmer": distance_optimal_by_griesmer(
-                measured.n, measured.k, measured.d
-            ),
+            "griesmer_equal": is_griesmer_code(*params),
+            "distance_optimal_by_griesmer": distance_optimal_by_griesmer(*params),
             "optimality_condition": opt,
             "minimal_exact": minimal_exact,
             "minimal_ab": minimal_ab,
@@ -508,7 +469,7 @@ def code_report(family: int, lset: Subset, mset: Subset, nset: Subset) -> dict:
     empty or zero-dimensional code.
     """
     spec = spec_for_family(family, lset, mset, nset)
-    report, _ = _evaluate(family, spec, claimed_only=False)
+    report, _ = _evaluate(spec, claimed_only=False)
     return report
 
 
@@ -517,11 +478,11 @@ def sweep_configuration(family: int, m: int, lmask: int, mmask: int, nmask: int)
 
     Exact minimality is decided everywhere at m <= 2 and, at larger m, on
     the configurations whose catalogued minimality condition holds (the
-    claim under test); elsewhere it is skipped for speed.
+    claim under test); elsewhere it is skipped for speed.  Either way it is
+    decided only for codes of at most :data:`MINIMALITY_CAP` codewords, so
+    at m = 5 a code with k > 14 gets no decision.
     """
-    lset = Subset.from_mask(m, lmask)
-    mset = Subset.from_mask(m, mmask)
-    nset = Subset.from_mask(m, nmask)
+    lset, mset, nset = (Subset.from_mask(m, mask) for mask in (lmask, mmask, nmask))
     row = {
         "m": m,
         "family": family,
@@ -529,20 +490,15 @@ def sweep_configuration(family: int, m: int, lmask: int, mmask: int, nmask: int)
         "M": str(mset),
         "N": str(nset),
         "status": "ok",
-        "n": None,
-        "k": None,
-        "d": None,
-        "match": None,
-        "charsum_ok": None,
-        "griesmer_ok": None,
-        "minimal_claim_ok": None,
-        "selforth_claim_ok": None,
-        "ab_implication_ok": None,
+        **dict.fromkeys((
+            "n", "k", "d", "match", "charsum_ok", "griesmer_ok", "minimal_claim_ok",
+            "selforth_claim_ok", "ab_implication_ok",
+        )),
         "detail": "",
     }
     spec = spec_for_family(family, lset, mset, nset)
     try:
-        report, weights_by_message = _evaluate(family, spec, claimed_only=m > 2)
+        report, weights_by_message = _evaluate(spec, claimed_only=m > 2)
     except DegenerateConfigurationError as exc:
         row["status"] = "degenerate"
         row["detail"] = str(exc)

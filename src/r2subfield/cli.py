@@ -128,15 +128,10 @@ def _family_from_args(args) -> int:
         return args.family
     if not explicit:
         raise ValueError("one of --family or --D1/--D2/--D3/--global-complement is required")
-    pattern = tuple((flag or "delta") == "deltac" for flag in (args.D1, args.D2, args.D3))
-    probe = DefiningSetSpec(
-        m=args.m,
-        d1=ComplexSpec(Subset(args.m, frozenset()), pattern[0]),
-        d2=ComplexSpec(Subset(args.m, frozenset()), pattern[1]),
-        d3=ComplexSpec(Subset(args.m, frozenset()), pattern[2]),
-        global_complement=args.global_complement,
-    )
-    return family_of_spec(probe)
+    empty = Subset(args.m, frozenset())
+    flags = (args.D1, args.D2, args.D3)
+    parts = (ComplexSpec(empty, (flag or "delta") == "deltac") for flag in flags)
+    return family_of_spec(DefiningSetSpec(args.m, *parts, args.global_complement))
 
 
 def _check_m(m: int) -> None:
@@ -298,13 +293,13 @@ def _load_manifest(path: str | None) -> list[tuple[int, int, str, str, str, int,
                         f"manifest line {reader.line_num} must have "
                         f"{len(MANIFEST_HEADER)} fields"
                     )
-                rows.append(
-                    (
-                        int(record["family"]), int(record["m"]),
-                        record["L"], record["M"], record["N"],
-                        int(record["n"]), int(record["k"]), int(record["d"]),
+                try:
+                    family, m, n, k, d = (
+                        int(record[key]) for key in ("family", "m", "n", "k", "d")
                     )
-                )
+                except ValueError as exc:
+                    raise ValueError(f"manifest line {reader.line_num}: {exc}") from None
+                rows.append((family, m, record["L"], record["M"], record["N"], n, k, d))
         except csv.Error as exc:
             # DictReader copies line_num only once a row parses; its reader counts every line
             raise ValueError(f"manifest line {reader.reader.line_num}: {exc}") from None

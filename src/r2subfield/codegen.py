@@ -279,9 +279,9 @@ def charsum_message_weights(spec: DefiningSetSpec) -> list[int]:
     gamma) has weight (|D| - S1[alpha] * S2[beta + gamma] * S3[beta]) / 2.
     For a global complement the product enters with the opposite sign, and
     the zero message also subtracts 2^(3m) / 2: the character sum over all of
-    R^m.  For fixed (beta, gamma) the 2^m messages alpha form one contiguous
-    slice, which depends only on S2[beta + gamma] * S3[beta]; each distinct
-    product is evaluated once.
+    R^m (:func:`_charsum_terms`).  For fixed (beta, gamma) the 2^m messages
+    alpha form one contiguous slice, which depends only on
+    S2[beta + gamma] * S3[beta]; each distinct product is evaluated once.
 
     Raises ``ValueError`` above :data:`BRUTE_FORCE_M_CAP`, like
     :func:`message_weights`: the table has 2^(3m) entries.
@@ -290,10 +290,7 @@ def charsum_message_weights(spec: DefiningSetSpec) -> list[int]:
     s1, s2, s3 = (spectrum(part) for part in spec.parts)
     m = spec.m
     low = (1 << m) - 1
-    size = complex_size(spec.d1) * complex_size(spec.d2) * complex_size(spec.d3)
-    sign = -1
-    if spec.global_complement:
-        size, sign = (1 << (3 * m)) - size, 1
+    size, sign, whole = _charsum_terms(spec)
     slices: dict[int, list[int]] = {}
     table: list[int] = []
     for v in range(1 << (2 * m)):
@@ -306,9 +303,21 @@ def charsum_message_weights(spec: DefiningSetSpec) -> list[int]:
                 raise InvariantError("character sum parity broken")
             part = slices[s23] = [d >> 1 for d in doubled]
         table += part
-    if spec.global_complement:
-        table[0] -= 1 << (3 * m - 1)
+    table[0] -= whole >> 1
     return table
+
+
+def _charsum_terms(spec: DefiningSetSpec) -> tuple[int, int, int]:
+    """(n, sign, whole) of the doubled weight 2W(a) = n + sign * S1*S2*S3 - whole * [a = 0].
+
+    n = |D1||D2||D3|, sign = -1 and whole = 0; a global complement takes
+    n = 2^(3m) - n, sign = +1 and whole = 2^(3m), the character sum over all
+    of R^m.
+    """
+    n = complex_size(spec.d1) * complex_size(spec.d2) * complex_size(spec.d3)
+    if spec.global_complement:
+        return (1 << 3 * spec.m) - n, 1, 1 << 3 * spec.m
+    return n, -1, 0
 
 
 def min_distance(weights: Mapping[int, int]) -> int:

@@ -8,7 +8,10 @@ generator rows, the codeword map, and the codeword list with a scan for
 disjoint supports.  It also keeps the generator rows of the product set
 (:func:`code_rows`) and a Gray-code walk that weighs every message from
 rows (:func:`row_message_weights`), which the tests compare with the
-library's message weights.  It is a plain module, not a test file; the
+library's message weights.  :func:`histogram_weight_distribution` builds
+the weight distribution of a size class from three spectrum-value
+histograms, which the tests compare with the paper's closed-form tables
+past the enumeration cap.  It is a plain module, not a test file; the
 tests import it as ``from reference import ...``.
 
 An element a + b*u + c*u**2 of R (u = image of x, so u**3 = u) is packed into
@@ -31,11 +34,13 @@ masks over a common column count.
 
 from __future__ import annotations
 
+from collections import Counter
 from collections.abc import Sequence
+from functools import cache
 
 from r2subfield.analysis import MINIMALITY_CAP
 from r2subfield.codegen import DefiningSetSpec, DegenerateConfigurationError, InvariantError
-from r2subfield.simplicial import ComplexSpec, enumerate_members
+from r2subfield.simplicial import ComplexSpec, Subset, enumerate_members, spectrum
 
 R2_ZERO = 0
 R2_ONE = 1
@@ -295,6 +300,59 @@ def row_message_weights(rows: Sequence[int]) -> list[int]:
         word ^= rows[(t & -t).bit_length() - 1]
         weights[t ^ (t >> 1)] = word.bit_count()
     return weights
+
+
+@cache
+def _tagged_spectrum_values(m: int, size: int, complemented: bool) -> tuple:
+    """((S[w], w = 0), multiplicity) over all w in F2^m, for X = {1..size}.
+
+    Relabelling the coordinates permutes the spectrum S and fixes w = 0, so
+    the histogram depends only on (m, |X|, complemented).  It has at most
+    three entries: w = 0, the other w avoiding X, and the w hitting X.
+    """
+    s = spectrum(ComplexSpec(Subset(m, frozenset(range(1, size + 1))), complemented))
+    return tuple(Counter((value, w == 0) for w, value in enumerate(s)).items())
+
+
+def histogram_weight_distribution(spec: DefiningSetSpec) -> tuple[int, int, dict[int, int]]:
+    """(n, k, {weight: count}) of the code of ``spec`` from three spectrum-value histograms.
+
+    Message (alpha, beta, gamma) reads the spectra at (alpha, beta + gamma,
+    beta), a linear bijection of (F2^m)^3, so its doubled weight runs over
+    n - S1[u1] * S2[u2] * S3[u3] for independent u1, u2, u3.  A global
+    complement takes n = 2^(3m) - |D1||D2||D3|, flips the sign of the
+    product and subtracts 2^(3m) at u = 0.  n is the product of the S_i[0]
+    = |D_i|.  Each histogram has at most three entries, so this sums at
+    most 27 products, and the weight-0 count (the kernel) is divided out
+    as in ``codegen.summarize_message_weights``.  Raises
+    :class:`DegenerateConfigurationError` for an empty or trivial code.
+    """
+    m = spec.m
+    first, second, third = (
+        _tagged_spectrum_values(m, part.generator.size, part.complemented)
+        for part in spec.parts
+    )
+    whole = 1 << 3 * m
+    n = 1
+    for histogram in (first, second, third):
+        n *= next(value for (value, zero), _ in histogram if zero)
+    sign, zero_term = -1, 0
+    if spec.global_complement:
+        n, sign, zero_term = whole - n, 1, whole
+    if not n:
+        raise DegenerateConfigurationError("empty defining set")
+    doubled = Counter()
+    for (s1, z1), c1 in first:
+        for (s2, z2), c2 in second:
+            for (s3, z3), c3 in third:
+                doubled[n + sign * s1 * s2 * s3 - zero_term * (z1 and z2 and z3)] += c1 * c2 * c3
+    kernel = doubled[0]
+    if kernel == whole:
+        raise DegenerateConfigurationError("trivial code: every message maps to 0")
+    if kernel & (kernel - 1) or any(w % 2 or c % kernel for w, c in doubled.items()):
+        raise InvariantError("histogram weights must be integers in kernel cosets")
+    table = {w >> 1: c // kernel for w, c in sorted(doubled.items())}
+    return n, (whole // kernel).bit_length() - 1, table
 
 
 def production_vectors(spec: DefiningSetSpec) -> list[tuple[int, ...]]:

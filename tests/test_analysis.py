@@ -1,5 +1,6 @@
 """Unit tests for predicted tables, bound checks, and the sweep machinery."""
 
+import hashlib
 import itertools
 import random
 from collections import Counter
@@ -7,7 +8,7 @@ from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 
-from r2subfield import analysis
+from r2subfield import analysis, codegen
 from r2subfield.algebra import f2_gram_is_zero
 from r2subfield.analysis import (
     FAMILIES,
@@ -32,7 +33,12 @@ from r2subfield.analysis import (
 )
 from r2subfield.codegen import BRUTE_FORCE_M_CAP, DegenerateConfigurationError, message_weights
 from r2subfield.simplicial import Subset, subset
-from reference import code_rows, code_words_from_rows, exact_minimality
+from reference import (
+    code_rows,
+    code_words_from_rows,
+    exact_minimality,
+    histogram_weight_distribution,
+)
 
 
 def test_predicted_parameters_anchors():
@@ -212,6 +218,58 @@ def test_table10_conditions():
     assert table10_conditions(9, 3, 2, 2, 2) == (True, True)
 
 
+SIZE_CLASSES_M1_TO_8 = [
+    (family, m, sizes)
+    for m in range(1, 9)
+    for family in FAMILIES
+    for sizes in itertools.product(range(m + 1), repeat=3)
+]
+
+
+def test_closed_forms_are_pinned_up_to_m8():
+    # One line per size class with the predicted [n, k, d] and table (or the
+    # degeneracy), Table 10's two conditions and the optimality rule (or
+    # family 8's ValueError).  The digest was recorded before the per-family
+    # formulas were folded into one per complement shape.
+    digest = hashlib.sha256()
+    for family, m, sizes in SIZE_CLASSES_M1_TO_8:
+        try:
+            table = (
+                predicted_parameters(family, m, *sizes),
+                sorted(predicted_weight_table(family, m, *sizes).items()),
+            )
+        except DegenerateConfigurationError:
+            table = "degenerate"
+        try:
+            opt = optimality_condition(family, m, *sizes)
+        except ValueError:
+            opt = "no rule"
+        conditions = tuple(table10_conditions(family, m, *sizes))
+        digest.update(f"{family} {m} {sizes} {table} {conditions} {opt}\n".encode())
+    assert len(SIZE_CLASSES_M1_TO_8) == 18216
+    assert digest.hexdigest() == (
+        "1135fba0aa0f9e5700e789b9fb92f223b0a6cd2a46c2339d5aa223540a33395e"
+    )
+
+
+def test_closed_forms_match_the_spectrum_histograms_up_to_m8():
+    # Past the enumeration cap the three spectrum-value histograms still
+    # give each class's weight distribution; it must equal the paper's
+    # table, degeneracy included.
+    degenerate = 0
+    for family, m, sizes in SIZE_CLASSES_M1_TO_8:
+        spec = class_spec(family, m, *sizes)
+        try:
+            expected = histogram_weight_distribution(spec)
+        except DegenerateConfigurationError:
+            with pytest.raises(DegenerateConfigurationError):
+                analysis._instantiate(family, m, *sizes)
+            degenerate += 1
+            continue
+        assert analysis._instantiate(family, m, *sizes) == expected, (family, m, sizes)
+    assert degenerate == 3168
+
+
 def test_spec_family_round_trip():
     lset, mset, nset = subset(3, 1), subset(3, 2), subset(3, 3)
     for family in FAMILIES:
@@ -280,7 +338,7 @@ def class_spec(family, m, sl, sm, sn):
 
 def pair_weights(spec):
     factors = tuple((part.generator.size, part.complemented) for part in spec.parts)
-    return analysis._pair_weights(spec.m, factors, spec.global_complement)
+    return analysis._pair_weights(spec.m, factors, *codegen._charsum_terms(spec))
 
 
 def scanned_minimality(spec):

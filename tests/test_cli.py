@@ -247,6 +247,22 @@ def test_scan_rejects_field_over_the_csv_limit(tmp_path, capsys):
     assert err.startswith("error: manifest line 2: field larger than field limit")
 
 
+@pytest.mark.parametrize("column", ["family", "m", "n", "k", "d"])
+def test_scan_rejects_non_integer_field_naming_its_line(tmp_path, capsys, column):
+    path = tmp_path / "bad.csv"
+    good = ["2", "3", "1", "\"1,2\"", "\"1,2,3\"", "192", "8", "96"]
+    bad = list(good)
+    bad[MANIFEST_HEADER.index(column)] = "x"
+    path.write_text(
+        "\n".join([",".join(MANIFEST_HEADER), ",".join(good), ",".join(bad)]) + "\n",
+        encoding="utf-8",
+    )
+    rc, out, err = run_cli(capsys, "scan", "--manifest", str(path))
+    assert rc == 2
+    assert out == ""
+    assert err == "error: manifest line 3: invalid literal for int() with base 10: 'x'\n"
+
+
 def test_scan_missing_manifest_exits_2(tmp_path, capsys):
     rc, _, err = run_cli(capsys, "scan", "--manifest", str(tmp_path / "nope.csv"))
     assert rc == 2
