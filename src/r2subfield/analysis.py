@@ -19,7 +19,11 @@ families 2-8 when a complement degenerates, say |L| = |M| = m - 1 in family
 count is divided by the total weight-0 count and k drops accordingly.  The
 normalized table is what ``predicted_parameters`` reads n, k, d from; it is
 compared codeword-for-codeword against brute-force enumeration by the
-sweep driver here and the test suite.
+sweep driver here and the test suite.  The table and the conditions depend
+on the size class (family, m, |L|, |M|, |N|) alone, so each is cached by it
+in an LRU of 1024 entries (one family's (m + 1)^3 classes up to m = 9), as
+:func:`griesmer_sum` is by (k, d).  They hold closed forms only, never an
+enumerated result, so every relabelling still meets them with its own code.
 
 Also implemented: the Griesmer bound (sum of ceil(d / 2^i)), the
 Ashikhmin-Barg sufficient condition for minimality (2 * wmin > wmax for
@@ -36,8 +40,8 @@ from __future__ import annotations
 
 import os
 from concurrent.futures import ProcessPoolExecutor
-from functools import cache
-from itertools import compress
+from functools import cache, lru_cache
+from itertools import combinations, compress
 from typing import NamedTuple
 
 from .codegen import (
@@ -181,6 +185,7 @@ def _table_rows(family: int, m: int, sl: int, sm: int, sn: int):
     return rows, a[0] * a[1] * a[2], 3 * m
 
 
+@lru_cache(maxsize=1024)
 def _instantiate(family: int, m: int, sl: int, sm: int, sn: int):
     """Normalized predicted table: returns (n, k, {weight: count})."""
     _check_sizes(family, m, sl, sm, sn)
@@ -223,9 +228,10 @@ def predicted_parameters(family: int, m: int, sl: int, sm: int, sn: int) -> tupl
 
 def predicted_weight_table(family: int, m: int, sl: int, sm: int, sn: int) -> dict[int, int]:
     """Predicted weight distribution {weight: codeword count}, including 0."""
-    return _instantiate(family, m, sl, sm, sn)[2]
+    return dict(_instantiate(family, m, sl, sm, sn)[2])
 
 
+@lru_cache(maxsize=1024)
 def griesmer_sum(k: int, d: int) -> int:
     """sum_{i=0}^{k-1} ceil(d / 2^i), the Griesmer lower bound on n."""
     if k < 1 or d < 1:
@@ -248,6 +254,7 @@ def distance_optimal_by_griesmer(n: int, k: int, d: int) -> bool:
     return griesmer_sum(k, d + 1) > n
 
 
+@lru_cache(maxsize=1024)
 def optimality_condition(family: int, m: int, sl: int, sm: int, sn: int) -> bool:
     """Whether the family's distance-optimality rule holds for these sizes.
 
@@ -369,14 +376,18 @@ def _self_orthogonal(weights_by_message, m: int) -> bool:
     and two rows meet in |r_i & r_j| = (W(e_i) + W(e_j) - W(e_i + e_j)) / 2
     positions.  So the Gram matrix over F2 vanishes, and the code lies in
     its dual, exactly when every W(e_i) is even and every
-    W(e_i) + W(e_j) - W(e_i + e_j) is 0 mod 4.
+    W(e_i) + W(e_j) - W(e_i + e_j) is 0 mod 4.  The triples (e_i, e_j,
+    e_i + e_j), i < j, are cached by m, which the m cap bounds.
     """
-    units = [1 << i for i in range(3 * m)]
-    return all(weights_by_message[a] % 2 == 0 for a in units) and all(
-        (weights_by_message[a] + weights_by_message[b] - weights_by_message[a ^ b]) % 4 == 0
-        for i, a in enumerate(units)
-        for b in units[i + 1 :]
+    return all(weights_by_message[1 << i] % 2 == 0 for i in range(3 * m)) and all(
+        (weights_by_message[a] + weights_by_message[b] - weights_by_message[ab]) % 4 == 0
+        for a, b, ab in _unit_pairs(m)
     )
+
+
+@cache
+def _unit_pairs(m: int) -> tuple[tuple[int, int, int], ...]:
+    return tuple((a, b, a ^ b) for a, b in combinations([1 << i for i in range(3 * m)], 2))
 
 
 def self_orth_mod4(weights) -> bool:
@@ -389,6 +400,7 @@ class SufficiencyConditions(NamedTuple):
     self_orthogonal: bool
 
 
+@lru_cache(maxsize=1024)
 def table10_conditions(family: int, m: int, sl: int, sm: int, sn: int) -> SufficiencyConditions:
     """The catalogued per-family sufficiency conditions on the subset sizes.
 
@@ -416,24 +428,25 @@ def _evaluate(spec: DefiningSetSpec, claimed_only: bool):
     family = family_of_spec(spec)
     lset, mset, nset = (part.generator for part in spec.parts)
     m = spec.m
+    sizes = (lset.size, mset.size, nset.size)
     n, weights_by_message = message_weights(spec)
     measured = summarize_message_weights(weights_by_message, n, m)
     params = (measured.n, measured.k, measured.d)
 
     try:
-        pn, pk, ptable = _instantiate(family, m, lset.size, mset.size, nset.size)
+        pn, pk, ptable = _instantiate(family, m, *sizes)
     except DegenerateConfigurationError:
         raise InvariantError(
             "prediction says degenerate but enumeration found a nontrivial code"
         ) from None
     predicted = CodeSummary(n=pn, k=pk, d=min_distance(ptable), weights=ptable)
 
-    conditions = table10_conditions(family, m, lset.size, mset.size, nset.size)
+    conditions = table10_conditions(family, m, *sizes)
     minimal_ab = ashikhmin_barg_minimal(measured.weights)
     minimal_exact = None
     if (conditions.minimal or not claimed_only) and (1 << measured.k) <= MINIMALITY_CAP:
         minimal_exact = spectral_minimality(spec)
-    opt = None if family == 8 else optimality_condition(family, m, lset.size, mset.size, nset.size)
+    opt = None if len(_shape(family, *sizes)[0]) == 3 else optimality_condition(family, m, *sizes)
 
     report = {
         "m": m,
@@ -516,7 +529,8 @@ def sweep_configuration(family: int, m: int, lmask: int, mmask: int, nmask: int)
             f"measured [n,k,d]=[{report['n']},{report['k']},{report['d']}] "
             f"weights={ {e['w']: e['count'] for e in report['weights']} }"
         )
-    if family in (1, 2, 3, 4, 9):
+    # the Griesmer claim covers at most one complemented factor, or the global complement
+    if len(_shape(family, lset.size, mset.size, nset.size)[0]) <= 1:
         row["griesmer_ok"] = flags["griesmer_equal"]
     if flags["table10_minimal"] and flags["minimal_exact"] is not None:
         row["minimal_claim_ok"] = flags["minimal_exact"]

@@ -36,7 +36,8 @@ each a function of its own so a caller that needs both computes each once:
   1-, 2- or 4-byte fields (the narrowest that holds n), gives every weight
   at once.  It reads only the member lists, never the spectra of the
   complexes, so the character-sum table below stays an independent check
-  of it.
+  of it.  Both come cached per factor from :mod:`.simplicial`; the tables
+  are built afresh for every defining set.
 * The weight distribution: the weight histogram divided by the kernel size
   (:func:`summarize_message_weights`).
 
@@ -57,7 +58,7 @@ from __future__ import annotations
 
 import sys
 from array import array
-from collections import Counter
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from collections.abc import Mapping, Sequence
 
@@ -241,23 +242,27 @@ def summarize_message_weights(weights: Sequence[int], n: int, m: int) -> CodeSum
 
     Every codeword has the same number of preimages (the kernel size, read
     off as the multiplicity of weight 0), so dividing each count by it gives
-    the distribution of the code itself and k = 3m - log2(kernel).
+    the distribution of the code itself and k = 3m - log2(kernel).  Counts
+    are run lengths of the sorted table, found by bisection: faster than a dict.
     """
-    hist = Counter(weights)
-    kernel = hist[0]
+    ordered = sorted(weights)
     total = 1 << (3 * m)
-    if len(weights) != total:
+    if len(ordered) != total:
         raise InvariantError("weight table must cover every message")
+    kernel = bisect_right(ordered, 0) - bisect_left(ordered, 0)
     if not kernel or total % kernel or kernel & (kernel - 1):
         raise InvariantError("kernel must be a 2-power")
     k = (total // kernel).bit_length() - 1
     if k == 0:
         raise DegenerateConfigurationError("trivial code: every message maps to 0")
     dist = {}
-    for w, count in sorted(hist.items()):
-        if count % kernel:
+    start = 0
+    while start < total:
+        end = bisect_right(ordered, ordered[start], start)
+        if (end - start) % kernel:
             raise InvariantError("weight class not a union of kernel cosets")
-        dist[w] = count // kernel
+        dist[ordered[start]] = (end - start) // kernel
+        start = end
     return CodeSummary(n=n, k=k, d=min_distance(dist), weights=dist)
 
 

@@ -16,12 +16,17 @@ L and 0 otherwise.
 A vector of F2^m is a bitmask int: coordinate i lives in bit i - 1, so
 coordinate 1 is the least significant bit.  Every module of the package
 uses this convention.
+
+A sweep meets each factor many times, so :meth:`Subset.from_mask` is
+cached by (m, mask), at most 64 entries (all 63 subsets at m <= 5), and
+the member list and spectrum by the :class:`ComplexSpec`, at most 128
+entries (all 126 factors at m <= 5), kept as tuples and handed out as lists.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 __all__ = [
     "Subset",
@@ -52,6 +57,7 @@ class Subset:
                 raise ValueError(f"member {i} outside ground set 1..{self.m}")
 
     @classmethod
+    @lru_cache(maxsize=64)
     def from_mask(cls, m: int, mask: int) -> Subset:
         if mask >> m:
             raise ValueError(f"mask 0b{mask:b} exceeds ground set size {m}")
@@ -104,11 +110,7 @@ class ComplexSpec:
 
 def enumerate_members(spec: ComplexSpec) -> list[int]:
     """Members of the complex (or its complement) in increasing bitmask order."""
-    lmask = spec.generator.mask
-    full = 1 << spec.m
-    if spec.complemented:
-        return [v for v in range(full) if v & ~lmask]
-    return [v for v in range(full) if not (v & ~lmask)]
+    return list(_factor(spec)[0])
 
 
 def complex_size(spec: ComplexSpec) -> int:
@@ -142,5 +144,13 @@ def char_sum(spec: ComplexSpec, w: int) -> int:
 
 def spectrum(spec: ComplexSpec) -> list[int]:
     """The character sum of the complex at every w in F2^m, indexed by w."""
-    return [char_sum(spec, w) for w in range(1 << spec.m)]
+    return list(_factor(spec)[1])
+
+
+@lru_cache(maxsize=128)
+def _factor(spec: ComplexSpec) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The member list and the spectrum of one factor."""
+    lmask, full = spec.generator.mask, range(1 << spec.m)
+    members = tuple(v for v in full if bool(v & ~lmask) == spec.complemented)
+    return members, tuple(char_sum(spec, w) for w in full)
 

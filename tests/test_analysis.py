@@ -1,5 +1,6 @@
 """Unit tests for predicted tables, bound checks, and the sweep machinery."""
 
+import copy
 import hashlib
 import itertools
 import random
@@ -298,6 +299,21 @@ def test_code_report_matching_configuration():
     assert report["L"] == "-" and report["N"] == "1,2"
 
 
+def test_cached_predictions_survive_mutation_by_callers():
+    # the table, n, k and d of a size class come from one cache entry: a
+    # caller that edits the table it got must not change the next answers
+    table = predicted_weight_table(5, 2, 0, 0, 2)
+    del table[16]
+    table[0] = 2
+    assert predicted_weight_table(5, 2, 0, 0, 2) == {0: 1, 16: 9, 18: 48, 24: 6}
+    assert predicted_parameters(5, 2, 0, 0, 2) == (36, 6, 16)
+    report = code_report(5, subset(2), subset(2), subset(2, 1, 2))
+    expected = copy.deepcopy(report)
+    report["predicted"]["weights"].clear()
+    report["flags"]["table10_minimal"] = None
+    assert code_report(5, subset(2), subset(2), subset(2, 1, 2)) == expected
+
+
 def test_code_report_family8_optimality_flag_is_none():
     report = code_report(8, subset(2), subset(2), subset(2))
     assert report["flags"]["optimality_condition"] is None
@@ -532,6 +548,32 @@ def test_run_sweep_pool_matches_serial(monkeypatch):
     assert started == [2]
     assert par_rows == seq_rows
     assert par_summary == seq_summary
+
+
+def test_m3_sweep_with_warm_caches_skips_no_check(monkeypatch):
+    # A serial sweep warms every cache of this process; it must still
+    # enumerate every configuration and compare every non-degenerate one with
+    # the character-sum table.  Forked workers inherit the warm caches and
+    # must return the same rows.
+    calls = Counter()
+
+    def counted(name):
+        function = getattr(analysis, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return function(*args)
+
+        return wrapper
+
+    with monkeypatch.context() as patch:
+        for name in ("message_weights", "charsum_message_weights"):
+            patch.setattr(analysis, name, counted(name))
+        rows, summary = run_sweep([3])
+    assert calls == {"message_weights": 4608, "charsum_message_weights": 3885}
+    assert (summary["total"], summary["degenerate"]) == (4608, 4608 - 3885)
+    monkeypatch.setattr("os.cpu_count", lambda: 2)
+    assert run_sweep([3], jobs=2) == (rows, summary)
 
 
 def test_sweep_workers_caps_the_pool(monkeypatch):

@@ -1,8 +1,10 @@
 """Unit tests for defining sets, codeword generation, and brute-force sweeps."""
 
+import itertools
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -193,6 +195,44 @@ def test_summarize_rejects_uncovered_table():
     for weights, n in (([0, 1], 4), ([1] * 8, 2)):
         with pytest.raises(InvariantError):
             summarize_message_weights(weights, n, 1)
+
+
+def test_summarize_rejects_tables_no_linear_map_has():
+    # three messages of weight 0 among eight: no kernel size
+    with pytest.raises(InvariantError, match="kernel must be a 2-power"):
+        summarize_message_weights([0, 0, 0, 1, 1, 1, 1, 1], 4, 1)
+    # a kernel of two, but three messages of weight 1 and three of weight 2
+    with pytest.raises(InvariantError, match="not a union of kernel cosets"):
+        summarize_message_weights([0, 0, 1, 1, 1, 2, 2, 2], 4, 1)
+
+
+def test_summarize_matches_a_counter_of_the_table():
+    # every table at m <= 3, then one m = 5 code per field width of
+    # message_weights (n = 64, 2^15 - 1 and 2^15)
+    specs = [
+        spec_for_family(family, *(Subset.from_mask(m, x) for x in masks))
+        for m in (1, 2, 3)
+        for family in FAMILIES
+        for masks in itertools.product(range(1 << m), repeat=3)
+    ] + [spec(1, 5, *((1, 2),) * 3), spec(9, 5, (), (), ()), spec(1, 5, *((1, 2, 3, 4, 5),) * 3)]
+    summarized = Counter()
+    for s in specs:
+        try:
+            n, weights = message_weights(s)
+        except DegenerateConfigurationError:
+            continue
+        hist = Counter(weights)
+        kernel = hist[0]
+        if kernel == len(weights):
+            with pytest.raises(DegenerateConfigurationError):
+                summarize_message_weights(weights, n, s.m)
+            continue
+        got = summarize_message_weights(weights, n, s.m)
+        expected = {w: count // kernel for w, count in sorted(hist.items())}
+        assert list(got.weights.items()) == list(expected.items()), s
+        assert (got.n, got.k) == (n, 3 * s.m - kernel.bit_length() + 1), s
+        summarized[s.m] += 1
+    assert summarized == {1: 33, 2: 405, 3: 3885, 5: 3}
 
 
 def test_summarize_trivial_code():

@@ -1,5 +1,7 @@
 """Unit tests for subsets, complexes and character sums."""
 
+from dataclasses import FrozenInstanceError
+
 import pytest
 
 from r2subfield.simplicial import (
@@ -119,6 +121,24 @@ def test_spectrum_lists_every_char_sum():
             for complemented in (False, True):
                 spec = ComplexSpec(Subset.from_mask(m, lmask), complemented)
                 assert spectrum(spec) == [char_sum(spec, w) for w in range(1 << m)]
+
+
+def test_cached_factor_data_survives_mutation_by_callers():
+    # the member list and the spectrum are cached per factor, so every call
+    # must hand out its own list, and a cached subset must be immutable
+    for complemented in (False, True):
+        spec = ComplexSpec(subset(3, 1, 2), complemented)
+        for function in (enumerate_members, spectrum):
+            first = function(spec)
+            expected = list(first)
+            first[0] += 2
+            first.append(7)
+            assert function(spec) == expected, (function, complemented)
+    shared = Subset.from_mask(3, 0b101)
+    assert Subset.from_mask(3, 0b101) is shared
+    with pytest.raises(FrozenInstanceError):
+        shared.m = 4
+    assert (shared.m, shared.mask, str(shared)) == (3, 0b101, "1,3")
 
 
 def test_char_sum_input_validation():
