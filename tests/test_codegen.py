@@ -197,7 +197,7 @@ def test_summarize_rejects_uncovered_table():
             summarize_message_weights(weights, n, 1)
 
 
-def test_summarize_rejects_tables_no_linear_map_has():
+def test_summarize_rejects_broken_kernel_counts():
     # three messages of weight 0 among eight: no kernel size
     with pytest.raises(InvariantError, match="kernel must be a 2-power"):
         summarize_message_weights([0, 0, 0, 1, 1, 1, 1, 1], 4, 1)
