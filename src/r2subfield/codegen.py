@@ -30,14 +30,18 @@ each a function of its own so a caller that needs both computes each once:
 * n and the weights of all 2^(3m) messages (:func:`message_weights`).  The
   columns are the image of D1 x D2 x D3 under (d1, d2, d3) -> (d1, d2 + d3,
   d2), or of its complement in F2^(3m) for a global complement (family 9),
-  each column once.  Their 0/1 indicator, written straight from the member
-  lists of the three complexes, is the column histogram, and a
-  Walsh-Hadamard transform of those 2^(3m) counts, packed into one int of
-  1-, 2- or 4-byte fields (the narrowest that holds n), gives every weight
-  at once.  It reads only the member lists, never the spectra of the
-  complexes, so the character-sum table below stays an independent check
-  of it.  Both come cached per factor from :mod:`.simplicial`; the tables
-  are built afresh for every defining set.
+  each column once.  Their 0/1 indicator is the column histogram, and its
+  Walsh-Hadamard transform gives every weight at once.  That histogram is
+  the Kronecker product of the indicator of D1 (2^m fields) and the
+  indicator of the slots (d2 + d3, d2) (2^(2m) fields), both written
+  straight from the member lists, so one m-bit and one 2m-bit transform,
+  each on one int of 1-, 2- or 4-byte fields (the narrowest that holds n),
+  joined by one multiplication, give the transform of all 2^(3m) fields:
+  O(m 2^(2m)) packed operations, not O(m 2^(3m)).  It reads only
+  the member lists, never the spectra of the complexes, so the
+  character-sum table below stays an independent check of it.  Both come
+  cached per factor from :mod:`.simplicial`; the tables are built afresh
+  for every defining set.
 * The weight distribution: the weight histogram divided by the kernel size
   (:func:`summarize_message_weights`).
 
@@ -61,6 +65,7 @@ from array import array
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from collections.abc import Mapping, Sequence
+from functools import cache
 
 from .simplicial import ComplexSpec, complex_size, enumerate_members, spectrum
 
@@ -80,10 +85,11 @@ __all__ = [
 BRUTE_FORCE_M_CAP = 5
 
 # :func:`message_weights` packs one value per field of an int and reads the
-# fields back as native array items.  Every partial sum of its transform lies
-# in [-n, n], so a bias of 2^(8w - 1) keeps each w-byte field in range exactly
-# when n < 2^(8w - 1): the narrowest of 1, 2 or 4 bytes that holds n is used
-# (_field_typecode).  The m cap keeps n <= 2^15.
+# fields back as native array items.  Every partial sum of its two transforms
+# lies in [-n, n] and every doubled weight in [0, 2n], so a bias of
+# 2^(8w - 1) keeps each w-byte field in range when n < 2^(8w - 1): the
+# narrowest of 1, 2 or 4 bytes that holds n is used (_field_typecode).  The
+# m cap keeps n <= 2^15.
 if [array(typecode).itemsize for typecode in "BHI"] != [1, 2, 4]:
     raise ImportError(
         "r2subfield needs 1-byte array('B'), 2-byte array('H') and 4-byte array('I') items"
@@ -140,15 +146,32 @@ def message_weights(spec: DefiningSetSpec) -> tuple[int, list[int]]:
     The message (alpha, beta, gamma) is packed as alpha | beta << m |
     gamma << 2m.  The n columns are the points (d1, d2 + d3, d2) of
     D1 x D2 x D3 (of its complement in F2^(3m) for a global complement),
-    each a 3m-bit mask d1 | (d2 + d3) << m | d2 << 2m, so the column
-    histogram h is the 0/1 indicator of that set: for each (d2, d3) one
-    slice of 2^m fields holds the indicator of D1.  Message v then has
-    weight (n - H[v]) / 2, where H is the Walsh-Hadamard transform of h:
-    H[v] is the sum of (-1)^(p . v) h[p] over all p.  The transform costs
-    O(3m 2^(3m)) operations on one int of 2^(3m) fields of 1, 2 or 4 bytes,
-    the narrowest that holds n, whatever the dimension is.  It reads only
-    the member lists, never the spectra, so the table stays independent of
-    :func:`charsum_message_weights`.
+    each a 3m-bit mask d1 | s << m with slot s = (d2 + d3) | d2 << m.
+    Message v = alpha | sigma << m then has weight (n - H[v]) / 2, where H
+    is the Walsh-Hadamard transform of the column histogram: H[v] is the sum
+    of (-1)^(p . v) over the columns p.  For families 1-8 the histogram is
+    the Kronecker product of the 0/1 slot indicator g (2^(2m) fields, one
+    per (d2, d3), as (d2, d3) -> s is injective) and the indicator f of D1
+    (2^m fields), so H[v] = F[alpha] * G[sigma] with F, G the transforms of
+    f and g.  A global complement (family 9) counts every point except
+    those, so H = 2^(3m) [v = 0] - F[alpha] * G[sigma].
+
+    F is one int of 2^m packed fields and G, spread to every 2^m-th of
+    2^(3m) fields, another; their product as signed ints puts F[alpha] *
+    G[sigma] in field alpha + sigma 2^m, as the 2^m fields of F cannot
+    overlap.  Each field is 1, 2 or 4 bytes, the narrowest with n <
+    2^(8w - 1).  |F| <= |D1|, |G| <= |D2||D3| and their product is at most
+    |D1||D2||D3|: that is n for families 1-8, and at most n for family 9,
+    where D1 x D2 x D3 is at most half of F2^(3m).  So both transforms stay
+    below the bias, and every n - H[v] lies in [0, 2n], inside a field of
+    n ones - H.  The cost is O(m 2^(2m)) packed operations and one
+    multiplication, not 3m stages over 2^(3m) fields.
+
+    It reads only the member lists, never the spectra, so the table stays
+    independent of :func:`charsum_message_weights`.  For the same reason g
+    is not factored further into transforms of D2 and D3: that would
+    recompute their spectra and repeat the character-sum identity rather
+    than check it.
 
     Raises :class:`DegenerateConfigurationError` for an empty defining set
     and ``ValueError`` above :data:`BRUTE_FORCE_M_CAP`.
@@ -156,31 +179,33 @@ def message_weights(spec: DefiningSetSpec) -> tuple[int, list[int]]:
     _check_m_cap(spec.m)
     m = spec.m
     members1, members2, members3 = (enumerate_members(part) for part in spec.parts)
-    fields = 1 << (3 * m)
-    n = len(members1) * len(members2) * len(members3)
-    if spec.global_complement:
-        n = fields - n
+    product = len(members1) * len(members2) * len(members3)
+    n = (1 << 3 * m) - product if spec.global_complement else product
     if not n:
         raise DegenerateConfigurationError("empty defining set")
     typecode = _field_typecode(n)
     width = array(typecode).itemsize
-    bias = 1 << (8 * width - 1)
-    ones = int.from_bytes(array(typecode, [1]) * fields, sys.byteorder)
-    indicator = array(typecode, [0]) * (1 << m)
+    ones, bias1, bias2, bias_spread = _constants(m, typecode)
+    f = array(typecode, [0]) * (1 << m)
     for d1 in members1:
-        indicator[d1] = 1
-    counts = array(typecode, [0]) * fields
+        f[d1] = 1
+    g = array(typecode, [0]) * (1 << 2 * m)
     for d2 in members2:
         for d3 in members3:
-            start = ((d2 ^ d3) | d2 << m) << m
-            counts[start : start + (1 << m)] = indicator
-    packed = int.from_bytes(counts, sys.byteorder)
+            g[(d2 ^ d3) | d2 << m] = 1
+    f_hat = _walsh_hadamard(int.from_bytes(f, sys.byteorder), bias1, 1 << m, width) - bias1
+    # G keeps its bias through the spread: array fields are unsigned
+    g_hat = _walsh_hadamard(int.from_bytes(g, sys.byteorder), bias2, 1 << 2 * m, width)
+    spread = array(typecode, [0]) * (1 << 3 * m)
+    spread[:: 1 << m] = array(typecode, g_hat.to_bytes(width << 2 * m, sys.byteorder))
+    product_hat = f_hat * (int.from_bytes(spread, sys.byteorder) - bias_spread)
     if spec.global_complement:
-        packed = ones - packed
-    transform = _walsh_hadamard(packed, bias * ones, fields, width)
+        doubled = n * ones - (1 << 3 * m) + product_hat
+    else:
+        doubled = n * ones - product_hat
     # every n - H[v] is even, so one shift halves each field exactly
-    weights = ((n + bias) * ones - transform) >> 1
-    return n, array(typecode, weights.to_bytes(width * fields, sys.byteorder)).tolist()
+    weights = doubled >> 1
+    return n, array(typecode, weights.to_bytes(width << 3 * m, sys.byteorder)).tolist()
 
 
 def _field_typecode(n: int) -> str:
@@ -192,19 +217,45 @@ def _field_typecode(n: int) -> str:
     return "I"
 
 
+@cache
+def _constants(m: int, typecode: str) -> tuple[int, int, int, int]:
+    """The packed constants of :func:`message_weights` for one m and field type.
+
+    A 1 in each of the 2^(3m) fields, then the bias B = 2^(8w - 1) in each
+    of 2^m fields, in each of 2^(2m) fields, and in every 2^m-th of 2^(3m)
+    fields.  The m cap bounds the cache to 15 entries.
+    """
+    bias = 1 << (8 * array(typecode).itemsize - 1)
+
+    def packed(fields: int, step: int = 1) -> int:
+        values = array(typecode, [0]) * fields
+        values[::step] = array(typecode, [1]) * (fields // step)
+        return int.from_bytes(values, sys.byteorder)
+
+    return (
+        packed(1 << 3 * m),
+        bias * packed(1 << m),
+        bias * packed(1 << 2 * m),
+        bias * packed(1 << 3 * m, 1 << m),
+    )
+
+
 def _walsh_hadamard(packed: int, bias: int, fields: int, width: int) -> int:
     """The Walsh-Hadamard transform H of the values in ``fields`` packed fields.
 
-    Each field is ``width`` bytes.  ``bias`` holds the same bias B in every
-    field, and the result holds H[v] + B in field v.  Each stage folds the
-    pairs (x, y) that lie ``shift`` bits apart into (x + y, x - y) with a few
-    whole-int operations.  Once the bias is taken off hi, lo + hi and lo - hi
-    are the sums of x + y + B and x - y + B at the fields' offsets; those
-    values lie in [B - n, B + n], inside a field, so the two ints are exactly
-    the packed fields, whatever borrows the unbiased hi holds.  sel selects
-    the low half of every block of 2 * shift bits; once shift is halved,
-    sel ^ sel << shift is the next one, and as the top half of the top block
-    is clear, nothing lands above the packed width.
+    Each field is ``width`` bytes and holds a count h[p] >= 0; H[v] is the
+    sum of (-1)^(p . v) h[p] over all p.  ``bias`` holds the same bias B in
+    every field, and the result holds H[v] + B in field v.  Each stage folds
+    the pairs (x, y) that lie ``shift`` bits apart into (x + y, x - y) with a
+    few whole-int operations.  Once the bias is taken off hi, lo + hi and
+    lo - hi are the sums of x + y + B and x - y + B at the fields' offsets;
+    every partial sum lies in [-t, t] for t the sum of the counts, so with
+    t < B those values lie in [B - t, B + t], inside a field, and the two
+    ints are exactly the packed fields, whatever borrows the unbiased hi
+    holds.  sel selects the low half of every block of 2 * shift bits; once
+    shift is halved, sel ^ sel << shift is the next one, and as the top half
+    of the top block is clear, nothing lands above the packed width.
+    :func:`message_weights` runs it on 2^m and on 2^(2m) fields.
     """
     packed += bias
     shift = 4 * width * fields

@@ -21,6 +21,7 @@ A sweep meets each factor many times, so :meth:`Subset.from_mask` is
 cached by (m, mask), at most 64 entries (all 63 subsets at m <= 5), and
 the member list and spectrum by the :class:`ComplexSpec`, at most 128
 entries (all 126 factors at m <= 5), kept as tuples and handed out as lists.
+A subset is frozen, so its text is built once, on first use.
 """
 
 from __future__ import annotations
@@ -85,10 +86,12 @@ class Subset:
     def size(self) -> int:
         return len(self.members)
 
+    @cached_property
+    def _text(self) -> str:
+        return ",".join(str(i) for i in sorted(self.members)) or "-"
+
     def __str__(self) -> str:
-        if not self.members:
-            return "-"
-        return ",".join(str(i) for i in sorted(self.members))
+        return self._text
 
 
 def subset(m: int, *members: int) -> Subset:

@@ -2,8 +2,10 @@
 
 import itertools
 import os
+import random
 import subprocess
 import sys
+from array import array
 from collections import Counter
 from pathlib import Path
 
@@ -260,19 +262,74 @@ def test_m_cap_enforced():
         charsum_message_weights(s)
 
 
-@pytest.mark.parametrize(
-    "family, members, n",
-    [
-        (1, ((1, 2),) * 3, 64),  # 1-byte fields
-        (9, ((),) * 3, 2**15 - 1),  # the longest code with 2-byte fields
-        (1, ((1, 2, 3, 4, 5),) * 3, 2**15),  # 4-byte fields
-        (1, ((1, 2, 3), (1, 2), (1, 2)), 128),  # the shortest code with 2-byte fields
-    ],
-)
+FIELD_WIDTH_CODES = [
+    (1, ((1, 2),) * 3, 64),  # 1-byte fields
+    (9, ((),) * 3, 2**15 - 1),  # the longest code with 2-byte fields
+    (1, ((1, 2, 3, 4, 5),) * 3, 2**15),  # 4-byte fields
+    (1, ((1, 2, 3), (1, 2), (1, 2)), 128),  # the shortest code with 2-byte fields
+]
+
+
+@pytest.mark.parametrize("family, members, n", FIELD_WIDTH_CODES)
 def test_message_weights_match_charsum_per_field_width_at_m5(family, members, n):
     # 1-byte fields hold n < 2^7, 2-byte fields n < 2^15
     s = spec(family, 5, *members)
     assert message_weights(s) == (n, charsum_message_weights(s))
+
+
+@pytest.mark.parametrize(
+    "m, family, members, n",
+    [(5, *code) for code in FIELD_WIDTH_CODES]
+    + [(4, family, ((1, 3), (4,), (1, 2, 4)), None) for family in FAMILIES]
+    # |L| + |M| + |N| = 3m - 1: D1 x D2 x D3 is half of F2^(3m), so n is
+    # |D1||D2||D3| and the product F[alpha] * G[sigma] reaches n
+    + [(4, 9, ((1, 2, 3, 4), (1, 2, 3, 4), (2, 3, 4)), 2**11)],
+)
+def test_message_weights_match_reference_rows_above_m3(m, family, members, n):
+    # the generator rows of the product set, weighed by a Gray-code walk
+    s = spec(family, m, *members)
+    rows_n, rows = code_rows(s)
+    if n is not None:
+        assert rows_n == n
+    assert message_weights(s) == (rows_n, row_message_weights(rows))
+
+
+def literal_walsh_hadamard(counts):
+    return [
+        sum((-1) ** (p & v).bit_count() * count for p, count in enumerate(counts))
+        for v in range(len(counts))
+    ]
+
+
+@pytest.mark.parametrize("typecode", "BHI")
+def test_walsh_hadamard_matches_the_literal_sum(typecode):
+    # the sum t of the counts must stay below the bias B; at t = B - 1 the
+    # transform reaches +t at v = 0 and -t where every counted p . v is odd
+    width = array(typecode).itemsize
+    bias = 1 << (8 * width - 1)
+    rng = random.Random(typecode)
+    for k in range(1, 7):
+        fields = 1 << k
+        ones = int.from_bytes(array(typecode, [1]) * fields, sys.byteorder)
+        odd = [p for p in range(fields) if p.bit_count() & 1]
+        extreme = [0] * fields
+        for p in odd:
+            extreme[p] = (bias - 1) // len(odd)
+        extreme[odd[0]] += (bias - 1) % len(odd)
+        single = [0] * fields
+        single[fields - 1] = bias - 1
+        spread = [0] * fields
+        for _ in range(bias - 1 if width == 1 else 1000):
+            spread[rng.randrange(fields)] += 1
+        for counts in (extreme, single, spread, [1] * fields, [0] * fields):
+            packed = int.from_bytes(array(typecode, counts), sys.byteorder)
+            result = codegen._walsh_hadamard(packed, bias * ones, fields, width)
+            fields_out = array(typecode, result.to_bytes(width * fields, sys.byteorder))
+            expected = literal_walsh_hadamard(counts)
+            assert [value - bias for value in fields_out] == expected, (k, counts)
+        t = sum(extreme)
+        assert literal_walsh_hadamard(extreme)[0] == t == bias - 1
+        assert literal_walsh_hadamard(extreme)[fields - 1] == -t
 
 
 def test_code_words_matches_message_image():

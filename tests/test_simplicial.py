@@ -139,6 +139,10 @@ def test_cached_factor_data_survives_mutation_by_callers():
     with pytest.raises(FrozenInstanceError):
         shared.m = 4
     assert (shared.m, shared.mask, str(shared)) == (3, 0b101, "1,3")
+    # the text is built once, and caching it leaves equality and hashing alone
+    assert str(shared) is str(shared)
+    fresh = Subset(3, frozenset({3, 1}))
+    assert (fresh, hash(fresh)) == (shared, hash(shared))
 
 
 def test_char_sum_input_validation():
