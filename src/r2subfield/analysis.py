@@ -61,6 +61,7 @@ from .simplicial import ComplexSpec, Subset, spectrum
 __all__ = [
     "FAMILIES",
     "MINIMALITY_CAP",
+    "SWEEP_ROW_FIELDS",
     "SufficiencyConditions",
     "spec_for_family",
     "family_of_spec",
@@ -486,8 +487,17 @@ def code_report(family: int, lset: Subset, mset: Subset, nset: Subset) -> dict:
     return report
 
 
+# The fields of a sweep row, in the order of its JSON object and CSV columns;
+# the checks a row did not run stay None.
+SWEEP_ROW_FIELDS = (
+    "m", "family", "L", "M", "N", "status", "n", "k", "d", "match",
+    "charsum_ok", "griesmer_ok", "minimal_claim_ok", "selforth_claim_ok",
+    "ab_implication_ok", "detail",
+)
+
+
 def sweep_configuration(family: int, m: int, lmask: int, mmask: int, nmask: int) -> dict:
-    """One sweep row: comparison outcome plus invariant checks.
+    """One sweep row (:data:`SWEEP_ROW_FIELDS`): comparison outcome plus invariant checks.
 
     Exact minimality is decided everywhere at m <= 2 and, at larger m, on
     the configurations whose catalogued minimality condition holds (the
@@ -496,19 +506,8 @@ def sweep_configuration(family: int, m: int, lmask: int, mmask: int, nmask: int)
     at m = 5 a code with k > 14 gets no decision.
     """
     lset, mset, nset = (Subset.from_mask(m, mask) for mask in (lmask, mmask, nmask))
-    row = {
-        "m": m,
-        "family": family,
-        "L": str(lset),
-        "M": str(mset),
-        "N": str(nset),
-        "status": "ok",
-        **dict.fromkeys((
-            "n", "k", "d", "match", "charsum_ok", "griesmer_ok", "minimal_claim_ok",
-            "selforth_claim_ok", "ab_implication_ok",
-        )),
-        "detail": "",
-    }
+    row = dict.fromkeys(SWEEP_ROW_FIELDS)
+    row.update(m=m, family=family, L=str(lset), M=str(mset), N=str(nset), status="ok", detail="")
     spec = spec_for_family(family, lset, mset, nset)
     try:
         report, weights_by_message = _evaluate(spec, claimed_only=m > 2)

@@ -15,6 +15,13 @@ Global flags on every command: ``--format json|csv|md`` and ``--out PATH``;
 ``verify`` also takes ``--jobs N``.  Subsets are written as comma-separated
 1-based indices, or ``-`` for the empty set.  Exit codes: 0 all checks pass,
 1 at least one mismatch, 2 invalid input or degenerate configuration.
+
+Each command hands the dict that :mod:`~r2subfield.analysis` returns to one
+renderer, which writes it in the chosen format to stdout or ``--out``; the
+CSV columns follow the key order of that dict.  The argument parser is
+built once per process, on the first call of :func:`main`, and reused:
+parsing reads the parser and never changes it, so a call sees the same
+parser whatever calls, failed or not, came before it.
 """
 
 from __future__ import annotations
@@ -25,9 +32,12 @@ import io
 import json
 import sys
 from collections.abc import Sequence
+from functools import cache
 
 from .analysis import (
     FAMILIES,
+    SWEEP_ROW_FIELDS,
+    _check_family,
     code_report,
     family_of_spec,
     predicted_parameters,
@@ -73,24 +83,14 @@ BUNDLED_MANIFEST: tuple[tuple[int, int, str, str, str, int, int, int], ...] = (
 MANIFEST_HEADER = ["family", "m", "L", "M", "N", "n", "k", "d"]
 
 
-def _emit(text: str, out_path: str | None) -> None:
-    if out_path:
-        with open(out_path, "w", encoding="utf-8", newline="") as handle:
-            handle.write(text)
-    else:
-        sys.stdout.write(text)
-
-
 def _fmt_value(value) -> str:
     if value is None:
         return ""
     if isinstance(value, bool):
         return "true" if value else "false"
+    if isinstance(value, list):  # a weight distribution
+        return ";".join(f"{e['w']}:{e['count']}" for e in value)
     return str(value)
-
-
-def _fmt_weights(entries: Sequence[dict]) -> str:
-    return ";".join(f"{e['w']}:{e['count']}" for e in entries)
 
 
 def _csv_text(header: Sequence[str], rows: Sequence[Sequence]) -> str:
@@ -104,6 +104,25 @@ def _csv_text(header: Sequence[str], rows: Sequence[Sequence]) -> str:
 
 def _json_text(payload) -> str:
     return json.dumps(payload, indent=2) + "\n"
+
+
+def _render(args, payload, csv_table, md_text) -> None:
+    """Write ``payload`` in ``args.format`` to stdout, or to ``args.out`` if given.
+
+    ``csv_table(payload)`` returns the CSV header and rows and
+    ``md_text(payload)`` the markdown; only the one asked for is called.
+    """
+    if args.format == "json":
+        text = _json_text(payload)
+    elif args.format == "csv":
+        text = _csv_text(*csv_table(payload))
+    else:
+        text = md_text(payload)
+    if args.out:
+        with open(args.out, "w", encoding="utf-8", newline="") as handle:
+            handle.write(text)
+    else:
+        sys.stdout.write(text)
 
 
 def _parse_int_list(text: str, what: str) -> tuple[int, ...]:
@@ -123,8 +142,7 @@ def _family_from_args(args) -> int:
     if args.family is not None and explicit:
         raise ValueError("give either --family or explicit --D1/--D2/--D3 flags, not both")
     if args.family is not None:
-        if args.family not in FAMILIES:
-            raise ValueError(f"family must be 1..9, got {args.family}")
+        _check_family(args.family)
         return args.family
     if not explicit:
         raise ValueError("one of --family or --D1/--D2/--D3/--global-complement is required")
@@ -168,27 +186,17 @@ def _code_md(report: dict) -> str:
     return "\n".join(lines)
 
 
-_CODE_CSV_HEADER = [
-    "m", "family", "L", "M", "N", "n", "k", "d", "weights",
-    "predicted_n", "predicted_k", "predicted_d", "predicted_weights",
-    "griesmer_equal", "distance_optimal_by_griesmer", "optimality_condition",
-    "minimal_exact", "minimal_ab", "self_orth_exact", "self_orth_mod4",
-    "table10_minimal", "table10_self_orth", "match",
-]
-
-
-def _code_csv_row(report: dict) -> list:
-    predicted = report["predicted"]
-    flags = report["flags"]
-    return [
-        report["m"], report["family"], report["L"], report["M"], report["N"],
-        report["n"], report["k"], report["d"], _fmt_weights(report["weights"]),
-        predicted["n"], predicted["k"], predicted["d"], _fmt_weights(predicted["weights"]),
-        flags["griesmer_equal"], flags["distance_optimal_by_griesmer"],
-        flags["optimality_condition"], flags["minimal_exact"], flags["minimal_ab"],
-        flags["self_orth_exact"], flags["self_orth_mod4"],
-        flags["table10_minimal"], flags["table10_self_orth"], report["match"],
-    ]
+def _code_csv(report: dict):
+    """One row in the report's key order: ``predicted_*`` columns, then the flags by name."""
+    cells = {}
+    for key, value in report.items():
+        if key == "predicted":
+            cells.update((f"predicted_{name}", item) for name, item in value.items())
+        elif key == "flags":
+            cells.update(value)
+        else:
+            cells[key] = value
+    return list(cells), [list(cells.values())]
 
 
 def cmd_code(args) -> int:
@@ -198,29 +206,21 @@ def cmd_code(args) -> int:
     mset = Subset.parse(args.m, args.M)
     nset = Subset.parse(args.m, args.N)
     report = code_report(family, lset, mset, nset)
-    if args.format == "json":
-        text = _json_text(report)
-    elif args.format == "csv":
-        text = _csv_text(_CODE_CSV_HEADER, [_code_csv_row(report)])
-    else:
-        text = _code_md(report)
-    _emit(text, args.out)
+    _render(args, report, _code_csv, _code_md)
     return 0 if report["match"] else 1
 
 
 # ---------------------------------------------------------------- verify
 
 
-_VERIFY_CSV_HEADER = [
-    "m", "family", "L", "M", "N", "status", "n", "k", "d", "match",
-    "charsum_ok", "griesmer_ok", "minimal_claim_ok", "selforth_claim_ok",
-    "ab_implication_ok", "detail",
-]
+def _verify_csv(sweep: dict):
+    return SWEEP_ROW_FIELDS, [[row[key] for key in SWEEP_ROW_FIELDS] for row in sweep["rows"]]
 
 
-def _verify_md(rows: Sequence[dict], summary: dict) -> str:
+def _verify_md(sweep: dict) -> str:
+    summary = sweep["summary"]
     lines = ["# verification sweep", ""]
-    for row in rows:
+    for row in sweep["rows"]:
         line = (
             f"m={row['m']} family={row['family']} L={row['L']} M={row['M']} "
             f"N={row['N']} status={row['status']}"
@@ -231,12 +231,9 @@ def _verify_md(rows: Sequence[dict], summary: dict) -> str:
             line += f" {row['detail']}"
         lines.append(line)
     lines.extend(["", "## summary", ""])
-    for key in (
-        "total", "ok", "mismatch", "degenerate", "mismatch_outside_family_8",
-        "charsum_failures", "griesmer_failures", "minimality_claim_failures",
-        "selforth_claim_failures", "ab_implication_failures",
-    ):
-        lines.append(f"{key}: {summary[key]}")
+    for key, value in summary.items():
+        if key not in ("findings", "passed"):
+            lines.append(f"{key}: {value}")
     if summary["findings"]:
         lines.extend(["", "## family-8 findings", ""])
         for finding in summary["findings"]:
@@ -254,19 +251,9 @@ def cmd_verify(args) -> int:
         _check_m(m)
     families = FAMILIES if args.families is None else _parse_int_list(args.families, "family")
     for family in families:
-        if family not in FAMILIES:
-            raise ValueError(f"family must be 1..9, got {family}")
+        _check_family(family)
     rows, summary = run_sweep(ms, families, jobs=args.jobs)
-    if args.format == "json":
-        text = _json_text({"rows": rows, "summary": summary})
-    elif args.format == "csv":
-        text = _csv_text(
-            _VERIFY_CSV_HEADER,
-            [[row[key] for key in _VERIFY_CSV_HEADER] for row in rows],
-        )
-    else:
-        text = _verify_md(rows, summary)
-    _emit(text, args.out)
+    _render(args, {"rows": rows, "summary": summary}, _verify_csv, _verify_md)
     return 0 if summary["passed"] else 1
 
 
@@ -358,38 +345,55 @@ def _scan_md(results: Sequence[dict]) -> str:
     return "\n".join(lines)
 
 
+def _scan_csv(results: Sequence[dict]):
+    header = [
+        "family", "m", "L", "M", "N", "expected_n", "expected_k", "expected_d",
+        "computed_n", "computed_k", "computed_d", "nonzero_weights",
+        "optimal", "match", "result",
+    ]
+    rows = [
+        [
+            r["family"], r["m"], r["L"], r["M"], r["N"], *r["expected"],
+            *r["computed"], r["nonzero_weights"], r["optimal"], r["match"],
+            r["result"],
+        ]
+        for r in results
+    ]
+    return header, rows
+
+
 def cmd_scan(args) -> int:
     manifest = _load_manifest(args.manifest)
     results = [_scan_result(row) for row in manifest]
-    if args.format == "json":
-        text = _json_text(results)
-    elif args.format == "csv":
-        header = [
-            "family", "m", "L", "M", "N", "expected_n", "expected_k", "expected_d",
-            "computed_n", "computed_k", "computed_d", "nonzero_weights",
-            "optimal", "match", "result",
-        ]
-        rows = [
-            [
-                r["family"], r["m"], r["L"], r["M"], r["N"], *r["expected"],
-                *r["computed"], r["nonzero_weights"], r["optimal"], r["match"],
-                r["result"],
-            ]
-            for r in results
-        ]
-        text = _csv_text(header, rows)
-    else:
-        text = _scan_md(results)
-    _emit(text, args.out)
+    _render(args, results, _scan_csv, _scan_md)
     return 0 if all(r["result"] == "PASS" for r in results) else 1
 
 
 # ---------------------------------------------------------------- tables
 
 
+def _tables_csv(payload: dict):
+    return ["w", "count"], [[e["w"], e["count"]] for e in payload["weights"]]
+
+
+def _tables_md(payload: dict) -> str:
+    sizes = payload["sizes"]
+    lines = [
+        f"# predicted weight table: family {payload['family']}, m={payload['m']}, "
+        f"|L|={sizes['L']} |M|={sizes['M']} |N|={sizes['N']}",
+        "",
+        f"[n,k,d] = [{payload['n']},{payload['k']},{payload['d']}]",
+        "",
+        "| weight | codewords |",
+        "|---:|---:|",
+    ]
+    lines.extend(f"| {e['w']} | {e['count']} |" for e in payload["weights"])
+    lines.append("")
+    return "\n".join(lines)
+
+
 def cmd_tables(args) -> int:
-    if args.family not in FAMILIES:
-        raise ValueError(f"family must be 1..9, got {args.family}")
+    _check_family(args.family)
     if args.m > TABLES_M_CAP:
         raise ValueError(f"tables are capped at m <= {TABLES_M_CAP}, got m = {args.m}")
     table = predicted_weight_table(args.family, args.m, args.sL, args.sM, args.sN)
@@ -403,24 +407,7 @@ def cmd_tables(args) -> int:
         "d": d,
         "weights": [{"w": w, "count": c} for w, c in sorted(table.items())],
     }
-    if args.format == "json":
-        text = _json_text(payload)
-    elif args.format == "csv":
-        text = _csv_text(["w", "count"], [[w, c] for w, c in sorted(table.items())])
-    else:
-        lines = [
-            f"# predicted weight table: family {args.family}, m={args.m}, "
-            f"|L|={args.sL} |M|={args.sM} |N|={args.sN}",
-            "",
-            f"[n,k,d] = [{n},{k},{d}]",
-            "",
-            "| weight | codewords |",
-            "|---:|---:|",
-        ]
-        lines.extend(f"| {w} | {c} |" for w, c in sorted(table.items()))
-        lines.append("")
-        text = "\n".join(lines)
-    _emit(text, args.out)
+    _render(args, payload, _tables_csv, _tables_md)
     return 0
 
 
@@ -437,7 +424,9 @@ def _positive_int(text: str) -> int:
     return value
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every command, built on the first call; do not modify it."""
     parser = argparse.ArgumentParser(
         prog="r2subfield",
         description="Binary subfield codes with simplicial-complex defining sets.",
@@ -489,8 +478,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (ValueError, OSError) as exc:

@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line interface."""
 
+import argparse
 import csv
 import io
 import json
@@ -344,3 +345,32 @@ def test_out_file_matches_stdout(tmp_path, capsys):
     assert rc2 == 0
     assert out2 == ""  # nothing on stdout when writing a file
     assert path.read_text(encoding="utf-8") == out
+
+
+def test_main_builds_the_parser_once(capsys, monkeypatch):
+    progs = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        progs.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    cli.build_parser.cache_clear()  # the next call builds the parser
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    for _ in range(2):
+        assert run_cli(capsys, "tables", "--family", "1", "--m", "2",
+                       "--sL", "1", "--sM", "1", "--sN", "0")[0] == 0
+    assert progs.count("r2subfield") == 1
+
+
+def test_parser_is_unchanged_by_failed_calls(capsys):
+    argv = ("code", "--m", "3", "--family", "2", "--L", "1", "--M", "1,2", "--N", "1,2,3",
+            "--format", "csv")
+    cli.build_parser.cache_clear()  # the next call builds the parser
+    first = run_cli(capsys, *argv)
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--m", "1", "--jobs", "0"])
+    assert exc.value.code == 2
+    assert run_cli(capsys, "code", "--m", "2", "--family", "10",
+                   "--L", "-", "--M", "-", "--N", "1")[0] == 2
+    assert run_cli(capsys, *argv) == first
