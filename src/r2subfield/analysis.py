@@ -39,7 +39,6 @@ compare it with a scan of all codewords for two with disjoint supports.
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor
 from functools import cache, lru_cache
 from itertools import combinations, compress
 from typing import NamedTuple
@@ -51,10 +50,10 @@ from .codegen import (
     DegenerateConfigurationError,
     InvariantError,
     _charsum_terms,
-    charsum_message_weights,
-    message_weights,
+    factor_transforms,
     min_distance,
-    summarize_message_weights,
+    summarize_transforms,
+    transforms_match_spectra,
 )
 from .simplicial import ComplexSpec, Subset, spectrum
 
@@ -318,7 +317,8 @@ def _pair_weights(m: int, factors, n: int, sign: int, whole: int):
         2W(a) = n + sign * S1[alpha] * S2[x] * S3[y] - whole * [a = 0]
 
     with n, sign and whole from :func:`~r2subfield.codegen._charsum_terms`,
-    as in :func:`~r2subfield.codegen.charsum_message_weights`.  Every
+    the character-sum identity that
+    :func:`~r2subfield.codegen.transforms_match_spectra` checks.  Every
     realisable triple is yielded at least once, some more than once.
     """
     first, second, third = (_pair_classes(m, *factor) for factor in factors)
@@ -371,7 +371,7 @@ def spectral_minimality(spec: DefiningSetSpec) -> bool:
 
 
 def _self_orthogonal(weights_by_message, m: int) -> bool:
-    """Exact self-orthogonality from the weight of every message.
+    """Exact self-orthogonality from the weights of the unit messages and their pairs.
 
     Row i of a generator matrix is the codeword of the unit message e_i,
     and two rows meet in |r_i & r_j| = (W(e_i) + W(e_j) - W(e_i + e_j)) / 2
@@ -389,6 +389,21 @@ def _self_orthogonal(weights_by_message, m: int) -> bool:
 @cache
 def _unit_pairs(m: int) -> tuple[tuple[int, int, int], ...]:
     return tuple((a, b, a ^ b) for a, b in combinations([1 << i for i in range(3 * m)], 2))
+
+
+@cache
+def _unit_messages(m: int) -> frozenset[int]:
+    return frozenset(v for triple in _unit_pairs(m) for v in triple)
+
+
+def _unit_message_weights(n: int, f, g, global_complement: bool, m: int) -> dict[int, int]:
+    """W(v) = (n -+ F[alpha] * G[sigma]) / 2 at the unit messages and their pairs.
+
+    None of them is the zero message, so family 9 needs no correction.
+    """
+    sign = 1 if global_complement else -1
+    low = (1 << m) - 1
+    return {v: (n + sign * f[v & low] * g[v >> m]) >> 1 for v in _unit_messages(m)}
 
 
 def self_orth_mod4(weights) -> bool:
@@ -424,14 +439,14 @@ def _evaluate(spec: DefiningSetSpec, claimed_only: bool):
     up to :data:`MINIMALITY_CAP` codewords, and with ``claimed_only`` only
     where the catalogued condition claims it.
     Returns the report, in the stable JSON layout of the CLI, and the
-    enumerated weight of every message.
+    factor transforms F and G of :func:`~r2subfield.codegen.factor_transforms`.
     """
     family = family_of_spec(spec)
     lset, mset, nset = (part.generator for part in spec.parts)
     m = spec.m
     sizes = (lset.size, mset.size, nset.size)
-    n, weights_by_message = message_weights(spec)
-    measured = summarize_message_weights(weights_by_message, n, m)
+    n, f, g = factor_transforms(spec)
+    measured = summarize_transforms(n, f, g, spec.global_complement)
     params = (measured.n, measured.k, measured.d)
 
     try:
@@ -463,14 +478,16 @@ def _evaluate(spec: DefiningSetSpec, claimed_only: bool):
             "optimality_condition": opt,
             "minimal_exact": minimal_exact,
             "minimal_ab": minimal_ab,
-            "self_orth_exact": _self_orthogonal(weights_by_message, m),
+            "self_orth_exact": _self_orthogonal(
+                _unit_message_weights(n, f, g, spec.global_complement, m), m
+            ),
             "self_orth_mod4": self_orth_mod4(measured.weights),
             "table10_minimal": conditions.minimal,
             "table10_self_orth": conditions.self_orthogonal,
         },
         "match": predicted == measured,
     }
-    return report, weights_by_message
+    return report, f, g
 
 
 def code_report(family: int, lset: Subset, mset: Subset, nset: Subset) -> dict:
@@ -483,8 +500,7 @@ def code_report(family: int, lset: Subset, mset: Subset, nset: Subset) -> dict:
     empty or zero-dimensional code.
     """
     spec = spec_for_family(family, lset, mset, nset)
-    report, _ = _evaluate(spec, claimed_only=False)
-    return report
+    return _evaluate(spec, claimed_only=False)[0]
 
 
 # The fields of a sweep row, in the order of its JSON object and CSV columns;
@@ -510,7 +526,7 @@ def sweep_configuration(family: int, m: int, lmask: int, mmask: int, nmask: int)
     row.update(m=m, family=family, L=str(lset), M=str(mset), N=str(nset), status="ok", detail="")
     spec = spec_for_family(family, lset, mset, nset)
     try:
-        report, weights_by_message = _evaluate(spec, claimed_only=m > 2)
+        report, f, g = _evaluate(spec, claimed_only=m > 2)
     except DegenerateConfigurationError as exc:
         row["status"] = "degenerate"
         row["detail"] = str(exc)
@@ -518,7 +534,7 @@ def sweep_configuration(family: int, m: int, lmask: int, mmask: int, nmask: int)
     flags = report["flags"]
     row["n"], row["k"], row["d"] = report["n"], report["k"], report["d"]
     row["match"] = report["match"]
-    row["charsum_ok"] = charsum_message_weights(spec) == weights_by_message
+    row["charsum_ok"] = transforms_match_spectra(spec, f, g)
     if not report["match"]:
         row["status"] = "mismatch"
         predicted = report["predicted"]
@@ -567,6 +583,9 @@ def run_sweep(ms, families=FAMILIES, jobs: int = 1):
     ]
     workers = sweep_workers(jobs, len(configs))
     if workers > 1:
+        # imported here: the pool pulls in multiprocessing, which no serial run needs
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_sweep_star, configs, chunksize=64))
     else:

@@ -293,6 +293,15 @@ def _load_manifest(path: str | None) -> list[tuple[int, int, str, str, str, int,
     return rows
 
 
+# The keys of a scan result, in the order of its JSON object and CSV columns;
+# the CSV spreads the two [n, k, d] triples into _n, _k and _d columns.
+_SCAN_FIELDS = (
+    "family", "m", "L", "M", "N", "expected", "computed", "nonzero_weights",
+    "optimal", "match", "result",
+)
+_SCAN_TRIPLES = ("expected", "computed")
+
+
 def _scan_result(row: tuple[int, int, str, str, str, int, int, int]) -> dict:
     family, m, l_text, m_text, n_text, n, k, d = row
     _check_m(m)
@@ -310,19 +319,21 @@ def _scan_result(row: tuple[int, int, str, str, str, int, int, int]) -> dict:
         optimal = "yes"
     else:
         optimal = "unknown"
-    return {
-        "family": family,
-        "m": m,
-        "L": l_text,
-        "M": m_text,
-        "N": n_text,
-        "expected": [n, k, d],
-        "computed": list(computed),
-        "nonzero_weights": sum(e["w"] > 0 for e in report["weights"]),
-        "optimal": optimal,
-        "match": report["match"],
-        "result": "PASS" if computed == (n, k, d) else "FAIL",
-    }
+    result = dict.fromkeys(_SCAN_FIELDS)
+    result.update(
+        family=family,
+        m=m,
+        L=l_text,
+        M=m_text,
+        N=n_text,
+        expected=[n, k, d],
+        computed=list(computed),
+        nonzero_weights=sum(e["w"] > 0 for e in report["weights"]),
+        optimal=optimal,
+        match=report["match"],
+        result="PASS" if computed == (n, k, d) else "FAIL",
+    )
+    return result
 
 
 def _scan_md(results: Sequence[dict]) -> str:
@@ -347,16 +358,12 @@ def _scan_md(results: Sequence[dict]) -> str:
 
 def _scan_csv(results: Sequence[dict]):
     header = [
-        "family", "m", "L", "M", "N", "expected_n", "expected_k", "expected_d",
-        "computed_n", "computed_k", "computed_d", "nonzero_weights",
-        "optimal", "match", "result",
+        name
+        for key in _SCAN_FIELDS
+        for name in ([f"{key}_{x}" for x in "nkd"] if key in _SCAN_TRIPLES else [key])
     ]
     rows = [
-        [
-            r["family"], r["m"], r["L"], r["M"], r["N"], *r["expected"],
-            *r["computed"], r["nonzero_weights"], r["optimal"], r["match"],
-            r["result"],
-        ]
+        [cell for key in _SCAN_FIELDS for cell in (r[key] if key in _SCAN_TRIPLES else [r[key]])]
         for r in results
     ]
     return header, rows

@@ -27,45 +27,47 @@ i.e. the plain F2 parity of the message mask ANDed with the position mask.
 :func:`weight_distribution_bruteforce` builds one code in two stages,
 each a function of its own so a caller that needs both computes each once:
 
-* n and the weights of all 2^(3m) messages (:func:`message_weights`).  The
-  columns are the image of D1 x D2 x D3 under (d1, d2, d3) -> (d1, d2 + d3,
-  d2), or of its complement in F2^(3m) for a global complement (family 9),
-  each column once.  Their 0/1 indicator is the column histogram, and its
-  Walsh-Hadamard transform gives every weight at once.  That histogram is
-  the Kronecker product of the indicator of D1 (2^m fields) and the
-  indicator of the slots (d2 + d3, d2) (2^(2m) fields), both written
-  straight from the member lists, so one m-bit and one 2m-bit transform,
-  each on one int of 1-, 2- or 4-byte fields (the narrowest that holds n),
-  joined by one multiplication, give the transform of all 2^(3m) fields:
-  O(m 2^(2m)) packed operations, not O(m 2^(3m)).  It reads only
-  the member lists, never the spectra of the complexes, so the
-  character-sum table below stays an independent check of it.  Both come
-  cached per factor from :mod:`.simplicial`; the tables are built afresh
-  for every defining set.
-* The weight distribution: the weight histogram divided by the kernel size
-  (:func:`summarize_message_weights`).
+* n and two factor transforms (:func:`factor_transforms`).  The columns are
+  the image of D1 x D2 x D3 under (d1, d2, d3) -> (d1, d2 + d3, d2), or of
+  its complement in F2^(3m) for a global complement (family 9), each column
+  once.  Message v has weight (n - H[v]) / 2 with H the Walsh-Hadamard
+  transform of the column indicator, and that indicator is the Kronecker
+  product of the indicator of D1 (2^m entries) and the indicator of the
+  slots (d2 + d3, d2) (2^(2m) entries), both written straight from the
+  member lists.  So H[alpha | sigma << m] = F[alpha] * G[sigma] (family 9:
+  2^(3m) [v = 0] - F[alpha] * G[sigma]) for F and G the transforms of the
+  two indicators, each one int of 1-, 2- or 4-byte packed fields.  No
+  table of the 2^(3m) messages is built.  F and G read only the member
+  lists, never the spectra of the complexes, so the character-sum check
+  below stays an independent check of them.  Both lists come cached per
+  factor from :mod:`.simplicial`; the transforms are computed afresh for
+  every defining set.
+* The weight distribution (:func:`summarize_transforms`): the histogram of
+  the doubled weights n -+ F[alpha] * G[sigma] is the product of the value
+  histograms of F and G, each of a few values, and dividing it by the
+  kernel size gives the distribution of the code.
 
 No function here builds an element of R or a generator row.  The tests keep
 the literal construction of the paper (R-vectors, trace triples,
-transposition to generator rows) as a reference route in
-``tests/reference.py`` and compare :func:`message_weights` with the weights
-of its rows.
+transposition to generator rows) and a full table of the 2^(3m) message
+weights as a reference route in ``tests/reference.py``, and compare the
+factored route with them.
 
 The character-sum route is independent of the enumeration: the weight of
 (alpha, beta, gamma) is (|D| - S1[alpha] * S2[beta + gamma] * S3[beta]) / 2
-with Si the character-sum spectrum of the i-th complex, so the whole message
-table follows from three spectra of length 2^m
-(:func:`charsum_message_weights`).
+with Si the character-sum spectrum of the i-th complex.  So the enumeration
+agrees with it on every message exactly when F = S1 and
+G[beta | gamma << m] = S2[beta + gamma] * S3[beta]
+(:func:`transforms_match_spectra`), 2^m + 2^(2m) comparisons.
 """
 
 from __future__ import annotations
 
 import sys
 from array import array
-from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
+from collections import Counter
 from collections.abc import Mapping, Sequence
-from functools import cache
+from dataclasses import dataclass
 
 from .simplicial import ComplexSpec, complex_size, enumerate_members, spectrum
 
@@ -75,21 +77,20 @@ __all__ = [
     "InvariantError",
     "DefiningSetSpec",
     "CodeSummary",
-    "message_weights",
-    "summarize_message_weights",
+    "factor_transforms",
+    "summarize_transforms",
     "weight_distribution_bruteforce",
-    "charsum_message_weights",
+    "transforms_match_spectra",
     "min_distance",
 ]
 
 BRUTE_FORCE_M_CAP = 5
 
-# :func:`message_weights` packs one value per field of an int and reads the
-# fields back as native array items.  Every partial sum of its two transforms
-# lies in [-n, n] and every doubled weight in [0, 2n], so a bias of
-# 2^(8w - 1) keeps each w-byte field in range when n < 2^(8w - 1): the
-# narrowest of 1, 2 or 4 bytes that holds n is used (_field_typecode).  The
-# m cap keeps n <= 2^15.
+# :func:`_indicator_transform` packs one value per field of an int and reads
+# the fields back as native array items.  Every partial sum of the transform
+# of t points lies in [-t, t], so a bias of 2^(8w - 1) keeps each w-byte
+# field in range when t < 2^(8w - 1): the narrowest of 1, 2 or 4 bytes that
+# holds t is used (_field_typecode).
 if [array(typecode).itemsize for typecode in "BHI"] != [1, 2, 4]:
     raise ImportError(
         "r2subfield needs 1-byte array('B'), 2-byte array('H') and 4-byte array('I') items"
@@ -133,42 +134,26 @@ class DefiningSetSpec:
         return (self.d1, self.d2, self.d3)
 
 
-def _check_m_cap(m: int) -> None:
-    if m > BRUTE_FORCE_M_CAP:
-        raise ValueError(
-            f"exhaustive enumeration is capped at m <= {BRUTE_FORCE_M_CAP}, got m = {m}"
-        )
+def factor_transforms(spec: DefiningSetSpec) -> tuple[int, list[int], list[int]]:
+    """n and the factor transforms F and G that weigh every message of the code.
 
+    The message (alpha, beta, gamma) is packed as alpha | sigma << m with
+    sigma = beta | gamma << m.  The n columns are the points
+    (d1, d2 + d3, d2) of D1 x D2 x D3 (of its complement in F2^(3m) for a
+    global complement), each a 3m-bit mask d1 | s << m with slot
+    s = (d2 + d3) | d2 << m.  Message v then has weight (n - H[v]) / 2,
+    where H is the Walsh-Hadamard transform of the column indicator: H[v] is
+    the sum of (-1)^(p . v) over the columns p.  For families 1-8 the
+    indicator is the Kronecker product of the 0/1 slot indicator g (2^(2m)
+    entries, one per (d2, d3), as (d2, d3) -> s is injective) and the
+    indicator f of D1 (2^m entries), so H[v] = F[alpha] * G[sigma] with
+    F, G the transforms of f and g, returned as lists indexed by alpha and
+    sigma.  A global complement (family 9) counts every point except those,
+    so H = 2^(3m) [v = 0] - F[alpha] * G[sigma].  F[0] = |D1| and
+    G[0] = |D2||D3|.
 
-def message_weights(spec: DefiningSetSpec) -> tuple[int, list[int]]:
-    """n and the codeword weight of every message, indexed by packed message mask.
-
-    The message (alpha, beta, gamma) is packed as alpha | beta << m |
-    gamma << 2m.  The n columns are the points (d1, d2 + d3, d2) of
-    D1 x D2 x D3 (of its complement in F2^(3m) for a global complement),
-    each a 3m-bit mask d1 | s << m with slot s = (d2 + d3) | d2 << m.
-    Message v = alpha | sigma << m then has weight (n - H[v]) / 2, where H
-    is the Walsh-Hadamard transform of the column histogram: H[v] is the sum
-    of (-1)^(p . v) over the columns p.  For families 1-8 the histogram is
-    the Kronecker product of the 0/1 slot indicator g (2^(2m) fields, one
-    per (d2, d3), as (d2, d3) -> s is injective) and the indicator f of D1
-    (2^m fields), so H[v] = F[alpha] * G[sigma] with F, G the transforms of
-    f and g.  A global complement (family 9) counts every point except
-    those, so H = 2^(3m) [v = 0] - F[alpha] * G[sigma].
-
-    F is one int of 2^m packed fields and G, spread to every 2^m-th of
-    2^(3m) fields, another; their product as signed ints puts F[alpha] *
-    G[sigma] in field alpha + sigma 2^m, as the 2^m fields of F cannot
-    overlap.  Each field is 1, 2 or 4 bytes, the narrowest with n <
-    2^(8w - 1).  |F| <= |D1|, |G| <= |D2||D3| and their product is at most
-    |D1||D2||D3|: that is n for families 1-8, and at most n for family 9,
-    where D1 x D2 x D3 is at most half of F2^(3m).  So both transforms stay
-    below the bias, and every n - H[v] lies in [0, 2n], inside a field of
-    n ones - H.  The cost is O(m 2^(2m)) packed operations and one
-    multiplication, not 3m stages over 2^(3m) fields.
-
-    It reads only the member lists, never the spectra, so the table stays
-    independent of :func:`charsum_message_weights`.  For the same reason g
+    It reads only the member lists, never the spectra, so F and G stay
+    independent of :func:`transforms_match_spectra`.  For the same reason g
     is not factored further into transforms of D2 and D3: that would
     recompute their spectra and repeat the character-sum identity rather
     than check it.
@@ -176,68 +161,51 @@ def message_weights(spec: DefiningSetSpec) -> tuple[int, list[int]]:
     Raises :class:`DegenerateConfigurationError` for an empty defining set
     and ``ValueError`` above :data:`BRUTE_FORCE_M_CAP`.
     """
-    _check_m_cap(spec.m)
     m = spec.m
+    if m > BRUTE_FORCE_M_CAP:
+        raise ValueError(
+            f"exhaustive enumeration is capped at m <= {BRUTE_FORCE_M_CAP}, got m = {m}"
+        )
     members1, members2, members3 = (enumerate_members(part) for part in spec.parts)
     product = len(members1) * len(members2) * len(members3)
     n = (1 << 3 * m) - product if spec.global_complement else product
     if not n:
         raise DegenerateConfigurationError("empty defining set")
-    typecode = _field_typecode(n)
+    slots = [(d2 ^ d3) | d2 << m for d2 in members2 for d3 in members3]
+    return n, _indicator_transform(members1, m), _indicator_transform(slots, 2 * m)
+
+
+def _indicator_transform(points: Sequence[int], bits: int) -> list[int]:
+    """The Walsh-Hadamard transform of the 0/1 indicator of distinct ``points`` in F2^bits.
+
+    The indicator is packed in fields of the narrowest width whose bias
+    exceeds the number of points (:func:`_field_typecode`), and transformed
+    by :func:`_walsh_hadamard`.
+    """
+    typecode = _field_typecode(len(points))
     width = array(typecode).itemsize
-    ones, bias1, bias2, bias_spread = _constants(m, typecode)
-    f = array(typecode, [0]) * (1 << m)
-    for d1 in members1:
-        f[d1] = 1
-    g = array(typecode, [0]) * (1 << 2 * m)
-    for d2 in members2:
-        for d3 in members3:
-            g[(d2 ^ d3) | d2 << m] = 1
-    f_hat = _walsh_hadamard(int.from_bytes(f, sys.byteorder), bias1, 1 << m, width) - bias1
-    # G keeps its bias through the spread: array fields are unsigned
-    g_hat = _walsh_hadamard(int.from_bytes(g, sys.byteorder), bias2, 1 << 2 * m, width)
-    spread = array(typecode, [0]) * (1 << 3 * m)
-    spread[:: 1 << m] = array(typecode, g_hat.to_bytes(width << 2 * m, sys.byteorder))
-    product_hat = f_hat * (int.from_bytes(spread, sys.byteorder) - bias_spread)
-    if spec.global_complement:
-        doubled = n * ones - (1 << 3 * m) + product_hat
-    else:
-        doubled = n * ones - product_hat
-    # every n - H[v] is even, so one shift halves each field exactly
-    weights = doubled >> 1
-    return n, array(typecode, weights.to_bytes(width << 3 * m, sys.byteorder)).tolist()
+    bias = 1 << (8 * width - 1)
+    fields = 1 << bits
+    indicator = array(typecode, [0]) * fields
+    for p in points:
+        indicator[p] = 1
+    packed = _walsh_hadamard(
+        int.from_bytes(indicator, sys.byteorder),
+        int.from_bytes(array(typecode, [bias]) * fields, sys.byteorder),
+        fields,
+        width,
+    )
+    biased = array(typecode, packed.to_bytes(width * fields, sys.byteorder))
+    return [value - bias for value in biased]
 
 
-def _field_typecode(n: int) -> str:
-    """The ``array`` typecode of the narrowest w-byte field with n < 2^(8w - 1)."""
-    if n < 1 << 7:
+def _field_typecode(t: int) -> str:
+    """The ``array`` typecode of the narrowest w-byte field with t < 2^(8w - 1)."""
+    if t < 1 << 7:
         return "B"
-    if n < 1 << 15:
+    if t < 1 << 15:
         return "H"
     return "I"
-
-
-@cache
-def _constants(m: int, typecode: str) -> tuple[int, int, int, int]:
-    """The packed constants of :func:`message_weights` for one m and field type.
-
-    A 1 in each of the 2^(3m) fields, then the bias B = 2^(8w - 1) in each
-    of 2^m fields, in each of 2^(2m) fields, and in every 2^m-th of 2^(3m)
-    fields.  The m cap bounds the cache to 15 entries.
-    """
-    bias = 1 << (8 * array(typecode).itemsize - 1)
-
-    def packed(fields: int, step: int = 1) -> int:
-        values = array(typecode, [0]) * fields
-        values[::step] = array(typecode, [1]) * (fields // step)
-        return int.from_bytes(values, sys.byteorder)
-
-    return (
-        packed(1 << 3 * m),
-        bias * packed(1 << m),
-        bias * packed(1 << 2 * m),
-        bias * packed(1 << 3 * m, 1 << m),
-    )
 
 
 def _walsh_hadamard(packed: int, bias: int, fields: int, width: int) -> int:
@@ -255,7 +223,7 @@ def _walsh_hadamard(packed: int, bias: int, fields: int, width: int) -> int:
     holds.  sel selects the low half of every block of 2 * shift bits; once
     shift is halved, sel ^ sel << shift is the next one, and as the top half
     of the top block is clear, nothing lands above the packed width.
-    :func:`message_weights` runs it on 2^m and on 2^(2m) fields.
+    :func:`factor_transforms` runs it on 2^m and on 2^(2m) fields.
     """
     packed += bias
     shift = 4 * width * fields
@@ -288,79 +256,76 @@ class CodeSummary:
         }
 
 
-def summarize_message_weights(weights: Sequence[int], n: int, m: int) -> CodeSummary:
-    """Collapse a full message-weight table to the code's distribution.
+def summarize_transforms(
+    n: int, f: Sequence[int], g: Sequence[int], global_complement: bool
+) -> CodeSummary:
+    """The code's parameters and weight distribution from its factor transforms.
 
-    Every codeword has the same number of preimages (the kernel size, read
-    off as the multiplicity of weight 0), so dividing each count by it gives
-    the distribution of the code itself and k = 3m - log2(kernel).  Counts
-    are run lengths of the sorted table, found by bisection: faster than a dict.
+    Message alpha | sigma << m has doubled weight n - F[alpha] * G[sigma]
+    (:func:`factor_transforms`).  For a global complement it is
+    n + F[alpha] * G[sigma], except that the zero message has weight 0:
+    there the 2^(3m) term cancels n + F[0] * G[0].  So the doubled-weight
+    histogram of all len(f) * len(g) messages is the product of the value
+    histograms of F and G, each of a few values, with one count moved from
+    n + F[0] * G[0] to 0 for a global complement.  Every codeword has the
+    same number of preimages (the kernel size, read off as the multiplicity
+    of weight 0), so dividing each count by it gives the distribution of the
+    code itself and k = 3m - log2(kernel).
     """
-    ordered = sorted(weights)
-    total = 1 << (3 * m)
-    if len(ordered) != total:
-        raise InvariantError("weight table must cover every message")
-    kernel = bisect_right(ordered, 0) - bisect_left(ordered, 0)
+    sign = 1 if global_complement else -1
+    g_counts = Counter(g).items()
+    doubled = Counter()
+    for a, a_count in Counter(f).items():
+        for b, b_count in g_counts:
+            doubled[n + sign * a * b] += a_count * b_count
+    if global_complement:
+        doubled[n + f[0] * g[0]] -= 1
+        doubled[0] += 1
+    total = len(f) * len(g)
+    kernel = doubled[0]
     if not kernel or total % kernel or kernel & (kernel - 1):
         raise InvariantError("kernel must be a 2-power")
     k = (total // kernel).bit_length() - 1
     if k == 0:
         raise DegenerateConfigurationError("trivial code: every message maps to 0")
     dist = {}
-    start = 0
-    while start < total:
-        end = bisect_right(ordered, ordered[start], start)
-        if (end - start) % kernel:
+    for w, count in sorted(doubled.items()):
+        if w & 1:
+            raise InvariantError("doubled weight must be even")
+        if count % kernel:
             raise InvariantError("weight class not a union of kernel cosets")
-        dist[ordered[start]] = (end - start) // kernel
-        start = end
+        if count:
+            dist[w >> 1] = count // kernel
     return CodeSummary(n=n, k=k, d=min_distance(dist), weights=dist)
 
 
 def weight_distribution_bruteforce(spec: DefiningSetSpec) -> CodeSummary:
-    """Exact parameters of the code from the weights of all 2^(3m) messages.
+    """Exact parameters of the code from the weights of all 2^(3m) messages, via F and G.
 
-    The weights come from the member lists alone (:func:`message_weights`),
+    The weights come from the member lists alone (:func:`factor_transforms`),
     not from the character sums, so they check
-    :func:`charsum_message_weights` rather than repeat it.
+    :func:`transforms_match_spectra` rather than repeat it.
     """
-    n, weights = message_weights(spec)
-    return summarize_message_weights(weights, n, spec.m)
+    n, f, g = factor_transforms(spec)
+    return summarize_transforms(n, f, g, spec.global_complement)
 
 
-def charsum_message_weights(spec: DefiningSetSpec) -> list[int]:
-    """Weight of every message by the character-sum identity, no enumeration.
+def transforms_match_spectra(spec: DefiningSetSpec, f: Sequence[int], g: Sequence[int]) -> bool:
+    """Whether F = S1 and G[beta | gamma << m] = S2[beta + gamma] * S3[beta].
 
-    Indexed like :func:`message_weights`.  Message (alpha, beta,
-    gamma) has weight (|D| - S1[alpha] * S2[beta + gamma] * S3[beta]) / 2.
-    For a global complement the product enters with the opposite sign, and
-    the zero message also subtracts 2^(3m) / 2: the character sum over all of
-    R^m (:func:`_charsum_terms`).  For fixed (beta, gamma) the 2^m messages
-    alpha form one contiguous slice, which depends only on
-    S2[beta + gamma] * S3[beta]; each distinct product is evaluated once.
-
-    Raises ``ValueError`` above :data:`BRUTE_FORCE_M_CAP`, like
-    :func:`message_weights`: the table has 2^(3m) entries.
+    Si is the closed-form character-sum spectrum of the i-th complex.  The
+    character sums give message (alpha, beta, gamma) the doubled weight
+    n - S1[alpha] * S2[beta + gamma] * S3[beta] (for a global complement the
+    product enters with the opposite sign, and the zero message also
+    subtracts 2^(3m): :func:`_charsum_terms`); :func:`factor_transforms`
+    gives it n - F[alpha] * G[beta | gamma << m], alike.  F[0] = |D1| =
+    S1[0] and G[0] = |D2||D3| = S2[0] * S3[0] are nonzero for a
+    non-degenerate code, so the two agree on every message exactly when both
+    factors agree: 2^m + 2^(2m) comparisons in place of 2^(3m).
     """
-    _check_m_cap(spec.m)
     s1, s2, s3 = (spectrum(part) for part in spec.parts)
-    m = spec.m
-    low = (1 << m) - 1
-    size, sign, whole = _charsum_terms(spec)
-    slices: dict[int, list[int]] = {}
-    table: list[int] = []
-    for v in range(1 << (2 * m)):
-        beta, gamma = v & low, v >> m
-        s23 = sign * s2[beta ^ gamma] * s3[beta]
-        part = slices.get(s23)
-        if part is None:
-            doubled = [size + s * s23 for s in s1]
-            if any(d & 1 for d in doubled):
-                raise InvariantError("character sum parity broken")
-            part = slices[s23] = [d >> 1 for d in doubled]
-        table += part
-    table[0] -= whole >> 1
-    return table
+    full = range(1 << spec.m)
+    return f == s1 and g == [s2[beta ^ gamma] * s3[beta] for gamma in full for beta in full]
 
 
 def _charsum_terms(spec: DefiningSetSpec) -> tuple[int, int, int]:

@@ -7,8 +7,13 @@ the defining set as R-vectors, their trace masks and the transposition to
 generator rows, the codeword map, and the codeword list with a scan for
 disjoint supports.  It also keeps the generator rows of the product set
 (:func:`code_rows`) and a Gray-code walk that weighs every message from
-rows (:func:`row_message_weights`), which the tests compare with the
-library's message weights.  :func:`histogram_weight_distribution` builds
+rows (:func:`row_message_weights`).  The library weighs a code through two
+factor transforms and never lists its 2^(3m) message weights; this module
+keeps that full table twice, from one transform of the whole column
+indicator (:func:`message_weights`) and from the character-sum identity
+(:func:`charsum_message_weights`), and the distribution read off it
+(:func:`summarize_message_weights`), for the tests to compare the factored
+route with.  :func:`histogram_weight_distribution` builds
 the weight distribution of a size class from three spectrum-value
 histograms, which the tests compare with the paper's closed-form tables
 past the enumeration cap.  It is a plain module, not a test file; the
@@ -39,7 +44,15 @@ from collections.abc import Sequence
 from functools import cache
 
 from r2subfield.analysis import MINIMALITY_CAP
-from r2subfield.codegen import DefiningSetSpec, DegenerateConfigurationError, InvariantError
+from r2subfield.codegen import (
+    CodeSummary,
+    DefiningSetSpec,
+    DegenerateConfigurationError,
+    InvariantError,
+    _charsum_terms,
+    _indicator_transform,
+    min_distance,
+)
 from r2subfield.simplicial import ComplexSpec, Subset, enumerate_members, spectrum
 
 R2_ZERO = 0
@@ -302,6 +315,56 @@ def row_message_weights(rows: Sequence[int]) -> list[int]:
     return weights
 
 
+def message_weights(spec: DefiningSetSpec) -> tuple[int, list[int]]:
+    """n and the weight of every message, indexed by packed mask alpha | beta << m | gamma << 2m.
+
+    One Walsh-Hadamard transform H of the indicator of all n columns, on
+    2^(3m) fields, not its Kronecker factors: message v has weight
+    (n - H[v]) / 2.  Raises :class:`DegenerateConfigurationError` for an
+    empty defining set.
+    """
+    m = spec.m
+    members1, members2, members3 = (enumerate_members(part) for part in spec.parts)
+    product = {d1 | ((d2 ^ d3) | d2 << m) << m
+               for d1 in members1 for d2 in members2 for d3 in members3}
+    if spec.global_complement:
+        product = set(range(1 << 3 * m)) - product
+    n = len(product)
+    if not n:
+        raise DegenerateConfigurationError("empty defining set")
+    return n, [(n - h) >> 1 for h in _indicator_transform(product, 3 * m)]
+
+
+def charsum_message_weights(spec: DefiningSetSpec) -> list[int]:
+    """The weight of every message by the character-sum identity, as :func:`message_weights`.
+
+    2W(alpha, beta, gamma) = n + sign * S1[alpha] * S2[beta + gamma] * S3[beta]
+    - whole * [message = 0], with (n, sign, whole) from ``codegen._charsum_terms``.
+    """
+    s1, s2, s3 = (spectrum(part) for part in spec.parts)
+    n, sign, whole = _charsum_terms(spec)
+    full = range(1 << spec.m)
+    doubled = [
+        n + sign * s2[beta ^ gamma] * s3[beta] * s for gamma in full for beta in full for s in s1
+    ]
+    doubled[0] -= whole
+    return [d >> 1 for d in doubled]
+
+
+def summarize_message_weights(weights: Sequence[int], n: int, m: int) -> CodeSummary:
+    """The code's parameters from the weight of every message: its histogram over the kernel."""
+    histogram = Counter(weights)
+    kernel = histogram[0]
+    if len(weights) != 1 << 3 * m or not kernel or kernel & (kernel - 1):
+        raise InvariantError("the kernel of a full message table must be a 2-power")
+    if kernel == len(weights):
+        raise DegenerateConfigurationError("trivial code: every message maps to 0")
+    if any(count % kernel for count in histogram.values()):
+        raise InvariantError("weight class not a union of kernel cosets")
+    dist = {w: count // kernel for w, count in sorted(histogram.items())}
+    return CodeSummary(n, 3 * m - kernel.bit_length() + 1, min_distance(dist), dist)
+
+
 @cache
 def _tagged_spectrum_values(m: int, size: int, complemented: bool) -> tuple:
     """((S[w], w = 0), multiplicity) over all w in F2^m, for X = {1..size}.
@@ -324,7 +387,7 @@ def histogram_weight_distribution(spec: DefiningSetSpec) -> tuple[int, int, dict
     product and subtracts 2^(3m) at u = 0.  n is the product of the S_i[0]
     = |D_i|.  Each histogram has at most three entries, so this sums at
     most 27 products, and the weight-0 count (the kernel) is divided out
-    as in ``codegen.summarize_message_weights``.  Raises
+    as in :func:`summarize_message_weights`.  Raises
     :class:`DegenerateConfigurationError` for an empty or trivial code.
     """
     m = spec.m

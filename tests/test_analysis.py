@@ -32,13 +32,14 @@ from r2subfield.analysis import (
     sweep_workers,
     table10_conditions,
 )
-from r2subfield.codegen import BRUTE_FORCE_M_CAP, DegenerateConfigurationError, message_weights
+from r2subfield.codegen import BRUTE_FORCE_M_CAP, DegenerateConfigurationError
 from r2subfield.simplicial import Subset, subset
 from reference import (
     code_rows,
     code_words_from_rows,
     exact_minimality,
     histogram_weight_distribution,
+    message_weights,
 )
 
 
@@ -423,7 +424,7 @@ def unit_message_weights(rows):
 
 
 def test_self_orthogonality_from_the_table_matches_the_gram_check():
-    # Every configuration at m <= 3 on the table of message_weights, then one
+    # Every configuration at m <= 3 on the full message table, then one
     # code per size class at m = 4 and 5 on the unit-message weights of the
     # rows (the whole table takes seconds there); a class fails in 81 codes
     # per m, 9 size triples in every family.
@@ -541,7 +542,7 @@ def test_run_sweep_pool_matches_serial(monkeypatch):
             started.append(max_workers)
             super().__init__(max_workers=max_workers)
 
-    monkeypatch.setattr(analysis, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", RecordingPool)
     seq_rows, seq_summary = run_sweep([1], jobs=1)
     assert started == []
     par_rows, par_summary = run_sweep([1], jobs=2)
@@ -552,9 +553,9 @@ def test_run_sweep_pool_matches_serial(monkeypatch):
 
 def test_m3_sweep_with_warm_caches_skips_no_check(monkeypatch):
     # A serial sweep warms every cache of this process; it must still
-    # enumerate every configuration and compare every non-degenerate one with
-    # the character-sum table.  Forked workers inherit the warm caches and
-    # must return the same rows.
+    # enumerate every configuration and check the factor transforms of every
+    # non-degenerate one against the spectra.  Forked workers inherit the
+    # warm caches and must return the same rows.
     calls = Counter()
 
     def counted(name):
@@ -567,10 +568,10 @@ def test_m3_sweep_with_warm_caches_skips_no_check(monkeypatch):
         return wrapper
 
     with monkeypatch.context() as patch:
-        for name in ("message_weights", "charsum_message_weights"):
+        for name in ("factor_transforms", "transforms_match_spectra"):
             patch.setattr(analysis, name, counted(name))
         rows, summary = run_sweep([3])
-    assert calls == {"message_weights": 4608, "charsum_message_weights": 3885}
+    assert calls == {"factor_transforms": 4608, "transforms_match_spectra": 3885}
     assert (summary["total"], summary["degenerate"]) == (4608, 4608 - 3885)
     monkeypatch.setattr("os.cpu_count", lambda: 2)
     assert run_sweep([3], jobs=2) == (rows, summary)

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from r2subfield import codegen
+from r2subfield import analysis, codegen
 from r2subfield.analysis import FAMILIES, spec_for_family
 from r2subfield.codegen import (
     BRUTE_FORCE_M_CAP,
@@ -19,27 +19,30 @@ from r2subfield.codegen import (
     DefiningSetSpec,
     DegenerateConfigurationError,
     InvariantError,
-    charsum_message_weights,
-    message_weights,
+    factor_transforms,
     min_distance,
-    summarize_message_weights,
+    summarize_transforms,
+    transforms_match_spectra,
     weight_distribution_bruteforce,
 )
 from r2subfield.simplicial import ComplexSpec, Subset, complex_size, spectrum, subset
 from reference import (
     build_defining_set,
+    charsum_message_weights,
     code_rows,
     code_words,
     codeword,
     columns,
     from_basis_coords,
     generator_matrix_subfield,
+    message_weights,
     message_words,
     production_vectors,
     r2_dot,
     row_message_weights,
     subfield_defining_set,
     subfield_generator_rows,
+    summarize_message_weights,
     trace,
 )
 
@@ -48,11 +51,6 @@ def spec(family, m, lmembers, mmembers, nmembers):
     return spec_for_family(
         family, subset(m, *lmembers), subset(m, *mmembers), subset(m, *nmembers)
     )
-
-
-def enumerated_weights(s):
-    """The weight of every message of the code defined by ``s``, from its member lists."""
-    return message_weights(s)[1]
 
 
 def test_defining_set_spec_validation():
@@ -193,53 +191,94 @@ def test_weight_distribution_bruteforce_frozen_anchors():
 
 
 def test_summarize_rejects_uncovered_table():
-    # too short a table, and a full one with no weight-0 message (no kernel)
-    for weights, n in (([0, 1], 4), ([1] * 8, 2)):
-        with pytest.raises(InvariantError):
-            summarize_message_weights(weights, n, 1)
+    # m = 1: F has 2 entries and G 4.  No message of weight 0 leaves the
+    # kernel empty; an odd n - F[alpha] * G[sigma] is no doubled weight.
+    with pytest.raises(InvariantError, match="kernel must be a 2-power"):
+        summarize_transforms(2, [1, 1], [0, 0, 0, 0], False)
+    with pytest.raises(InvariantError, match="doubled weight must be even"):
+        summarize_transforms(2, [1, 1], [2, 1, 0, 0], False)
 
 
 def test_summarize_rejects_broken_kernel_counts():
-    # three messages of weight 0 among eight: no kernel size
+    # six messages of weight 0 among eight: no kernel size
     with pytest.raises(InvariantError, match="kernel must be a 2-power"):
-        summarize_message_weights([0, 0, 0, 1, 1, 1, 1, 1], 4, 1)
-    # a kernel of two, but three messages of weight 1 and three of weight 2
+        summarize_transforms(2, [1, 1], [2, 2, 2, 0], False)
+    # a kernel of two, but one message of doubled weight 2 and one of -4
     with pytest.raises(InvariantError, match="not a union of kernel cosets"):
-        summarize_message_weights([0, 0, 1, 1, 1, 2, 2, 2], 4, 1)
+        summarize_transforms(4, [2, 4], [2, 1, 0, 0], False)
 
 
-def test_summarize_matches_a_counter_of_the_table():
-    # every table at m <= 3, then one m = 5 code per field width of
-    # message_weights (n = 64, 2^15 - 1 and 2^15)
+# One code per (family, |L|, |M|, |N|) of the m = 5 benchmark reports: every
+# family, n from 224 to 32767, both global complements.
+REPORT_CLASSES_M5 = (
+    (2, 1, 1, 2), (3, 0, 2, 3), (1, 5, 4, 4), (1, 5, 5, 4), (2, 0, 4, 5), (3, 4, 0, 4),
+    (4, 4, 4, 0), (5, 2, 2, 3), (6, 2, 4, 2), (7, 3, 2, 2), (4, 5, 5, 3), (5, 0, 0, 5),
+    (8, 0, 0, 0), (8, 1, 1, 1), (9, 0, 0, 0), (9, 1, 1, 1),
+)
+
+
+def class_spec(family, m, sizes):
+    return spec_for_family(family, *(Subset(m, frozenset(range(1, x + 1))) for x in sizes))
+
+
+def test_factored_route_matches_the_full_table():
+    # Every configuration at m <= 3, one code per size class at m = 4 and the
+    # m = 5 report classes: the report read off F and G against the full
+    # message table of the reference route, and the check of F and G
+    # against the spectra against the comparison of the two full tables.
     specs = [
         spec_for_family(family, *(Subset.from_mask(m, x) for x in masks))
         for m in (1, 2, 3)
         for family in FAMILIES
         for masks in itertools.product(range(1 << m), repeat=3)
-    ] + [spec(1, 5, *((1, 2),) * 3), spec(9, 5, (), (), ()), spec(1, 5, *((1, 2, 3, 4, 5),) * 3)]
-    summarized = Counter()
+    ] + [
+        class_spec(family, 4, sizes)
+        for family in FAMILIES
+        for sizes in itertools.product(range(5), repeat=3)
+    ] + [class_spec(family, 5, sizes) for family, *sizes in REPORT_CLASSES_M5]
+    compared = Counter()
     for s in specs:
         try:
-            n, weights = message_weights(s)
+            n, table = message_weights(s)
         except DegenerateConfigurationError:
+            with pytest.raises(DegenerateConfigurationError, match="empty defining set"):
+                analysis._evaluate(s, claimed_only=True)
             continue
-        hist = Counter(weights)
+        hist = Counter(table)
         kernel = hist[0]
-        if kernel == len(weights):
-            with pytest.raises(DegenerateConfigurationError):
-                summarize_message_weights(weights, n, s.m)
+        if kernel == len(table):
+            with pytest.raises(DegenerateConfigurationError, match="trivial code"):
+                analysis._evaluate(s, claimed_only=True)
             continue
-        got = summarize_message_weights(weights, n, s.m)
+        report, f, g = analysis._evaluate(s, claimed_only=True)
         expected = {w: count // kernel for w, count in sorted(hist.items())}
-        assert list(got.weights.items()) == list(expected.items()), s
-        assert (got.n, got.k) == (n, 3 * s.m - kernel.bit_length() + 1), s
-        summarized[s.m] += 1
-    assert summarized == {1: 33, 2: 405, 3: 3885, 5: 3}
+        assert [(e["w"], e["count"]) for e in report["weights"]] == list(expected.items()), s
+        k = 3 * s.m - kernel.bit_length() + 1
+        assert (report["n"], report["k"], report["d"]) == (n, k, min_distance(expected)), s
+        assert report["flags"]["self_orth_exact"] == analysis._self_orthogonal(table, s.m), s
+        assert transforms_match_spectra(s, f, g) is (charsum_message_weights(s) == table), s
+        compared[s.m] += 1
+    assert compared == {1: 33, 2: 405, 3: 3885, 4: 852, 5: 16}
+
+
+@pytest.mark.parametrize(
+    "bits, without_zero, typecode", [(7, 1, "B"), (7, 0, "H"), (15, 1, "H"), (15, 0, "I")]
+)
+def test_indicator_transform_per_field_width(bits, without_zero, typecode):
+    # {0 .. 2^bits - 1} in F2^16 has the transform 2^bits at the w that avoid
+    # its bits and 0 elsewhere; without 0 it has 1 less everywhere.  2^7 - 1
+    # and 2^7 points, 2^15 - 1 and 2^15, are the edges of the three widths.
+    points = range(without_zero, 1 << bits)
+    assert codegen._field_typecode(len(points)) == typecode
+    low = (1 << bits) - 1
+    expected = [(0 if w & low else 1 << bits) - without_zero for w in range(1 << 16)]
+    assert codegen._indicator_transform(points, 16) == expected
 
 
 def test_summarize_trivial_code():
+    # n - F[alpha] * G[sigma] = 0 for every message
     with pytest.raises(DegenerateConfigurationError):
-        summarize_message_weights([0] * 8, 1, 1)
+        summarize_transforms(1, [1, 1], [1, 1, 1, 1], False)
 
 
 def test_empty_defining_set_is_degenerate():
@@ -256,10 +295,10 @@ def test_all_zero_defining_set_is_degenerate():
 
 def test_m_cap_enforced():
     s = spec(1, BRUTE_FORCE_M_CAP + 1, (1,), (), ())
-    with pytest.raises(ValueError):
-        message_weights(s)
-    with pytest.raises(ValueError):
-        charsum_message_weights(s)
+    with pytest.raises(ValueError, match="capped"):
+        factor_transforms(s)
+    with pytest.raises(ValueError, match="capped"):
+        weight_distribution_bruteforce(s)
 
 
 FIELD_WIDTH_CODES = [
@@ -272,9 +311,13 @@ FIELD_WIDTH_CODES = [
 
 @pytest.mark.parametrize("family, members, n", FIELD_WIDTH_CODES)
 def test_message_weights_match_charsum_per_field_width_at_m5(family, members, n):
-    # 1-byte fields hold n < 2^7, 2-byte fields n < 2^15
+    # The reference table packs n < 2^7 in 1-byte fields and n < 2^15 in
+    # 2-byte ones; F and G take the width of |D1| and |D2||D3| points.
     s = spec(family, 5, *members)
     assert message_weights(s) == (n, charsum_message_weights(s))
+    transforms = factor_transforms(s)
+    assert transforms[0] == n
+    assert transforms_match_spectra(s, *transforms[1:])
 
 
 @pytest.mark.parametrize(
@@ -291,7 +334,9 @@ def test_message_weights_match_reference_rows_above_m3(m, family, members, n):
     rows_n, rows = code_rows(s)
     if n is not None:
         assert rows_n == n
-    assert message_weights(s) == (rows_n, row_message_weights(rows))
+    weights = row_message_weights(rows)
+    assert message_weights(s) == (rows_n, weights)
+    assert weight_distribution_bruteforce(s) == summarize_message_weights(weights, rows_n, m)
 
 
 def literal_walsh_hadamard(counts):
@@ -379,7 +424,7 @@ def test_code_rows_match_reference_route():
                             with pytest.raises(DegenerateConfigurationError):
                                 code_rows(s)
                             with pytest.raises(DegenerateConfigurationError):
-                                message_weights(s)
+                                factor_transforms(s)
                             continue
                         n, rows = code_rows(s)
                         assert n == len(masks), s
@@ -394,8 +439,8 @@ def test_code_rows_match_reference_route():
 
 def test_spec_functions_compose_the_stages():
     for s, expected in frozen_cases():
-        n, weights = message_weights(s)
-        assert summarize_message_weights(weights, n, s.m) == expected
+        n, f, g = factor_transforms(s)
+        assert summarize_transforms(n, f, g, s.global_complement) == expected
         assert weight_distribution_bruteforce(s) == expected
 
 
@@ -417,15 +462,19 @@ def test_charsum_table_equals_enumeration():
         assert charsum_message_weights(s) == [
             word.bit_count() for word in message_words(masks, s.m)
         ], s
+        assert transforms_match_spectra(s, *factor_transforms(s)[1:]), s
 
 
 def test_charsum_check_rejects_corrupted_table():
+    # one entry of F or of G off by one
     for s, _ in frozen_cases():
-        weights = enumerated_weights(s)
-        for v in (0, 1, len(weights) - 1):
-            corrupted = list(weights)
-            corrupted[v] += 1
-            assert charsum_message_weights(s) != corrupted, (s, v)
+        _, f, g = factor_transforms(s)
+        assert transforms_match_spectra(s, f, g), s
+        for which in (0, 1):
+            for v in (0, 1, len((f, g)[which]) - 1):
+                corrupted = [list(f), list(g)]
+                corrupted[which][v] += 1
+                assert not transforms_match_spectra(s, *corrupted), (s, which, v)
 
 
 def with_wrong_entry(i, j, delta):
@@ -444,24 +493,25 @@ def with_wrong_entry(i, j, delta):
 
 def test_charsum_check_rejects_wrong_spectrum_entry(monkeypatch):
     for s, _ in frozen_cases():
-        weights = enumerated_weights(s)
+        _, f, g = factor_transforms(s)
         spectra = [spectrum(part) for part in s.parts]
         # every spectrum value at 0 is nonzero here, so entry j of any one
-        # spectrum reaches the weight of some message
+        # spectrum reaches an entry of F or G
         assert all(values[0] for values in spectra), s
         for i in range(3):
             for j in (0, len(spectra[i]) - 1):
                 with monkeypatch.context() as patch:
                     patch.setattr(codegen, "spectrum", with_wrong_entry(i, j, 2))
-                    assert charsum_message_weights(s) != weights, (s, i, j)
-        assert charsum_message_weights(s) == weights
+                    assert not transforms_match_spectra(s, f, g), (s, i, j)
+        assert transforms_match_spectra(s, f, g)
     # M = N = {} makes every S2 and S3 value 1, so an S1 entry off by one
-    # makes 2 * weight odd: the parity check fires instead of a mismatch
+    # would make 2 * weight odd in the full character-sum table; the factor
+    # check reports it as a mismatch of F
     s = spec(2, 2, (1,), (), ())
     assert set(spectrum(s.d2)) == set(spectrum(s.d3)) == {1}
+    _, f, g = factor_transforms(s)
     monkeypatch.setattr(codegen, "spectrum", with_wrong_entry(0, 3, 1))
-    with pytest.raises(InvariantError):
-        charsum_message_weights(s)
+    assert not transforms_match_spectra(s, f, g)
 
 
 def test_invariant_checks_survive_optimize_flag():
@@ -469,12 +519,12 @@ def test_invariant_checks_survive_optimize_flag():
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
     code = (
-        "from r2subfield.codegen import summarize_message_weights; "
-        "print(summarize_message_weights([0, 1, 1], 2, 1))"
+        "from r2subfield.codegen import summarize_transforms; "
+        "print(summarize_transforms(2, [1, 1], [0, 0, 0, 0], False))"
     )
     result = subprocess.run(
         [sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True,
     )
     assert result.returncode != 0
-    assert "InvariantError: weight table must cover every message" in result.stderr
+    assert "InvariantError: kernel must be a 2-power" in result.stderr
     assert "CodeSummary" not in result.stdout

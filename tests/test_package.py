@@ -18,9 +18,10 @@ def test_every_exported_name_resolves(module):
     assert [name for name in mod.__all__ if not hasattr(mod, name)] == []
 
 
-# The ring R, the codeword-list route and the generator rows live in
-# tests/reference.py only; the row-reading front end of the message-weight
-# kernel is gone.
+# The ring R, the codeword-list route, the generator rows and the full
+# 2^(3m) message tables live in tests/reference.py only; the row-reading
+# front end of the message-weight kernel and the packed constants of the
+# full table are gone.
 MOVED_TO_TESTS = """
     R2_ZERO R2_ONE R2_U R2_USQ E1 E2 E3 BASIS r2_add r2_mul trace to_basis_coords
     from_basis_coords trace_triple r2_dot f2_row_basis build_defining_set
@@ -28,18 +29,33 @@ MOVED_TO_TESTS = """
     code_words code_words_from_rows exact_minimality
     code_rows _product_rows _column_products _blocks _repunit
     message_weights_from_rows _column_patterns _column_counts _SPREAD _MAX_COLUMNS
+    message_weights summarize_message_weights charsum_message_weights _constants
 """.split()
 
 
 def test_reference_route_is_not_in_the_library():
-    assert len(set(MOVED_TO_TESTS)) == 34
+    assert len(set(MOVED_TO_TESTS)) == 38
     modules = [importlib.import_module(name) for name in (
-        "r2subfield", "r2subfield.algebra", "r2subfield.codegen", "r2subfield.analysis"
+        "r2subfield", "r2subfield.algebra", "r2subfield.simplicial", "r2subfield.codegen",
+        "r2subfield.analysis", "r2subfield.cli",
     )]
     leaked = [(mod.__name__, name) for mod in modules for name in MOVED_TO_TESTS
               if hasattr(mod, name)]
     assert leaked == []
     assert importlib.import_module("r2subfield.algebra").__all__ == ["f2_gram_is_zero"]
+
+
+def test_cli_start_imports_no_process_pool():
+    # the pool is imported only when a sweep starts one
+    code = (
+        "import sys, r2subfield.cli; r2subfield.cli.build_parser(); "
+        "print(sorted({'concurrent.futures', 'multiprocessing'} & set(sys.modules)))"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "[]\n"
 
 
 def test_star_import_of_the_package():

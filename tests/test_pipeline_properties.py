@@ -3,10 +3,11 @@
 Random (family, L, M, N) draws compare the generator rows of the reference
 :func:`code_rows` with the literal construction (R-vectors, trace masks,
 transposition; for a global complement, which orders its columns its own
-way, the sorted columns).  The table of :func:`message_weights` is compared
-with a Gray-code walk over those rows, with the literal codewords of drawn
-messages, and with the spectral character-sum table.  Skipped when
-hypothesis is not installed.
+way, the sorted columns).  The full message table of the reference
+:func:`message_weights` is compared with a Gray-code walk over those rows,
+with the literal codewords of drawn messages, and with the spectral
+character-sum table, and the library's factored route with that table.
+Skipped when hypothesis is not installed.
 """
 
 import pytest
@@ -19,18 +20,22 @@ from hypothesis import strategies as st  # noqa: E402
 from r2subfield.analysis import FAMILIES, spec_for_family  # noqa: E402
 from r2subfield.codegen import (  # noqa: E402
     DegenerateConfigurationError,
-    charsum_message_weights,
-    message_weights,
+    factor_transforms,
+    summarize_transforms,
+    transforms_match_spectra,
 )
 from r2subfield.simplicial import Subset  # noqa: E402
 from reference import (  # noqa: E402
     build_defining_set,
+    charsum_message_weights,
     code_rows,
     codeword,
     columns,
+    message_weights,
     row_message_weights,
     subfield_defining_set,
     subfield_generator_rows,
+    summarize_message_weights,
 )
 
 
@@ -54,6 +59,8 @@ def check_against_reference(config, messages):
         n, table = message_weights(spec)
     except DegenerateConfigurationError:
         assert not masks
+        with pytest.raises(DegenerateConfigurationError):
+            factor_transforms(spec)
         return
     columns_n, rows = code_rows(spec)
     assert columns_n == n == len(masks)
@@ -66,6 +73,15 @@ def check_against_reference(config, messages):
     for v in messages:
         assert table[v] == codeword(v & low, v >> m & low, v >> 2 * m, masks, m).bit_count()
     assert charsum_message_weights(spec) == table
+    _, f, g = factor_transforms(spec)
+    assert transforms_match_spectra(spec, f, g)
+    try:
+        expected = summarize_message_weights(table, n, m)
+    except DegenerateConfigurationError:
+        with pytest.raises(DegenerateConfigurationError):
+            summarize_transforms(n, f, g, spec.global_complement)
+        return
+    assert summarize_transforms(n, f, g, spec.global_complement) == expected
 
 
 @settings(max_examples=25, deadline=None, database=None, phases=PHASES)
