@@ -23,6 +23,7 @@ from .analysis import (
     self_orth_mod4,
     spec_for_family,
     spectral_minimality,
+    spectral_self_orthogonality,
     table10_conditions,
 )
 from .codegen import (

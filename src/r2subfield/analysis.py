@@ -19,11 +19,13 @@ families 2-8 when a complement degenerates, say |L| = |M| = m - 1 in family
 count is divided by the total weight-0 count and k drops accordingly.  The
 normalized table is what ``predicted_parameters`` reads n, k, d from; it is
 compared codeword-for-codeword against brute-force enumeration by the
-sweep driver here and the test suite.  The table and the conditions depend
-on the size class (family, m, |L|, |M|, |N|) alone, so each is cached by it
-in an LRU of 1024 entries (one family's (m + 1)^3 classes up to m = 9), as
-:func:`griesmer_sum` is by (k, d).  They hold closed forms only, never an
-enumerated result, so every relabelling still meets them with its own code.
+sweep driver here and the test suite.  The table, the conditions and the
+optimality rule depend on the size class (family, m, |L|, |M|, |N|) alone,
+so the table is cached by it in an LRU of 1024 entries (one family's
+(m + 1)^3 classes up to m = 9), as :func:`griesmer_sum` is by (k, d), and
+the conditions and the rule together in a second one, read once per report
+or sweep row.  They hold closed forms only, never an enumerated result, so
+every relabelling still meets them with its own code.
 
 Also implemented: the Griesmer bound (sum of ceil(d / 2^i)), the
 Ashikhmin-Barg sufficient condition for minimality (2 * wmin > wmax for
@@ -31,16 +33,20 @@ binary codes), self-orthogonality checks, and the catalogued per-family
 sufficiency conditions for minimality and self-orthogonality
 (``table10_conditions``).
 
-Minimality is decided exactly by :func:`spectral_minimality`, which reads
-it off the three character-sum spectra and lists no codeword.  The tests
-compare it with a scan of all codewords for two with disjoint supports.
+Minimality (``minimal_exact``) is decided exactly by
+:func:`spectral_minimality`, which reads it off the three character-sum
+spectra and lists no codeword, and self-orthogonality (``self_orth_exact``)
+likewise by :func:`spectral_self_orthogonality`.  Both are cached per size
+class, in the sizes and complements of the factors.  The tests compare the
+first with a scan of all codewords for two with disjoint supports, and the
+second with the Gram check of the generator rows.
 """
 
 from __future__ import annotations
 
 import os
 from functools import cache, lru_cache
-from itertools import combinations, compress
+from itertools import compress
 from typing import NamedTuple
 
 from .codegen import (
@@ -72,6 +78,7 @@ __all__ = [
     "optimality_condition",
     "ashikhmin_barg_minimal",
     "spectral_minimality",
+    "spectral_self_orthogonality",
     "self_orth_mod4",
     "table10_conditions",
     "code_report",
@@ -254,7 +261,6 @@ def distance_optimal_by_griesmer(n: int, k: int, d: int) -> bool:
     return griesmer_sum(k, d + 1) > n
 
 
-@lru_cache(maxsize=1024)
 def optimality_condition(family: int, m: int, sl: int, sm: int, sn: int) -> bool:
     """Whether the family's distance-optimality rule holds for these sizes.
 
@@ -343,6 +349,14 @@ def _minimal_by_classes(m: int, factors, terms) -> bool:
     )
 
 
+def _pair_class_key(spec: DefiningSetSpec, decision: str):
+    """(m, factors, terms) of a pair-class decision; ``ValueError`` above the m cap."""
+    if spec.m > BRUTE_FORCE_M_CAP:
+        raise ValueError(f"{decision} is capped at m <= {BRUTE_FORCE_M_CAP}, got m = {spec.m}")
+    factors = tuple((part.generator.size, part.complemented) for part in spec.parts)
+    return spec.m, factors, _charsum_terms(spec)
+
+
 def spectral_minimality(spec: DefiningSetSpec) -> bool:
     """Decide minimality of the code of ``spec`` from the three spectra, listing no codeword.
 
@@ -362,48 +376,31 @@ def spectral_minimality(spec: DefiningSetSpec) -> bool:
     Raises ``ValueError`` above :data:`~r2subfield.codegen.BRUTE_FORCE_M_CAP`:
     the pair classes of one factor take 4^m steps to find.
     """
-    if spec.m > BRUTE_FORCE_M_CAP:
-        raise ValueError(
-            f"spectral minimality is capped at m <= {BRUTE_FORCE_M_CAP}, got m = {spec.m}"
-        )
-    factors = tuple((part.generator.size, part.complemented) for part in spec.parts)
-    return _minimal_by_classes(spec.m, factors, _charsum_terms(spec))
-
-
-def _self_orthogonal(weights_by_message, m: int) -> bool:
-    """Exact self-orthogonality from the weights of the unit messages and their pairs.
-
-    Row i of a generator matrix is the codeword of the unit message e_i,
-    and two rows meet in |r_i & r_j| = (W(e_i) + W(e_j) - W(e_i + e_j)) / 2
-    positions.  So the Gram matrix over F2 vanishes, and the code lies in
-    its dual, exactly when every W(e_i) is even and every
-    W(e_i) + W(e_j) - W(e_i + e_j) is 0 mod 4.  The triples (e_i, e_j,
-    e_i + e_j), i < j, are cached by m, which the m cap bounds.
-    """
-    return all(weights_by_message[1 << i] % 2 == 0 for i in range(3 * m)) and all(
-        (weights_by_message[a] + weights_by_message[b] - weights_by_message[ab]) % 4 == 0
-        for a, b, ab in _unit_pairs(m)
-    )
+    return _minimal_by_classes(*_pair_class_key(spec, "spectral minimality"))
 
 
 @cache
-def _unit_pairs(m: int) -> tuple[tuple[int, int, int], ...]:
-    return tuple((a, b, a ^ b) for a, b in combinations([1 << i for i in range(3 * m)], 2))
+def _self_orthogonal_by_classes(m: int, factors, terms) -> bool:
+    return all((wa + wb - wab) % 8 == 0 for wa, wb, wab in _pair_weights(m, factors, *terms))
 
 
-@cache
-def _unit_messages(m: int) -> frozenset[int]:
-    return frozenset(v for triple in _unit_pairs(m) for v in triple)
+def spectral_self_orthogonality(spec: DefiningSetSpec) -> bool:
+    """Decide self-orthogonality of the code of ``spec`` from the three spectra.
 
+    A binary linear code lies in its dual exactly when every two of its
+    codewords, a codeword and itself included, meet in an even number of
+    positions.  The codewords of messages a and b meet in
+    (W(a) + W(b) - W(a + b)) / 2 positions, so the code is self-orthogonal
+    exactly when 2W(a) + 2W(b) - 2W(a + b) is 0 mod 8 for every pair of
+    :func:`_pair_weights`; a = b gives 4W(a), so every weight is even.  The
+    pairs depend only on m, the global complement and (|X|, complemented)
+    of each factor, so the decision is cached by those, like
+    :func:`spectral_minimality`, whatever the labels of L, M and N.
 
-def _unit_message_weights(n: int, f, g, global_complement: bool, m: int) -> dict[int, int]:
-    """W(v) = (n -+ F[alpha] * G[sigma]) / 2 at the unit messages and their pairs.
-
-    None of them is the zero message, so family 9 needs no correction.
+    Raises ``ValueError`` above :data:`~r2subfield.codegen.BRUTE_FORCE_M_CAP`:
+    the pair classes of one factor take 4^m steps to find.
     """
-    sign = 1 if global_complement else -1
-    low = (1 << m) - 1
-    return {v: (n + sign * f[v & low] * g[v >> m]) >> 1 for v in _unit_messages(m)}
+    return _self_orthogonal_by_classes(*_pair_class_key(spec, "spectral self-orthogonality"))
 
 
 def self_orth_mod4(weights) -> bool:
@@ -416,7 +413,6 @@ class SufficiencyConditions(NamedTuple):
     self_orthogonal: bool
 
 
-@lru_cache(maxsize=1024)
 def table10_conditions(family: int, m: int, sl: int, sm: int, sn: int) -> SufficiencyConditions:
     """The catalogued per-family sufficiency conditions on the subset sizes.
 
@@ -432,62 +428,57 @@ def table10_conditions(family: int, m: int, sl: int, sm: int, sn: int) -> Suffic
     return SufficiencyConditions(minimal, self_orthogonal)
 
 
-def _evaluate(spec: DefiningSetSpec, claimed_only: bool):
-    """Full pipeline for one configuration: measured code, predictions, flags.
+def _complemented(family: int) -> int:
+    """How many of D1, D2, D3 the family complements."""
+    return sum(_PATTERNS[family][:3])
 
+
+@lru_cache(maxsize=1024)
+def _class_claims(family: int, m: int, sl: int, sm: int, sn: int) -> tuple:
+    """Table 10's two conditions and the optimality rule (None for family 8) of a size class."""
+    minimal, self_orthogonal = table10_conditions(family, m, sl, sm, sn)
+    opt = None if _complemented(family) == 3 else optimality_condition(family, m, sl, sm, sn)
+    return minimal, self_orthogonal, opt
+
+
+def _evaluate(spec: DefiningSetSpec, transforms, claimed_only: bool):
+    """One configuration from its factor transforms: measured code, prediction, flags.
+
+    ``transforms`` is (n, F, G) of :func:`~r2subfield.codegen.factor_transforms`.
     Exact minimality (:func:`spectral_minimality`) is decided for codes of
     up to :data:`MINIMALITY_CAP` codewords, and with ``claimed_only`` only
-    where the catalogued condition claims it.
-    Returns the report, in the stable JSON layout of the CLI, and the
-    factor transforms F and G of :func:`~r2subfield.codegen.factor_transforms`.
+    where the catalogued condition claims it.  Returns the measured and the
+    predicted :class:`~r2subfield.codegen.CodeSummary` and the flags of the
+    report, in the stable JSON layout of the CLI.  The predicted table is
+    read through :func:`_instantiate` on every call, and the class's other
+    closed forms through one cache entry (:func:`_class_claims`).
     """
-    family = family_of_spec(spec)
-    lset, mset, nset = (part.generator for part in spec.parts)
-    m = spec.m
-    sizes = (lset.size, mset.size, nset.size)
-    n, f, g = factor_transforms(spec)
-    measured = summarize_transforms(n, f, g, spec.global_complement)
+    key = (family_of_spec(spec), spec.m, *(part.generator.size for part in spec.parts))
+    measured = summarize_transforms(*transforms, spec.global_complement)
     params = (measured.n, measured.k, measured.d)
-
     try:
-        pn, pk, ptable = _instantiate(family, m, *sizes)
+        pn, pk, ptable = _instantiate(*key)
     except DegenerateConfigurationError:
         raise InvariantError(
             "prediction says degenerate but enumeration found a nontrivial code"
         ) from None
     predicted = CodeSummary(n=pn, k=pk, d=min_distance(ptable), weights=ptable)
-
-    conditions = table10_conditions(family, m, *sizes)
-    minimal_ab = ashikhmin_barg_minimal(measured.weights)
+    table10_minimal, table10_self_orth, opt = _class_claims(*key)
     minimal_exact = None
-    if (conditions.minimal or not claimed_only) and (1 << measured.k) <= MINIMALITY_CAP:
+    if (table10_minimal or not claimed_only) and (1 << measured.k) <= MINIMALITY_CAP:
         minimal_exact = spectral_minimality(spec)
-    opt = None if len(_shape(family, *sizes)[0]) == 3 else optimality_condition(family, m, *sizes)
-
-    report = {
-        "m": m,
-        "family": family,
-        "L": str(lset),
-        "M": str(mset),
-        "N": str(nset),
-        **measured.as_dict(),
-        "predicted": predicted.as_dict(),
-        "flags": {
-            "griesmer_equal": is_griesmer_code(*params),
-            "distance_optimal_by_griesmer": distance_optimal_by_griesmer(*params),
-            "optimality_condition": opt,
-            "minimal_exact": minimal_exact,
-            "minimal_ab": minimal_ab,
-            "self_orth_exact": _self_orthogonal(
-                _unit_message_weights(n, f, g, spec.global_complement, m), m
-            ),
-            "self_orth_mod4": self_orth_mod4(measured.weights),
-            "table10_minimal": conditions.minimal,
-            "table10_self_orth": conditions.self_orthogonal,
-        },
-        "match": predicted == measured,
+    flags = {
+        "griesmer_equal": is_griesmer_code(*params),
+        "distance_optimal_by_griesmer": distance_optimal_by_griesmer(*params),
+        "optimality_condition": opt,
+        "minimal_exact": minimal_exact,
+        "minimal_ab": ashikhmin_barg_minimal(measured.weights),
+        "self_orth_exact": spectral_self_orthogonality(spec),
+        "self_orth_mod4": self_orth_mod4(measured.weights),
+        "table10_minimal": table10_minimal,
+        "table10_self_orth": table10_self_orth,
     }
-    return report, f, g
+    return measured, predicted, flags
 
 
 def code_report(family: int, lset: Subset, mset: Subset, nset: Subset) -> dict:
@@ -500,7 +491,18 @@ def code_report(family: int, lset: Subset, mset: Subset, nset: Subset) -> dict:
     empty or zero-dimensional code.
     """
     spec = spec_for_family(family, lset, mset, nset)
-    return _evaluate(spec, claimed_only=False)[0]
+    measured, predicted, flags = _evaluate(spec, factor_transforms(spec), claimed_only=False)
+    return {
+        "m": spec.m,
+        "family": family,
+        "L": str(lset),
+        "M": str(mset),
+        "N": str(nset),
+        **measured.as_dict(),
+        "predicted": predicted.as_dict(),
+        "flags": flags,
+        "match": predicted == measured,
+    }
 
 
 # The fields of a sweep row, in the order of its JSON object and CSV columns;
@@ -526,26 +528,22 @@ def sweep_configuration(family: int, m: int, lmask: int, mmask: int, nmask: int)
     row.update(m=m, family=family, L=str(lset), M=str(mset), N=str(nset), status="ok", detail="")
     spec = spec_for_family(family, lset, mset, nset)
     try:
-        report, f, g = _evaluate(spec, claimed_only=m > 2)
+        n, f, g = transforms = factor_transforms(spec)
+        measured, predicted, flags = _evaluate(spec, transforms, claimed_only=m > 2)
     except DegenerateConfigurationError as exc:
         row["status"] = "degenerate"
         row["detail"] = str(exc)
         return row
-    flags = report["flags"]
-    row["n"], row["k"], row["d"] = report["n"], report["k"], report["d"]
-    row["match"] = report["match"]
+    row.update(n=measured.n, k=measured.k, d=measured.d, match=predicted == measured)
     row["charsum_ok"] = transforms_match_spectra(spec, f, g)
-    if not report["match"]:
+    if not row["match"]:
         row["status"] = "mismatch"
-        predicted = report["predicted"]
-        row["detail"] = (
-            f"predicted [n,k,d]=[{predicted['n']},{predicted['k']},{predicted['d']}] "
-            f"weights={ {e['w']: e['count'] for e in predicted['weights']} }; "
-            f"measured [n,k,d]=[{report['n']},{report['k']},{report['d']}] "
-            f"weights={ {e['w']: e['count'] for e in report['weights']} }"
+        row["detail"] = "; ".join(
+            f"{name} [n,k,d]=[{c.n},{c.k},{c.d}] weights={dict(sorted(c.weights.items()))}"
+            for name, c in (("predicted", predicted), ("measured", measured))
         )
     # the Griesmer claim covers at most one complemented factor, or the global complement
-    if len(_shape(family, lset.size, mset.size, nset.size)[0]) <= 1:
+    if _complemented(family) <= 1:
         row["griesmer_ok"] = flags["griesmer_equal"]
     if flags["table10_minimal"] and flags["minimal_exact"] is not None:
         row["minimal_claim_ok"] = flags["minimal_exact"]

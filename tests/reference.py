@@ -13,7 +13,10 @@ keeps that full table twice, from one transform of the whole column
 indicator (:func:`message_weights`) and from the character-sum identity
 (:func:`charsum_message_weights`), and the distribution read off it
 (:func:`summarize_message_weights`), for the tests to compare the factored
-route with.  :func:`histogram_weight_distribution` builds
+route with, and the exact self-orthogonality check that reads the weights
+of the unit messages and their pairs (:func:`_self_orthogonal`), which the
+tests compare with the library's decision from the spectra.
+:func:`histogram_weight_distribution` builds
 the weight distribution of a size class from three spectrum-value
 histograms, which the tests compare with the paper's closed-form tables
 past the enumeration cap.  It is a plain module, not a test file; the
@@ -42,6 +45,7 @@ from __future__ import annotations
 from collections import Counter
 from collections.abc import Sequence
 from functools import cache
+from itertools import combinations
 
 from r2subfield.analysis import MINIMALITY_CAP
 from r2subfield.codegen import (
@@ -540,3 +544,42 @@ def exact_minimality(codewords, n: int) -> bool:
                         if not va & vb:
                             return False
     return True
+
+
+def _self_orthogonal(weights_by_message, m: int) -> bool:
+    """Exact self-orthogonality from the weights of the unit messages and their pairs.
+
+    Row i of a generator matrix is the codeword of the unit message e_i,
+    and two rows meet in |r_i & r_j| = (W(e_i) + W(e_j) - W(e_i + e_j)) / 2
+    positions.  So the Gram matrix over F2 vanishes, and the code lies in
+    its dual, exactly when every W(e_i) is even and every
+    W(e_i) + W(e_j) - W(e_i + e_j) is 0 mod 4.  ``weights_by_message`` maps
+    (or indexes) packed messages to weights, the full table or only
+    :func:`_unit_messages`.
+    """
+    return all(weights_by_message[1 << i] % 2 == 0 for i in range(3 * m)) and all(
+        (weights_by_message[a] + weights_by_message[b] - weights_by_message[ab]) % 4 == 0
+        for a, b, ab in _unit_pairs(m)
+    )
+
+
+@cache
+def _unit_pairs(m: int) -> tuple[tuple[int, int, int], ...]:
+    return tuple((a, b, a ^ b) for a, b in combinations([1 << i for i in range(3 * m)], 2))
+
+
+@cache
+def _unit_messages(m: int) -> frozenset[int]:
+    return frozenset(v for triple in _unit_pairs(m) for v in triple)
+
+
+def _unit_message_weights(n: int, f, g, global_complement: bool, m: int) -> dict[int, int]:
+    """W(v) = (n -+ F[alpha] * G[sigma]) / 2 at the unit messages and their pairs.
+
+    F and G are the factor transforms of
+    :func:`~r2subfield.codegen.factor_transforms`.  None of these messages
+    is the zero message, so family 9 needs no correction.
+    """
+    sign = 1 if global_complement else -1
+    low = (1 << m) - 1
+    return {v: (n + sign * f[v & low] * g[v >> m]) >> 1 for v in _unit_messages(m)}

@@ -3,9 +3,14 @@
 import copy
 import hashlib
 import itertools
+import json
+import os
 import random
+import subprocess
+import sys
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
+from pathlib import Path
 
 import pytest
 
@@ -27,14 +32,16 @@ from r2subfield.analysis import (
     self_orth_mod4,
     spec_for_family,
     spectral_minimality,
+    spectral_self_orthogonality,
     summarize_sweep,
     sweep_configuration,
     sweep_workers,
     table10_conditions,
 )
-from r2subfield.codegen import BRUTE_FORCE_M_CAP, DegenerateConfigurationError
+from r2subfield.codegen import BRUTE_FORCE_M_CAP, DegenerateConfigurationError, InvariantError
 from r2subfield.simplicial import Subset, subset
 from reference import (
+    _self_orthogonal,
     code_rows,
     code_words_from_rows,
     exact_minimality,
@@ -326,6 +333,49 @@ def test_code_report_degenerate():
         code_report(1, subset(2), subset(2), subset(2))
 
 
+def test_degenerate_prediction_of_a_nontrivial_code_is_an_invariant_error(monkeypatch):
+    # a closed form that calls a code degenerate although the enumeration
+    # found nonzero codewords is a program fault, not a degenerate row
+    def degenerate(*size_class):
+        raise DegenerateConfigurationError("forced")
+
+    monkeypatch.setattr(analysis, "_instantiate", degenerate)
+    message = "prediction says degenerate but enumeration found a nontrivial code"
+    with pytest.raises(InvariantError, match=message):
+        code_report(5, subset(2), subset(2), subset(2, 1, 2))
+    with pytest.raises(InvariantError, match=message):
+        sweep_configuration(5, 2, 0, 0, 0b11)
+
+
+def test_degenerate_prediction_check_survives_optimize_flag():
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    code = """
+from r2subfield import analysis
+from r2subfield.simplicial import subset
+
+def degenerate(*size_class):
+    raise analysis.DegenerateConfigurationError("forced")
+
+analysis._instantiate = degenerate
+for call in (
+    lambda: analysis.code_report(5, subset(2), subset(2), subset(2, 1, 2)),
+    lambda: analysis.sweep_configuration(5, 2, 0, 0, 0b11),
+):
+    try:
+        print(call())
+    except analysis.InvariantError as exc:
+        print("InvariantError:", exc)
+"""
+    result = subprocess.run(
+        [sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True,
+    )
+    assert result.returncode == 0, result.stderr
+    message = "InvariantError: prediction says degenerate but enumeration found a nontrivial code"
+    assert result.stdout.splitlines() == [message, message]
+
+
 def test_exact_minimality_policy(monkeypatch):
     # the sweep decides minimality everywhere at m <= 2 and above that only
     # where Table 10 claims it; code_report decides it up to the cap
@@ -427,7 +477,8 @@ def test_self_orthogonality_from_the_table_matches_the_gram_check():
     # Every configuration at m <= 3 on the full message table, then one
     # code per size class at m = 4 and 5 on the unit-message weights of the
     # rows (the whole table takes seconds there); a class fails in 81 codes
-    # per m, 9 size triples in every family.
+    # per m, 9 size triples in every family.  The library's decision from
+    # the spectra must agree with the Gram check on each of them.
     specs = [
         spec_for_family(family, *(Subset.from_mask(m, x) for x in masks))
         for m in (1, 2, 3)
@@ -447,7 +498,8 @@ def test_self_orthogonality_from_the_table_matches_the_gram_check():
             continue
         weights = message_weights(spec)[1] if spec.m <= 3 else unit_message_weights(rows)
         exact = f2_gram_is_zero(rows)
-        assert analysis._self_orthogonal(weights, spec.m) == exact, spec
+        assert _self_orthogonal(weights, spec.m) == exact, spec
+        assert spectral_self_orthogonality(spec) == exact, spec
         decided[max(spec.m, 3), exact] += 1
     assert decided == {
         (3, True): 3706, (3, False): 620, (4, True): 772, (4, False): 81,
@@ -503,6 +555,44 @@ def test_minimality_claims_hold_past_the_cap():
                 ab += sufficient
                 minimal += decided
         assert (classes, claimed, ab, minimal) == expected
+
+
+# Two sweep rows under a prediction with one codeword moved from weight d to
+# d - 1, recorded before the sweep stopped building report dicts.
+MISMATCH_ROWS = (
+    '[{"m": 3, "family": 8, "L": "1", "M": "2", "N": "3", "status": "mismatch", "n": 216, '
+    '"k": 9, "d": 96, "match": false, "charsum_ok": true, "griesmer_ok": null, '
+    '"minimal_claim_ok": true, "selforth_claim_ok": true, "ab_implication_ok": true, '
+    '"detail": "predicted [n,k,d]=[216,9,95] weights={0: 1, 95: 1, 96: 26, 108: 448, 112: 27, '
+    '144: 9}; measured [n,k,d]=[216,9,96] weights={0: 1, 96: 27, 108: 448, 112: 27, 144: 9}"}, '
+    '{"m": 3, "family": 2, "L": "1", "M": "1,2", "N": "3", "status": "mismatch", "n": 48, '
+    '"k": 6, "d": 24, "match": false, "charsum_ok": true, "griesmer_ok": true, '
+    '"minimal_claim_ok": true, "selforth_claim_ok": true, "ab_implication_ok": true, '
+    '"detail": "predicted [n,k,d]=[48,6,23] weights={0: 1, 23: 1, 24: 59, 32: 3}; '
+    'measured [n,k,d]=[48,6,24] weights={0: 1, 24: 60, 32: 3}"}]'
+)
+
+
+def test_mismatch_rows_are_pinned(monkeypatch):
+    # No configuration at m <= 3 mismatches, so a wrong per-class prediction
+    # forces two: a family-8 finding and a family-2 mismatch.  The moved
+    # codeword lands last in the table's dict, so the detail must sort it.
+    real = analysis._instantiate
+
+    def shifted(*size_class):
+        n, k, table = real(*size_class)
+        d = min(w for w in table if w)
+        return n, k, {**table, d: table[d] - 1, d - 1: 1}
+
+    monkeypatch.setattr(analysis, "_instantiate", shifted)
+    rows = [sweep_configuration(8, 3, 1, 0b010, 0b100), sweep_configuration(2, 3, 1, 0b011, 0b100)]
+    assert json.dumps(rows) == MISMATCH_ROWS
+    summary = summarize_sweep(rows)
+    assert (summary["mismatch"], summary["mismatch_outside_family_8"]) == (2, 1)
+    assert summary["findings"] == [
+        {key: rows[0][key] for key in ("m", "family", "L", "M", "N", "detail")}
+    ]
+    assert summary["passed"] is False
 
 
 def test_run_sweep_m1_tallies():

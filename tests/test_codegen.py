@@ -27,6 +27,8 @@ from r2subfield.codegen import (
 )
 from r2subfield.simplicial import ComplexSpec, Subset, complex_size, spectrum, subset
 from reference import (
+    _self_orthogonal,
+    _unit_message_weights,
     build_defining_set,
     charsum_message_weights,
     code_rows,
@@ -223,9 +225,10 @@ def class_spec(family, m, sizes):
 
 def test_factored_route_matches_the_full_table():
     # Every configuration at m <= 3, one code per size class at m = 4 and the
-    # m = 5 report classes: the report read off F and G against the full
-    # message table of the reference route, and the check of F and G
-    # against the spectra against the comparison of the two full tables.
+    # m = 5 report classes: the code summary read off F and G against the
+    # full message table of the reference route, self-orthogonality from the
+    # spectra against the unit-pair check, and the check of F and G against
+    # the spectra against the comparison of the two full tables.
     specs = [
         spec_for_family(family, *(Subset.from_mask(m, x) for x in masks))
         for m in (1, 2, 3)
@@ -242,20 +245,24 @@ def test_factored_route_matches_the_full_table():
             n, table = message_weights(s)
         except DegenerateConfigurationError:
             with pytest.raises(DegenerateConfigurationError, match="empty defining set"):
-                analysis._evaluate(s, claimed_only=True)
+                factor_transforms(s)
             continue
+        transforms = _, f, g = factor_transforms(s)
         hist = Counter(table)
         kernel = hist[0]
         if kernel == len(table):
             with pytest.raises(DegenerateConfigurationError, match="trivial code"):
-                analysis._evaluate(s, claimed_only=True)
+                analysis._evaluate(s, transforms, claimed_only=True)
             continue
-        report, f, g = analysis._evaluate(s, claimed_only=True)
+        measured, _, flags = analysis._evaluate(s, transforms, claimed_only=True)
         expected = {w: count // kernel for w, count in sorted(hist.items())}
-        assert [(e["w"], e["count"]) for e in report["weights"]] == list(expected.items()), s
+        assert list(measured.weights.items()) == list(expected.items()), s
         k = 3 * s.m - kernel.bit_length() + 1
-        assert (report["n"], report["k"], report["d"]) == (n, k, min_distance(expected)), s
-        assert report["flags"]["self_orth_exact"] == analysis._self_orthogonal(table, s.m), s
+        assert (measured.n, measured.k, measured.d) == (n, k, min_distance(expected)), s
+        # the unit-pair check on the full table and on F and G at the unit messages
+        exact = _self_orthogonal(table, s.m)
+        units = _unit_message_weights(n, f, g, s.global_complement, s.m)
+        assert flags["self_orth_exact"] == exact == _self_orthogonal(units, s.m), s
         assert transforms_match_spectra(s, f, g) is (charsum_message_weights(s) == table), s
         compared[s.m] += 1
     assert compared == {1: 33, 2: 405, 3: 3885, 4: 852, 5: 16}
