@@ -423,6 +423,10 @@ def test_spectral_minimality_rejects_m_above_cap():
     with pytest.raises(ValueError, match="capped"):
         spectral_minimality(class_spec(1, m, 1, 1, 1))
     assert spectral_minimality(class_spec(1, BRUTE_FORCE_M_CAP, 1, 1, 1))
+    # self-orthogonality reads the same pair classes, under the same cap
+    with pytest.raises(ValueError, match="self-orthogonality is capped"):
+        spectral_self_orthogonality(class_spec(1, m, 1, 1, 1))
+    assert spectral_self_orthogonality(class_spec(1, BRUTE_FORCE_M_CAP, 1, 1, 1))
 
 
 def test_spectral_minimality_matches_the_scan_up_to_m3():
