@@ -19,13 +19,13 @@ families 2-8 when a complement degenerates, say |L| = |M| = m - 1 in family
 count is divided by the total weight-0 count and k drops accordingly.  The
 normalized table is what ``predicted_parameters`` reads n, k, d from; it is
 compared codeword-for-codeword against brute-force enumeration by the
-sweep driver here and the test suite.  The table, the conditions and the
-optimality rule depend on the size class (family, m, |L|, |M|, |N|) alone,
-so the table is cached by it in an LRU of 1024 entries (one family's
-(m + 1)^3 classes up to m = 9), as :func:`griesmer_sum` is by (k, d), and
-the conditions and the rule together in a second one, read once per report
-or sweep row.  They hold closed forms only, never an enumerated result, so
-every relabelling still meets them with its own code.
+sweep driver here and the test suite.  The table, the conditions, the
+optimality rule and both exact decisions below depend on the size class
+(family, m, |L|, |M|, |N|) alone.  The table is cached by it in an LRU of
+1024 entries (one family's (m + 1)^3 classes up to m = 9), as
+:func:`griesmer_sum` is by (k, d), and the rest in one record per class
+(:func:`_size_class`), read once per report or sweep row.  Neither holds an
+enumerated result, so every relabelling meets them with its own code.
 
 Also implemented: the Griesmer bound (sum of ceil(d / 2^i)), the
 Ashikhmin-Barg sufficient condition for minimality (2 * wmin > wmax for
@@ -36,10 +36,10 @@ sufficiency conditions for minimality and self-orthogonality
 Minimality (``minimal_exact``) is decided exactly by
 :func:`spectral_minimality`, which reads it off the three character-sum
 spectra and lists no codeword, and self-orthogonality (``self_orth_exact``)
-likewise by :func:`spectral_self_orthogonality`.  Both are cached per size
-class, in the sizes and complements of the factors.  The tests compare the
-first with a scan of all codewords for two with disjoint supports, and the
-second with the Gram check of the generator rows.
+likewise by :func:`spectral_self_orthogonality`, both in one walk of the
+pair classes per size class.  The tests compare the first with a scan of
+all codewords for two with disjoint supports, and the second with the Gram
+check of the generator rows.
 """
 
 from __future__ import annotations
@@ -109,6 +109,11 @@ _PATTERNS = {
 def _check_family(family: int) -> None:
     if family not in _PATTERNS:
         raise ValueError(f"family must be 1..9, got {family}")
+
+
+def _check_m(m: int) -> None:
+    if not 1 <= m <= BRUTE_FORCE_M_CAP:
+        raise ValueError(f"m must be in 1..{BRUTE_FORCE_M_CAP}, got {m}")
 
 
 def spec_for_family(family: int, lset: Subset, mset: Subset, nset: Subset) -> DefiningSetSpec:
@@ -342,21 +347,6 @@ def _pair_weights(m: int, factors, n: int, sign: int, whole: int):
             )
 
 
-@cache
-def _minimal_by_classes(m: int, factors, terms) -> bool:
-    return not any(
-        wa > 0 and wb > 0 and wa + wb == wab for wa, wb, wab in _pair_weights(m, factors, *terms)
-    )
-
-
-def _pair_class_key(spec: DefiningSetSpec, decision: str):
-    """(m, factors, terms) of a pair-class decision; ``ValueError`` above the m cap."""
-    if spec.m > BRUTE_FORCE_M_CAP:
-        raise ValueError(f"{decision} is capped at m <= {BRUTE_FORCE_M_CAP}, got m = {spec.m}")
-    factors = tuple((part.generator.size, part.complemented) for part in spec.parts)
-    return spec.m, factors, _charsum_terms(spec)
-
-
 def spectral_minimality(spec: DefiningSetSpec) -> bool:
     """Decide minimality of the code of ``spec`` from the three spectra, listing no codeword.
 
@@ -368,20 +358,14 @@ def spectral_minimality(spec: DefiningSetSpec) -> bool:
     in (W(a) + W(b) - W(a + b)) / 2 positions, so that happens exactly when
     some pair has W(a) > 0, W(b) > 0 and W(a) + W(b) = W(a + b); two
     messages of one codeword have W(a + b) = 0 and never qualify.  The
-    pairs come from :func:`_pair_weights` in a few thousand classes at
-    most, whatever the code's dimension.  They depend only on m, the global
-    complement and (|X|, complemented) of each factor, so the decision is
-    cached by those.  A code with no nonzero codeword is vacuously minimal.
+    pairs come from :func:`_pair_weights`, a few thousand at most whatever
+    the code's dimension, in one walk per size class (:func:`_size_class`).
+    A code with no nonzero codeword is vacuously minimal.
 
     Raises ``ValueError`` above :data:`~r2subfield.codegen.BRUTE_FORCE_M_CAP`:
     the pair classes of one factor take 4^m steps to find.
     """
-    return _minimal_by_classes(*_pair_class_key(spec, "spectral minimality"))
-
-
-@cache
-def _self_orthogonal_by_classes(m: int, factors, terms) -> bool:
-    return all((wa + wb - wab) % 8 == 0 for wa, wb, wab in _pair_weights(m, factors, *terms))
+    return _class_record(spec, "spectral minimality")[0]
 
 
 def spectral_self_orthogonality(spec: DefiningSetSpec) -> bool:
@@ -392,15 +376,13 @@ def spectral_self_orthogonality(spec: DefiningSetSpec) -> bool:
     positions.  The codewords of messages a and b meet in
     (W(a) + W(b) - W(a + b)) / 2 positions, so the code is self-orthogonal
     exactly when 2W(a) + 2W(b) - 2W(a + b) is 0 mod 8 for every pair of
-    :func:`_pair_weights`; a = b gives 4W(a), so every weight is even.  The
-    pairs depend only on m, the global complement and (|X|, complemented)
-    of each factor, so the decision is cached by those, like
-    :func:`spectral_minimality`, whatever the labels of L, M and N.
+    :func:`_pair_weights`; a = b gives 4W(a), so every weight is even.  It
+    is decided in the walk that decides :func:`spectral_minimality`.
 
     Raises ``ValueError`` above :data:`~r2subfield.codegen.BRUTE_FORCE_M_CAP`:
     the pair classes of one factor take 4^m steps to find.
     """
-    return _self_orthogonal_by_classes(*_pair_class_key(spec, "spectral self-orthogonality"))
+    return _class_record(spec, "spectral self-orthogonality")[1]
 
 
 def self_orth_mod4(weights) -> bool:
@@ -428,30 +410,48 @@ def table10_conditions(family: int, m: int, sl: int, sm: int, sn: int) -> Suffic
     return SufficiencyConditions(minimal, self_orthogonal)
 
 
-def _complemented(family: int) -> int:
-    """How many of D1, D2, D3 the family complements."""
-    return sum(_PATTERNS[family][:3])
-
-
 @lru_cache(maxsize=1024)
-def _class_claims(family: int, m: int, sl: int, sm: int, sn: int) -> tuple:
-    """Table 10's two conditions and the optimality rule (None for family 8) of a size class."""
-    minimal, self_orthogonal = table10_conditions(family, m, sl, sm, sn)
-    opt = None if _complemented(family) == 3 else optimality_condition(family, m, sl, sm, sn)
-    return minimal, self_orthogonal, opt
+def _size_class(family: int, m: int, sl: int, sm: int, sn: int) -> tuple:
+    """Everything read off a size class but its predicted table.
+
+    Returns (minimal, self-orthogonal, Table 10's two conditions, the
+    optimality rule or None for family 8, whether the Griesmer claim covers
+    the class: at most one complemented factor, or the global complement).
+    Both exact decisions come from one walk of :func:`_pair_weights` on the
+    canonical spec X = {1..|X|}, which stands for every relabelling.
+    """
+    table10_minimal, table10_self_orth = table10_conditions(family, m, sl, sm, sn)
+    comp = _shape(family, sl, sm, sn)[0]
+    opt = None if len(comp) == 3 else optimality_condition(family, m, sl, sm, sn)
+    spec = spec_for_family(family, *(Subset(m, frozenset(range(1, s + 1))) for s in (sl, sm, sn)))
+    factors = tuple((part.generator.size, part.complemented) for part in spec.parts)
+    minimal = self_orthogonal = True
+    for wa, wb, wab in _pair_weights(m, factors, *_charsum_terms(spec)):
+        minimal = minimal and not (wa > 0 and wb > 0 and wa + wb == wab)
+        self_orthogonal = self_orthogonal and (wa + wb - wab) % 8 == 0
+        if not (minimal or self_orthogonal):
+            break
+    return minimal, self_orthogonal, table10_minimal, table10_self_orth, opt, len(comp) <= 1
+
+
+def _class_record(spec: DefiningSetSpec, decision: str) -> tuple:
+    """The :func:`_size_class` record of ``spec``; ``ValueError`` above the m cap."""
+    if spec.m > BRUTE_FORCE_M_CAP:
+        raise ValueError(f"{decision} is capped at m <= {BRUTE_FORCE_M_CAP}, got m = {spec.m}")
+    return _size_class(family_of_spec(spec), spec.m, *(part.generator.size for part in spec.parts))
 
 
 def _evaluate(spec: DefiningSetSpec, transforms, claimed_only: bool):
     """One configuration from its factor transforms: measured code, prediction, flags.
 
     ``transforms`` is (n, F, G) of :func:`~r2subfield.codegen.factor_transforms`.
-    Exact minimality (:func:`spectral_minimality`) is decided for codes of
+    Exact minimality (:func:`spectral_minimality`) is reported for codes of
     up to :data:`MINIMALITY_CAP` codewords, and with ``claimed_only`` only
     where the catalogued condition claims it.  Returns the measured and the
     predicted :class:`~r2subfield.codegen.CodeSummary` and the flags of the
     report, in the stable JSON layout of the CLI.  The predicted table is
-    read through :func:`_instantiate` on every call, and the class's other
-    closed forms through one cache entry (:func:`_class_claims`).
+    read through :func:`_instantiate` on every call, and every other value
+    of the class through its record (:func:`_size_class`).
     """
     key = (family_of_spec(spec), spec.m, *(part.generator.size for part in spec.parts))
     measured = summarize_transforms(*transforms, spec.global_complement)
@@ -463,17 +463,17 @@ def _evaluate(spec: DefiningSetSpec, transforms, claimed_only: bool):
             "prediction says degenerate but enumeration found a nontrivial code"
         ) from None
     predicted = CodeSummary(n=pn, k=pk, d=min_distance(ptable), weights=ptable)
-    table10_minimal, table10_self_orth, opt = _class_claims(*key)
+    minimal, self_orth, table10_minimal, table10_self_orth, opt, _ = _size_class(*key)
     minimal_exact = None
     if (table10_minimal or not claimed_only) and (1 << measured.k) <= MINIMALITY_CAP:
-        minimal_exact = spectral_minimality(spec)
+        minimal_exact = minimal
     flags = {
         "griesmer_equal": is_griesmer_code(*params),
         "distance_optimal_by_griesmer": distance_optimal_by_griesmer(*params),
         "optimality_condition": opt,
         "minimal_exact": minimal_exact,
         "minimal_ab": ashikhmin_barg_minimal(measured.weights),
-        "self_orth_exact": spectral_self_orthogonality(spec),
+        "self_orth_exact": self_orth,
         "self_orth_mod4": self_orth_mod4(measured.weights),
         "table10_minimal": table10_minimal,
         "table10_self_orth": table10_self_orth,
@@ -517,11 +517,12 @@ SWEEP_ROW_FIELDS = (
 def sweep_configuration(family: int, m: int, lmask: int, mmask: int, nmask: int) -> dict:
     """One sweep row (:data:`SWEEP_ROW_FIELDS`): comparison outcome plus invariant checks.
 
-    Exact minimality is decided everywhere at m <= 2 and, at larger m, on
-    the configurations whose catalogued minimality condition holds (the
-    claim under test); elsewhere it is skipped for speed.  Either way it is
-    decided only for codes of at most :data:`MINIMALITY_CAP` codewords, so
-    at m = 5 a code with k > 14 gets no decision.
+    Exact minimality is reported everywhere at m <= 2 and, at larger m,
+    where the catalogued minimality condition holds (the claim under test).
+    Elsewhere it stays None; that keeps the recorded output and saves no
+    time, as every class decides it with self-orthogonality.  It is reported
+    only for codes of at most :data:`MINIMALITY_CAP` codewords, so at m = 5
+    a code with k > 14 gets none.
     """
     lset, mset, nset = (Subset.from_mask(m, mask) for mask in (lmask, mmask, nmask))
     row = dict.fromkeys(SWEEP_ROW_FIELDS)
@@ -542,8 +543,7 @@ def sweep_configuration(family: int, m: int, lmask: int, mmask: int, nmask: int)
             f"{name} [n,k,d]=[{c.n},{c.k},{c.d}] weights={dict(sorted(c.weights.items()))}"
             for name, c in (("predicted", predicted), ("measured", measured))
         )
-    # the Griesmer claim covers at most one complemented factor, or the global complement
-    if _complemented(family) <= 1:
+    if _size_class(family, m, lset.size, mset.size, nset.size)[-1]:  # the Griesmer claim
         row["griesmer_ok"] = flags["griesmer_equal"]
     if flags["table10_minimal"] and flags["minimal_exact"] is not None:
         row["minimal_claim_ok"] = flags["minimal_exact"]
@@ -571,6 +571,11 @@ def run_sweep(ms, families=FAMILIES, jobs: int = 1):
     Returns (rows, summary); rows are ordered by (m, family, L, M, N) masks
     regardless of the worker count, which :func:`sweep_workers` caps.
     """
+    ms = tuple(ms)
+    for m in ms:
+        _check_m(m)
+    for family in families:
+        _check_family(family)
     configs = [
         (family, m, lmask, mmask, nmask)
         for m in ms

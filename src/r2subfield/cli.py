@@ -38,13 +38,14 @@ from .analysis import (
     FAMILIES,
     SWEEP_ROW_FIELDS,
     _check_family,
+    _check_m,
     code_report,
     family_of_spec,
     predicted_parameters,
     predicted_weight_table,
     run_sweep,
 )
-from .codegen import BRUTE_FORCE_M_CAP, DefiningSetSpec
+from .codegen import DefiningSetSpec
 from .simplicial import ComplexSpec, Subset
 
 __all__ = ["BUNDLED_MANIFEST", "TABLES_M_CAP", "main"]
@@ -152,11 +153,6 @@ def _family_from_args(args) -> int:
     return family_of_spec(DefiningSetSpec(args.m, *parts, args.global_complement))
 
 
-def _check_m(m: int) -> None:
-    if not 1 <= m <= BRUTE_FORCE_M_CAP:
-        raise ValueError(f"m must be in 1..{BRUTE_FORCE_M_CAP}, got {m}")
-
-
 # ---------------------------------------------------------------- code
 
 
@@ -250,8 +246,6 @@ def cmd_verify(args) -> int:
     for m in ms:
         _check_m(m)
     families = FAMILIES if args.families is None else _parse_int_list(args.families, "family")
-    for family in families:
-        _check_family(family)
     rows, summary = run_sweep(ms, families, jobs=args.jobs)
     _render(args, {"rows": rows, "summary": summary}, _verify_csv, _verify_md)
     return 0 if summary["passed"] else 1

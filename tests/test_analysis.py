@@ -377,25 +377,29 @@ for call in (
 
 
 def test_exact_minimality_policy(monkeypatch):
-    # the sweep decides minimality everywhere at m <= 2 and above that only
-    # where Table 10 claims it; code_report decides it up to the cap
-    calls = []
+    # the sweep reports minimality everywhere at m <= 2 and above that only
+    # where Table 10 claims it; code_report reports it up to the cap
+    reported = []
+    evaluate = analysis._evaluate
 
-    def counting(spec):
-        calls.append(spec.m)
-        return spectral_minimality(spec)
+    def recording(*args, **kwargs):
+        measured, predicted, flags = evaluate(*args, **kwargs)
+        reported.append(flags["minimal_exact"])
+        return measured, predicted, flags
 
-    monkeypatch.setattr(analysis, "spectral_minimality", counting)
+    monkeypatch.setattr(analysis, "_evaluate", recording)
     assert not table10_conditions(2, 2, 1, 0, 0).minimal
     assert sweep_configuration(2, 2, 0b1, 0, 0)["status"] == "ok"
-    assert len(calls) == 1
-    calls.clear()
     assert not table10_conditions(2, 3, 2, 0, 0).minimal
     assert sweep_configuration(2, 3, 0b11, 0, 0)["status"] == "ok"
-    assert calls == []
     report = code_report(2, subset(3, 1, 2), subset(3), subset(3))
-    assert len(calls) == 1
-    assert report["flags"]["minimal_exact"] is not None
+    decided = [
+        spectral_minimality(spec_for_family(2, subset(2, 1), subset(2), subset(2))),
+        None,
+        spectral_minimality(spec_for_family(2, subset(3, 1, 2), subset(3), subset(3))),
+    ]
+    assert reported == decided
+    assert report["flags"]["minimal_exact"] is decided[2]
 
 
 def class_spec(family, m, sl, sm, sn):
@@ -671,6 +675,52 @@ def test_m3_sweep_with_warm_caches_skips_no_check(monkeypatch):
     assert run_sweep([3], jobs=2) == (rows, summary)
 
 
+def test_one_pair_walk_per_size_class(monkeypatch):
+    # Both exact decisions of a size class come from one walk of its pair
+    # weights, made once per non-degenerate class; a second pass reads the
+    # cached records and rebuilds no character-sum terms.
+    analysis._size_class.cache_clear()
+    calls = Counter()
+
+    def counted(name):
+        function = getattr(analysis, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return function(*args)
+
+        return wrapper
+
+    for name in ("_pair_weights", "_charsum_terms"):
+        monkeypatch.setattr(analysis, name, counted(name))
+    run_sweep([3])
+    assert calls["_pair_weights"] == 405
+    calls.clear()
+    run_sweep([3])
+    assert calls == {}
+
+
+@pytest.mark.parametrize(
+    "ms, families, message",
+    [
+        ([6], FAMILIES, "m must be in 1..5, got 6"),
+        ([0], FAMILIES, "m must be in 1..5, got 0"),
+        ([2], (10,), "family must be 1..9, got 10"),
+        ([2, 6], (10,), "m must be in 1..5, got 6"),  # every m before any family
+    ],
+)
+def test_run_sweep_checks_its_input_before_building_configurations(
+    monkeypatch, ms, families, message
+):
+    # at m = 6 the configuration list alone would hold 2,359,296 tuples
+    def unreachable(*args):
+        raise AssertionError("a configuration was evaluated")
+
+    monkeypatch.setattr(analysis, "sweep_configuration", unreachable)
+    with pytest.raises(ValueError, match=message):
+        run_sweep(ms, families)
+
+
 def test_sweep_workers_caps_the_pool(monkeypatch):
     monkeypatch.setattr("os.cpu_count", lambda: 3)
     assert sweep_workers(1, 4608) == 1
@@ -690,6 +740,8 @@ def test_run_sweep_family_subset():
     assert summary["total"] == 64
     assert {r["family"] for r in rows} == {9}
     assert summary["mismatch"] == 0
+    # the m values are checked before the sweep, and an iterator of them still runs
+    assert run_sweep(iter([2]), families=(9,)) == (rows, summary)
 
 
 def test_summarize_sweep_flags_family8_findings():
