@@ -32,7 +32,6 @@ from .codegen import (
     DegenerateConfigurationError,
     InvariantError,
     min_distance,
-    weight_distribution_bruteforce,
 )
 from .simplicial import ComplexSpec, Subset, char_sum, complex_size, enumerate_members, subset
 

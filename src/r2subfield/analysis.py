@@ -37,9 +37,9 @@ Minimality (``minimal_exact``) is decided exactly by
 :func:`spectral_minimality`, which reads it off the three character-sum
 spectra and lists no codeword, and self-orthogonality (``self_orth_exact``)
 likewise by :func:`spectral_self_orthogonality`, both in one walk of the
-pair classes per size class.  The tests compare the first with a scan of
-all codewords for two with disjoint supports, and the second with the Gram
-check of the generator rows.
+pair classes per size class, at any m.  The tests compare the first with a
+scan of all codewords for two with disjoint supports, and the second with
+the Gram check of the generator rows.
 """
 
 from __future__ import annotations
@@ -61,7 +61,7 @@ from .codegen import (
     summarize_transforms,
     transforms_match_spectra,
 )
-from .simplicial import ComplexSpec, Subset, spectrum
+from .simplicial import ComplexSpec, Subset
 
 __all__ = [
     "FAMILIES",
@@ -306,14 +306,21 @@ def ashikhmin_barg_minimal(weights) -> bool:
 def _pair_classes(m: int, size: int, complemented: bool) -> frozenset:
     """Realisable (S[u], S[v], S[u + v], u = 0, v = 0, u = v) over all u, v in F2^m.
 
-    S is the spectrum of Delta_X, or of its complement, for |X| = size.
-    Relabelling the coordinates permutes S and keeps the three flags, so the
-    set depends only on (m, |X|, complemented), and X = {1..size} stands for
-    every X of that size.  It has at most 12 elements at m <= 5.
+    S is the spectrum of Delta_X, or of its complement, for |X| = size.  S
+    and the flags depend only on whether each of u, v and u + v is zero,
+    avoids X or hits X: on which of them vanish on X and which off X.  On
+    k coordinates all three vanish, exactly one does (k >= 1) or none does
+    (u, v independent, k >= 2).  So a model ground set with min(|X|, 2)
+    coordinates in X and min(m - |X|, 2) outside it, given the real values
+    (2^|X| or 0 on Delta_X; 2^m [u = 0] minus that on the complement),
+    gives the same set: at most 256 pairs and 12 elements at every m.
     """
-    s = spectrum(ComplexSpec(Subset(m, frozenset(range(1, size + 1))), complemented))
-    full = range(1 << m)
-    return frozenset((s[u], s[v], s[u ^ v], u == 0, v == 0, u == v) for u in full for v in full)
+    hits = (1 << min(size, 2)) - 1
+    model = range(1 << min(size, 2) + min(m - size, 2))
+    s = [0 if u & hits else 1 << size for u in model]
+    if complemented:
+        s = [(1 << m) * (u == 0) - value for u, value in enumerate(s)]
+    return frozenset((s[u], s[v], s[u ^ v], u == 0, v == 0, u == v) for u in model for v in model)
 
 
 def _pair_weights(m: int, factors, n: int, sign: int, whole: int):
@@ -358,14 +365,17 @@ def spectral_minimality(spec: DefiningSetSpec) -> bool:
     in (W(a) + W(b) - W(a + b)) / 2 positions, so that happens exactly when
     some pair has W(a) > 0, W(b) > 0 and W(a) + W(b) = W(a + b); two
     messages of one codeword have W(a + b) = 0 and never qualify.  The
-    pairs come from :func:`_pair_weights`, a few thousand at most whatever
-    the code's dimension, in one walk per size class (:func:`_size_class`).
-    A code with no nonzero codeword is vacuously minimal.
+    pairs come from :func:`_pair_weights` in one walk per size class
+    (:func:`_size_class`).  A code with no nonzero codeword is vacuously
+    minimal.
 
-    Raises ``ValueError`` above :data:`~r2subfield.codegen.BRUTE_FORCE_M_CAP`:
-    the pair classes of one factor take 4^m steps to find.
+    The tests find the decision equal to Table 10's minimality condition
+    (:func:`table10_conditions`) on every non-degenerate size class at
+    m = 2..8.  At m = 1 it differs on seven classes, |L| = |M| = |N| = 0 in
+    families 2-8, which are minimal but not claimed.
     """
-    return _class_record(spec, "spectral minimality")[0]
+    key = (family_of_spec(spec), spec.m, *(part.generator.size for part in spec.parts))
+    return _size_class(*key)[0]
 
 
 def spectral_self_orthogonality(spec: DefiningSetSpec) -> bool:
@@ -379,10 +389,13 @@ def spectral_self_orthogonality(spec: DefiningSetSpec) -> bool:
     :func:`_pair_weights`; a = b gives 4W(a), so every weight is even.  It
     is decided in the walk that decides :func:`spectral_minimality`.
 
-    Raises ``ValueError`` above :data:`~r2subfield.codegen.BRUTE_FORCE_M_CAP`:
-    the pair classes of one factor take 4^m steps to find.
+    The tests find a non-degenerate size class self-orthogonal exactly when
+    s = |L| + |M| + |N| is 0 or at least 3, at every m = 3..8.  At m = 1
+    and 2 that fails only for s = 0 in families 2-8, which are not
+    self-orthogonal.
     """
-    return _class_record(spec, "spectral self-orthogonality")[1]
+    key = (family_of_spec(spec), spec.m, *(part.generator.size for part in spec.parts))
+    return _size_class(*key)[1]
 
 
 def self_orth_mod4(weights) -> bool:
@@ -432,13 +445,6 @@ def _size_class(family: int, m: int, sl: int, sm: int, sn: int) -> tuple:
         if not (minimal or self_orthogonal):
             break
     return minimal, self_orthogonal, table10_minimal, table10_self_orth, opt, len(comp) <= 1
-
-
-def _class_record(spec: DefiningSetSpec, decision: str) -> tuple:
-    """The :func:`_size_class` record of ``spec``; ``ValueError`` above the m cap."""
-    if spec.m > BRUTE_FORCE_M_CAP:
-        raise ValueError(f"{decision} is capped at m <= {BRUTE_FORCE_M_CAP}, got m = {spec.m}")
-    return _size_class(family_of_spec(spec), spec.m, *(part.generator.size for part in spec.parts))
 
 
 def _evaluate(spec: DefiningSetSpec, transforms, claimed_only: bool):

@@ -24,8 +24,8 @@ d1 | (d2 + d3) << m | d2 << 2m, so the codeword of a message
 
 i.e. the plain F2 parity of the message mask ANDed with the position mask.
 
-:func:`weight_distribution_bruteforce` builds one code in two stages,
-each a function of its own so a caller that needs both computes each once:
+One code is weighed in two stages, each a function of its own so a
+caller that needs both computes each once:
 
 * n and two factor transforms (:func:`factor_transforms`).  The columns are
   the image of D1 x D2 x D3 under (d1, d2, d3) -> (d1, d2 + d3, d2), or of
@@ -79,7 +79,6 @@ __all__ = [
     "CodeSummary",
     "factor_transforms",
     "summarize_transforms",
-    "weight_distribution_bruteforce",
     "transforms_match_spectra",
     "min_distance",
 ]
@@ -297,17 +296,6 @@ def summarize_transforms(
         if count:
             dist[w >> 1] = count // kernel
     return CodeSummary(n=n, k=k, d=min_distance(dist), weights=dist)
-
-
-def weight_distribution_bruteforce(spec: DefiningSetSpec) -> CodeSummary:
-    """Exact parameters of the code from the weights of all 2^(3m) messages, via F and G.
-
-    The weights come from the member lists alone (:func:`factor_transforms`),
-    not from the character sums, so they check
-    :func:`transforms_match_spectra` rather than repeat it.
-    """
-    n, f, g = factor_transforms(spec)
-    return summarize_transforms(n, f, g, spec.global_complement)
 
 
 def transforms_match_spectra(spec: DefiningSetSpec, f: Sequence[int], g: Sequence[int]) -> bool:

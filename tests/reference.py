@@ -15,7 +15,10 @@ indicator (:func:`message_weights`) and from the character-sum identity
 (:func:`summarize_message_weights`), for the tests to compare the factored
 route with, and the exact self-orthogonality check that reads the weights
 of the unit messages and their pairs (:func:`_self_orthogonal`), which the
-tests compare with the library's decision from the spectra.
+tests compare with the library's decision from the spectra.  It keeps the
+4^m walk that finds the pair classes of one factor
+(:func:`enumerated_pair_classes`), which the library finds in closed form,
+and the library's two weighing stages chained (:func:`factored_summary`).
 :func:`histogram_weight_distribution` builds
 the weight distribution of a size class from three spectrum-value
 histograms, which the tests compare with the paper's closed-form tables
@@ -55,7 +58,9 @@ from r2subfield.codegen import (
     InvariantError,
     _charsum_terms,
     _indicator_transform,
+    factor_transforms,
     min_distance,
+    summarize_transforms,
 )
 from r2subfield.simplicial import ComplexSpec, Subset, enumerate_members, spectrum
 
@@ -367,6 +372,24 @@ def summarize_message_weights(weights: Sequence[int], n: int, m: int) -> CodeSum
         raise InvariantError("weight class not a union of kernel cosets")
     dist = {w: count // kernel for w, count in sorted(histogram.items())}
     return CodeSummary(n, 3 * m - kernel.bit_length() + 1, min_distance(dist), dist)
+
+
+def factored_summary(spec: DefiningSetSpec) -> CodeSummary:
+    """The library's two weighing stages in a row: factor transforms, then their summary."""
+    n, f, g = factor_transforms(spec)
+    return summarize_transforms(n, f, g, spec.global_complement)
+
+
+def enumerated_pair_classes(m: int, size: int, complemented: bool) -> frozenset:
+    """(S[u], S[v], S[u + v], u = 0, v = 0, u = v) over all 4^m pairs u, v in F2^m.
+
+    S is the spectrum of Delta_X, or of its complement, for X = {1..size}.
+    The library finds the same set on a model ground set of at most four
+    coordinates.
+    """
+    s = spectrum(ComplexSpec(Subset(m, frozenset(range(1, size + 1))), complemented))
+    full = range(1 << m)
+    return frozenset((s[u], s[v], s[u ^ v], u == 0, v == 0, u == v) for u in full for v in full)
 
 
 @cache

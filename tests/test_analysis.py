@@ -38,12 +38,13 @@ from r2subfield.analysis import (
     sweep_workers,
     table10_conditions,
 )
-from r2subfield.codegen import BRUTE_FORCE_M_CAP, DegenerateConfigurationError, InvariantError
+from r2subfield.codegen import DegenerateConfigurationError, InvariantError
 from r2subfield.simplicial import Subset, subset
 from reference import (
     _self_orthogonal,
     code_rows,
     code_words_from_rows,
+    enumerated_pair_classes,
     exact_minimality,
     histogram_weight_distribution,
     message_weights,
@@ -422,15 +423,45 @@ def scanned_minimality(spec):
     return exact_minimality(words, n) if len(words) > 1 else None
 
 
-def test_spectral_minimality_rejects_m_above_cap():
-    m = BRUTE_FORCE_M_CAP + 1
-    with pytest.raises(ValueError, match="capped"):
-        spectral_minimality(class_spec(1, m, 1, 1, 1))
-    assert spectral_minimality(class_spec(1, BRUTE_FORCE_M_CAP, 1, 1, 1))
-    # self-orthogonality reads the same pair classes, under the same cap
-    with pytest.raises(ValueError, match="self-orthogonality is capped"):
-        spectral_self_orthogonality(class_spec(1, m, 1, 1, 1))
-    assert spectral_self_orthogonality(class_spec(1, BRUTE_FORCE_M_CAP, 1, 1, 1))
+def test_pair_classes_match_the_4m_enumeration():
+    # m = 4 is the first ground set with two coordinates on either side of X
+    for m in range(1, 8):
+        for size in range(m + 1):
+            for complemented in (False, True):
+                expected = enumerated_pair_classes(m, size, complemented)
+                assert analysis._pair_classes(m, size, complemented) == expected, (m, size)
+
+
+def test_exact_decisions_follow_the_size_rules_up_to_m8():
+    # Both decisions answer for every size class past the enumeration cap.
+    # On the non-degenerate ones, exact minimality is Table 10's minimality
+    # condition, and a class is self-orthogonal exactly when
+    # s = |L| + |M| + |N| is 0 or at least 3.  Only s = 0 in families 2-8
+    # breaks them: minimal but unclaimed at m = 1, not self-orthogonal at
+    # m <= 2.
+    breaks = {"minimal": [], "self_orth": []}
+    classes = Counter()
+    for m in range(1, 9):
+        for family in FAMILIES:
+            for sizes in itertools.product(range(m + 1), repeat=3):
+                spec = class_spec(family, m, *sizes)
+                minimal = spectral_minimality(spec)
+                self_orth = spectral_self_orthogonality(spec)
+                try:
+                    predicted_parameters(family, m, *sizes)
+                except DegenerateConfigurationError:
+                    continue
+                classes[m] += 1
+                s = sum(sizes)
+                if minimal != table10_conditions(family, m, *sizes).minimal:
+                    breaks["minimal"].append((m, family, s))
+                if self_orth != (s == 0 or s >= 3):
+                    breaks["self_orth"].append((m, family, s))
+    assert classes == {1: 33, 2: 150, 3: 405, 4: 852, 5: 1545, 6: 2538, 7: 3885, 8: 5640}
+    assert breaks == {
+        "minimal": [(1, family, 0) for family in range(2, 9)],
+        "self_orth": [(m, family, 0) for m in (1, 2) for family in range(2, 9)],
+    }
 
 
 def test_spectral_minimality_matches_the_scan_up_to_m3():

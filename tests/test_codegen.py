@@ -23,7 +23,6 @@ from r2subfield.codegen import (
     min_distance,
     summarize_transforms,
     transforms_match_spectra,
-    weight_distribution_bruteforce,
 )
 from r2subfield.simplicial import ComplexSpec, Subset, complex_size, spectrum, subset
 from reference import (
@@ -35,6 +34,7 @@ from reference import (
     code_words,
     codeword,
     columns,
+    factored_summary,
     from_basis_coords,
     generator_matrix_subfield,
     message_weights,
@@ -186,12 +186,6 @@ def frozen_cases():
     ]
 
 
-def test_weight_distribution_bruteforce_frozen_anchors():
-    for s, expected in frozen_cases():
-        got = weight_distribution_bruteforce(s)
-        assert got == expected, s
-
-
 def test_summarize_rejects_uncovered_table():
     # m = 1: F has 2 entries and G 4.  No message of weight 0 leaves the
     # kernel empty; an odd n - F[alpha] * G[sigma] is no doubled weight.
@@ -291,13 +285,13 @@ def test_summarize_trivial_code():
 def test_empty_defining_set_is_degenerate():
     # complementing a full simplicial complex leaves nothing
     with pytest.raises(DegenerateConfigurationError):
-        weight_distribution_bruteforce(spec(3, 1, (), (1,), ()))
+        factored_summary(spec(3, 1, (), (1,), ()))
 
 
 def test_all_zero_defining_set_is_degenerate():
     # D = {0} gives one identically zero coordinate and only the zero word
     with pytest.raises(DegenerateConfigurationError):
-        weight_distribution_bruteforce(spec(1, 1, (), (), ()))
+        factored_summary(spec(1, 1, (), (), ()))
 
 
 def test_m_cap_enforced():
@@ -305,7 +299,7 @@ def test_m_cap_enforced():
     with pytest.raises(ValueError, match="capped"):
         factor_transforms(s)
     with pytest.raises(ValueError, match="capped"):
-        weight_distribution_bruteforce(s)
+        factored_summary(s)
 
 
 FIELD_WIDTH_CODES = [
@@ -343,7 +337,7 @@ def test_message_weights_match_reference_rows_above_m3(m, family, members, n):
         assert rows_n == n
     weights = row_message_weights(rows)
     assert message_weights(s) == (rows_n, weights)
-    assert weight_distribution_bruteforce(s) == summarize_message_weights(weights, rows_n, m)
+    assert factored_summary(s) == summarize_message_weights(weights, rows_n, m)
 
 
 def literal_walsh_hadamard(counts):
@@ -447,8 +441,7 @@ def test_code_rows_match_reference_route():
 def test_spec_functions_compose_the_stages():
     for s, expected in frozen_cases():
         n, f, g = factor_transforms(s)
-        assert summarize_transforms(n, f, g, s.global_complement) == expected
-        assert weight_distribution_bruteforce(s) == expected
+        assert summarize_transforms(n, f, g, s.global_complement) == expected, s
 
 
 def test_charsum_table_equals_enumeration():
