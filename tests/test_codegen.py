@@ -186,6 +186,14 @@ def frozen_cases():
     ]
 
 
+def test_weight_distribution_bruteforce_frozen_anchors():
+    # every message weighed from the generator rows, independent of the
+    # factored transforms
+    for s, expected in frozen_cases():
+        n, weights = message_weights(s)
+        assert summarize_message_weights(weights, n, s.m) == expected, s
+
+
 def test_summarize_rejects_uncovered_table():
     # m = 1: F has 2 entries and G 4.  No message of weight 0 leaves the
     # kernel empty; an odd n - F[alpha] * G[sigma] is no doubled weight.
