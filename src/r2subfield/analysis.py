@@ -56,10 +56,8 @@ from .codegen import (
     DegenerateConfigurationError,
     InvariantError,
     _charsum_terms,
-    factor_transforms,
     min_distance,
-    summarize_transforms,
-    transforms_match_spectra,
+    weigh,
 )
 from .simplicial import ComplexSpec, Subset
 
@@ -447,20 +445,20 @@ def _size_class(family: int, m: int, sl: int, sm: int, sn: int) -> tuple:
     return minimal, self_orthogonal, table10_minimal, table10_self_orth, opt, len(comp) <= 1
 
 
-def _evaluate(spec: DefiningSetSpec, transforms, claimed_only: bool):
-    """One configuration from its factor transforms: measured code, prediction, flags.
+def _evaluate(spec: DefiningSetSpec, measured: CodeSummary, claimed_only: bool):
+    """One configuration from its measured code: prediction and flags.
 
-    ``transforms`` is (n, F, G) of :func:`~r2subfield.codegen.factor_transforms`.
-    Exact minimality (:func:`spectral_minimality`) is reported for codes of
-    up to :data:`MINIMALITY_CAP` codewords, and with ``claimed_only`` only
-    where the catalogued condition claims it.  Returns the measured and the
-    predicted :class:`~r2subfield.codegen.CodeSummary` and the flags of the
-    report, in the stable JSON layout of the CLI.  The predicted table is
-    read through :func:`_instantiate` on every call, and every other value
-    of the class through its record (:func:`_size_class`).
+    ``measured`` is the :class:`~r2subfield.codegen.CodeSummary` that
+    :func:`~r2subfield.codegen.weigh` read off the enumerated side.  Exact
+    minimality (:func:`spectral_minimality`) is reported for codes of up to
+    :data:`MINIMALITY_CAP` codewords, and with ``claimed_only`` only where
+    the catalogued condition claims it.  Returns the predicted
+    :class:`~r2subfield.codegen.CodeSummary` and the flags of the report, in
+    the stable JSON layout of the CLI.  The predicted table is read through
+    :func:`_instantiate` on every call, and every other value of the class
+    through its record (:func:`_size_class`).
     """
     key = (family_of_spec(spec), spec.m, *(part.generator.size for part in spec.parts))
-    measured = summarize_transforms(*transforms, spec.global_complement)
     params = (measured.n, measured.k, measured.d)
     try:
         pn, pk, ptable = _instantiate(*key)
@@ -484,7 +482,7 @@ def _evaluate(spec: DefiningSetSpec, transforms, claimed_only: bool):
         "table10_minimal": table10_minimal,
         "table10_self_orth": table10_self_orth,
     }
-    return measured, predicted, flags
+    return predicted, flags
 
 
 def code_report(family: int, lset: Subset, mset: Subset, nset: Subset) -> dict:
@@ -497,7 +495,8 @@ def code_report(family: int, lset: Subset, mset: Subset, nset: Subset) -> dict:
     empty or zero-dimensional code.
     """
     spec = spec_for_family(family, lset, mset, nset)
-    measured, predicted, flags = _evaluate(spec, factor_transforms(spec), claimed_only=False)
+    measured = weigh(spec)[0]
+    predicted, flags = _evaluate(spec, measured, claimed_only=False)
     return {
         "m": spec.m,
         "family": family,
@@ -528,21 +527,26 @@ def sweep_configuration(family: int, m: int, lmask: int, mmask: int, nmask: int)
     Elsewhere it stays None; that keeps the recorded output and saves no
     time, as every class decides it with self-orthogonality.  It is reported
     only for codes of at most :data:`MINIMALITY_CAP` codewords, so at m = 5
-    a code with k > 14 gets none.
+    a code with k > 14 gets none.  The measured code and ``charsum_ok`` come
+    from :func:`~r2subfield.codegen.weigh`, whose per-factor records a sweep
+    fills once per D1 and once per (D2, D3); the prediction is read and
+    compared for every row.
     """
     lset, mset, nset = (Subset.from_mask(m, mask) for mask in (lmask, mmask, nmask))
     row = dict.fromkeys(SWEEP_ROW_FIELDS)
     row.update(m=m, family=family, L=str(lset), M=str(mset), N=str(nset), status="ok", detail="")
     spec = spec_for_family(family, lset, mset, nset)
     try:
-        n, f, g = transforms = factor_transforms(spec)
-        measured, predicted, flags = _evaluate(spec, transforms, claimed_only=m > 2)
+        measured, charsum_ok = weigh(spec)
+        predicted, flags = _evaluate(spec, measured, claimed_only=m > 2)
     except DegenerateConfigurationError as exc:
         row["status"] = "degenerate"
         row["detail"] = str(exc)
         return row
-    row.update(n=measured.n, k=measured.k, d=measured.d, match=predicted == measured)
-    row["charsum_ok"] = transforms_match_spectra(spec, f, g)
+    row.update(
+        n=measured.n, k=measured.k, d=measured.d, match=predicted == measured,
+        charsum_ok=charsum_ok,
+    )
     if not row["match"]:
         row["status"] = "mismatch"
         row["detail"] = "; ".join(

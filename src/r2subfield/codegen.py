@@ -24,8 +24,7 @@ d1 | (d2 + d3) << m | d2 << 2m, so the codeword of a message
 
 i.e. the plain F2 parity of the message mask ANDed with the position mask.
 
-One code is weighed in two stages, each a function of its own so a
-caller that needs both computes each once:
+One code is weighed in two stages:
 
 * n and two factor transforms (:func:`factor_transforms`).  The columns are
   the image of D1 x D2 x D3 under (d1, d2, d3) -> (d1, d2 + d3, d2), or of
@@ -39,13 +38,25 @@ caller that needs both computes each once:
   two indicators, each one int of 1-, 2- or 4-byte packed fields.  No
   table of the 2^(3m) messages is built.  F and G read only the member
   lists, never the spectra of the complexes, so the character-sum check
-  below stays an independent check of them.  Both lists come cached per
-  factor from :mod:`.simplicial`; the transforms are computed afresh for
-  every defining set.
+  below stays an independent check of them.
 * The weight distribution (:func:`summarize_transforms`): the histogram of
   the doubled weights n -+ F[alpha] * G[sigma] is the product of the value
   histograms of F and G, each of a few values, and dividing it by the
   kernel size gives the distribution of the code.
+
+F depends on D1 alone and G on (D2, D3) alone, so :func:`weigh`, which the
+sweep and the reports call, reads both stages and the character-sum check
+below from two LRU records: one per D1 (:class:`~.simplicial.ComplexSpec`),
+2 * 2^5 = 64 entries, and one per (D2, D3), 4 * 4^5 = 4,096 entries, which
+is every factor and every pair at m <= :data:`BRUTE_FORCE_M_CAP`.  A record
+holds the value histogram of its transform as (value, count) pairs, the
+value at 0 and whether the transform equals the spectra, and no list of
+2^m or 2^(2m) values.  It is built by the same helpers that
+:func:`factor_transforms`, :func:`summarize_transforms` and
+:func:`transforms_match_spectra` compose, so the transforms still come only
+from the member lists and the spectra only from
+:func:`~.simplicial.char_sum`, and every configuration is still summarized
+and checked from its own two records.
 
 No function here builds an element of R or a generator row.  The tests keep
 the literal construction of the paper (R-vectors, trace triples,
@@ -68,6 +79,7 @@ from array import array
 from collections import Counter
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .simplicial import ComplexSpec, complex_size, enumerate_members, spectrum
 
@@ -77,6 +89,7 @@ __all__ = [
     "InvariantError",
     "DefiningSetSpec",
     "CodeSummary",
+    "weigh",
     "factor_transforms",
     "summarize_transforms",
     "transforms_match_spectra",
@@ -133,6 +146,26 @@ class DefiningSetSpec:
         return (self.d1, self.d2, self.d3)
 
 
+def weigh(spec: DefiningSetSpec) -> tuple[CodeSummary, bool]:
+    """The code's summary, and whether its transforms match the character sums.
+
+    The same values as :func:`summarize_transforms` on
+    :func:`factor_transforms` and :func:`transforms_match_spectra` on its F
+    and G, read from the two per-factor records (:func:`_d1_record` and
+    :func:`_slot_record`): each holds the value histogram of its transform,
+    the transform's value at 0 and its comparison with the spectra.  So a
+    sweep transforms and checks each D1 and each (D2, D3) once, however many
+    configurations share it.  n = F[0] * G[0], or 2^(3m) minus that for a
+    global complement.  Raises like :func:`factor_transforms` and
+    :func:`summarize_transforms`.
+    """
+    _check_cap(spec.m)
+    f_counts, f0, f_ok = _d1_record(spec.d1)
+    g_counts, g0, g_ok = _slot_record(spec.d2, spec.d3)
+    n = _code_length(spec, f0 * g0)
+    return _summarize(n, f_counts, g_counts, f0 * g0, spec.global_complement), f_ok and g_ok
+
+
 def factor_transforms(spec: DefiningSetSpec) -> tuple[int, list[int], list[int]]:
     """n and the factor transforms F and G that weigh every message of the code.
 
@@ -146,9 +179,10 @@ def factor_transforms(spec: DefiningSetSpec) -> tuple[int, list[int], list[int]]
     indicator is the Kronecker product of the 0/1 slot indicator g (2^(2m)
     entries, one per (d2, d3), as (d2, d3) -> s is injective) and the
     indicator f of D1 (2^m entries), so H[v] = F[alpha] * G[sigma] with
-    F, G the transforms of f and g, returned as lists indexed by alpha and
-    sigma.  A global complement (family 9) counts every point except those,
-    so H = 2^(3m) [v = 0] - F[alpha] * G[sigma].  F[0] = |D1| and
+    F, G the transforms of f and g (:func:`_d1_transform`,
+    :func:`_slot_transform`), returned as lists indexed by alpha and sigma.
+    A global complement (family 9) counts every point except those, so
+    H = 2^(3m) [v = 0] - F[alpha] * G[sigma].  F[0] = |D1| and
     G[0] = |D2||D3|.
 
     It reads only the member lists, never the spectra, so F and G stay
@@ -160,18 +194,60 @@ def factor_transforms(spec: DefiningSetSpec) -> tuple[int, list[int], list[int]]
     Raises :class:`DegenerateConfigurationError` for an empty defining set
     and ``ValueError`` above :data:`BRUTE_FORCE_M_CAP`.
     """
-    m = spec.m
+    _check_cap(spec.m)
+    f = _d1_transform(spec.d1)
+    g = _slot_transform(spec.d2, spec.d3)
+    return _code_length(spec, f[0] * g[0]), f, g
+
+
+def _check_cap(m: int) -> None:
     if m > BRUTE_FORCE_M_CAP:
         raise ValueError(
             f"exhaustive enumeration is capped at m <= {BRUTE_FORCE_M_CAP}, got m = {m}"
         )
-    members1, members2, members3 = (enumerate_members(part) for part in spec.parts)
-    product = len(members1) * len(members2) * len(members3)
-    n = (1 << 3 * m) - product if spec.global_complement else product
+
+
+def _code_length(spec: DefiningSetSpec, product: int) -> int:
+    """n from |D1||D2||D3| = F[0] * G[0]; an empty defining set is degenerate."""
+    n = (1 << 3 * spec.m) - product if spec.global_complement else product
     if not n:
         raise DegenerateConfigurationError("empty defining set")
-    slots = [(d2 ^ d3) | d2 << m for d2 in members2 for d3 in members3]
-    return n, _indicator_transform(members1, m), _indicator_transform(slots, 2 * m)
+    return n
+
+
+def _d1_transform(part: ComplexSpec) -> list[int]:
+    """F, the transform of the indicator of D1 (2^m entries), from its member list."""
+    return _indicator_transform(enumerate_members(part), part.m)
+
+
+def _slot_transform(d2: ComplexSpec, d3: ComplexSpec) -> list[int]:
+    """G, the transform of the slot indicator (2^(2m) entries), from the member lists."""
+    m, members3 = d2.m, enumerate_members(d3)
+    slots = [(x ^ y) | x << m for x in enumerate_members(d2) for y in members3]
+    return _indicator_transform(slots, 2 * m)
+
+
+# (value, count) pairs of a transform
+_Histogram = tuple[tuple[int, int], ...]
+
+
+@lru_cache(maxsize=2 << BRUTE_FORCE_M_CAP)
+def _d1_record(part: ComplexSpec) -> tuple[_Histogram, int, bool]:
+    """(value histogram of F, F[0], F == S1) for one D1: every factor at m <= the cap."""
+    f = _d1_transform(part)
+    return _histogram(f), f[0], _d1_matches(part, f)
+
+
+@lru_cache(maxsize=4 << 2 * BRUTE_FORCE_M_CAP)
+def _slot_record(d2: ComplexSpec, d3: ComplexSpec) -> tuple[_Histogram, int, bool]:
+    """(value histogram of G, G[0], G == S2 o S3) for one (D2, D3): every pair at m <= the cap."""
+    g = _slot_transform(d2, d3)
+    return _histogram(g), g[0], _slots_match(d2, d3, g)
+
+
+def _histogram(values: Sequence[int]) -> _Histogram:
+    """The distinct values with their multiplicities, as (value, count) pairs."""
+    return tuple(Counter(values).items())
 
 
 def _indicator_transform(points: Sequence[int], bits: int) -> list[int]:
@@ -222,7 +298,8 @@ def _walsh_hadamard(packed: int, bias: int, fields: int, width: int) -> int:
     holds.  sel selects the low half of every block of 2 * shift bits; once
     shift is halved, sel ^ sel << shift is the next one, and as the top half
     of the top block is clear, nothing lands above the packed width.
-    :func:`factor_transforms` runs it on 2^m and on 2^(2m) fields.
+    :func:`_d1_transform` runs it on 2^m fields and :func:`_slot_transform`
+    on 2^(2m).
     """
     packed += bias
     shift = 4 * width * fields
@@ -265,22 +342,35 @@ def summarize_transforms(
     n + F[alpha] * G[sigma], except that the zero message has weight 0:
     there the 2^(3m) term cancels n + F[0] * G[0].  So the doubled-weight
     histogram of all len(f) * len(g) messages is the product of the value
-    histograms of F and G, each of a few values, with one count moved from
-    n + F[0] * G[0] to 0 for a global complement.  Every codeword has the
-    same number of preimages (the kernel size, read off as the multiplicity
-    of weight 0), so dividing each count by it gives the distribution of the
-    code itself and k = 3m - log2(kernel).
+    histograms of F and G (:func:`_summarize`).
+    """
+    return _summarize(n, _histogram(f), _histogram(g), f[0] * g[0], global_complement)
+
+
+def _summarize(
+    n: int,
+    f_counts: _Histogram,
+    g_counts: _Histogram,
+    zero: int,
+    global_complement: bool,
+) -> CodeSummary:
+    """The code from the value histograms of F and G and zero = F[0] * G[0].
+
+    The doubled-weight histogram is their product, each of a few values,
+    with one count moved from n + zero to 0 for a global complement.  Every
+    codeword has the same number of preimages (the kernel size, read off as
+    the multiplicity of weight 0), so dividing each count by it gives the
+    distribution of the code itself and k = 3m - log2(kernel).
     """
     sign = 1 if global_complement else -1
-    g_counts = Counter(g).items()
     doubled = Counter()
-    for a, a_count in Counter(f).items():
+    for a, a_count in f_counts:
         for b, b_count in g_counts:
             doubled[n + sign * a * b] += a_count * b_count
     if global_complement:
-        doubled[n + f[0] * g[0]] -= 1
+        doubled[n + zero] -= 1
         doubled[0] += 1
-    total = len(f) * len(g)
+    total = sum(count for _, count in f_counts) * sum(count for _, count in g_counts)
     kernel = doubled[0]
     if not kernel or total % kernel or kernel & (kernel - 1):
         raise InvariantError("kernel must be a 2-power")
@@ -309,11 +399,22 @@ def transforms_match_spectra(spec: DefiningSetSpec, f: Sequence[int], g: Sequenc
     gives it n - F[alpha] * G[beta | gamma << m], alike.  F[0] = |D1| =
     S1[0] and G[0] = |D2||D3| = S2[0] * S3[0] are nonzero for a
     non-degenerate code, so the two agree on every message exactly when both
-    factors agree: 2^m + 2^(2m) comparisons in place of 2^(3m).
+    factors agree (:func:`_d1_matches`, :func:`_slots_match`): 2^m + 2^(2m)
+    comparisons in place of 2^(3m).
     """
-    s1, s2, s3 = (spectrum(part) for part in spec.parts)
-    full = range(1 << spec.m)
-    return f == s1 and g == [s2[beta ^ gamma] * s3[beta] for gamma in full for beta in full]
+    return _d1_matches(spec.d1, f) and _slots_match(spec.d2, spec.d3, g)
+
+
+def _d1_matches(part: ComplexSpec, f: Sequence[int]) -> bool:
+    """Whether F equals the spectrum S1 of D1."""
+    return f == spectrum(part)
+
+
+def _slots_match(d2: ComplexSpec, d3: ComplexSpec, g: Sequence[int]) -> bool:
+    """Whether G[beta | gamma << m] = S2[beta + gamma] * S3[beta] for every beta, gamma."""
+    s2, s3 = spectrum(d2), spectrum(d3)
+    full = range(1 << d2.m)
+    return g == [s2[beta ^ gamma] * s3[beta] for gamma in full for beta in full]
 
 
 def _charsum_terms(spec: DefiningSetSpec) -> tuple[int, int, int]:

@@ -39,7 +39,7 @@ from r2subfield.analysis import (
     table10_conditions,
 )
 from r2subfield.codegen import DegenerateConfigurationError, InvariantError
-from r2subfield.simplicial import Subset, subset
+from r2subfield.simplicial import ComplexSpec, Subset, subset
 from reference import (
     _self_orthogonal,
     code_rows,
@@ -384,9 +384,9 @@ def test_exact_minimality_policy(monkeypatch):
     evaluate = analysis._evaluate
 
     def recording(*args, **kwargs):
-        measured, predicted, flags = evaluate(*args, **kwargs)
+        predicted, flags = evaluate(*args, **kwargs)
         reported.append(flags["minimal_exact"])
-        return measured, predicted, flags
+        return predicted, flags
 
     monkeypatch.setattr(analysis, "_evaluate", recording)
     assert not table10_conditions(2, 2, 1, 0, 0).minimal
@@ -680,30 +680,60 @@ def test_run_sweep_pool_matches_serial(monkeypatch):
     assert par_summary == seq_summary
 
 
+def factor_records_built():
+    return codegen._d1_record.cache_info().misses, codegen._slot_record.cache_info().misses
+
+
+def clear_factor_records():
+    codegen._d1_record.cache_clear()
+    codegen._slot_record.cache_clear()
+
+
 def test_m3_sweep_with_warm_caches_skips_no_check(monkeypatch):
-    # A serial sweep warms every cache of this process; it must still
-    # enumerate every configuration and check the factor transforms of every
-    # non-degenerate one against the spectra.  Forked workers inherit the
-    # warm caches and must return the same rows.
-    calls = Counter()
-
-    def counted(name):
-        function = getattr(analysis, name)
-
-        def wrapper(*args):
-            calls[name] += 1
-            return function(*args)
-
-        return wrapper
-
-    with monkeypatch.context() as patch:
-        for name in ("factor_transforms", "transforms_match_spectra"):
-            patch.setattr(analysis, name, counted(name))
-        rows, summary = run_sweep([3])
-    assert calls == {"factor_transforms": 4608, "transforms_match_spectra": 3885}
+    # A sweep transforms and checks against the spectra each D1 (16 at m = 3)
+    # and each (D2, D3) (256) once, however many configurations share it.  A
+    # second pass builds no record and returns the same rows, and so do
+    # forked workers, which inherit the warm records.
+    clear_factor_records()
+    rows, summary = run_sweep([3])
+    assert factor_records_built() == (16, 256)
     assert (summary["total"], summary["degenerate"]) == (4608, 4608 - 3885)
+    assert run_sweep([3]) == (rows, summary)
+    assert factor_records_built() == (16, 256)
     monkeypatch.setattr("os.cpu_count", lambda: 2)
     assert run_sweep([3], jobs=2) == (rows, summary)
+
+
+def test_wrong_spectrum_value_fails_every_row_of_its_factor(monkeypatch):
+    # One wrong value in the spectrum of one factor: the cached check must
+    # fail exactly the non-degenerate rows with that factor as D1, D2 or D3,
+    # and leave every other field of every row as the clean sweep has it.
+    target = ComplexSpec(Subset.from_mask(3, 0b011), complemented=True)
+    spectrum = codegen.spectrum
+
+    def wrong_spectrum(part):
+        values = spectrum(part)
+        if part == target:
+            values[0b100] += 2
+        return values
+
+    clean, _ = run_sweep([3])
+    clear_factor_records()
+    monkeypatch.setattr(codegen, "spectrum", wrong_spectrum)
+    try:
+        rows, summary = run_sweep([3])
+    finally:
+        clear_factor_records()
+    failing = 0
+    for row, clean_row in zip(rows, clean, strict=True):
+        parts = spec_for_family(row["family"], *(Subset.parse(3, row[key]) for key in "LMN")).parts
+        if row["status"] == "degenerate":
+            assert row["charsum_ok"] is None, row
+        else:
+            assert row["charsum_ok"] is (target not in parts), row
+            failing += target in parts
+        assert {**row, "charsum_ok": True} == {**clean_row, "charsum_ok": True}, row
+    assert summary["charsum_failures"] == failing > 0
 
 
 def test_one_pair_walk_per_size_class(monkeypatch):

@@ -3,6 +3,7 @@
 import itertools
 import os
 import random
+import re
 import subprocess
 import sys
 from array import array
@@ -23,6 +24,7 @@ from r2subfield.codegen import (
     min_distance,
     summarize_transforms,
     transforms_match_spectra,
+    weigh,
 )
 from r2subfield.simplicial import ComplexSpec, Subset, complex_size, spectrum, subset
 from reference import (
@@ -249,14 +251,15 @@ def test_factored_route_matches_the_full_table():
             with pytest.raises(DegenerateConfigurationError, match="empty defining set"):
                 factor_transforms(s)
             continue
-        transforms = _, f, g = factor_transforms(s)
+        _, f, g = factor_transforms(s)
         hist = Counter(table)
         kernel = hist[0]
         if kernel == len(table):
             with pytest.raises(DegenerateConfigurationError, match="trivial code"):
-                analysis._evaluate(s, transforms, claimed_only=True)
+                weigh(s)
             continue
-        measured, _, flags = analysis._evaluate(s, transforms, claimed_only=True)
+        measured, charsum_ok = weigh(s)
+        _, flags = analysis._evaluate(s, measured, claimed_only=True)
         expected = {w: count // kernel for w, count in sorted(hist.items())}
         assert list(measured.weights.items()) == list(expected.items()), s
         k = 3 * s.m - kernel.bit_length() + 1
@@ -265,9 +268,41 @@ def test_factored_route_matches_the_full_table():
         exact = _self_orthogonal(table, s.m)
         units = _unit_message_weights(n, f, g, s.global_complement, s.m)
         assert flags["self_orth_exact"] == exact == _self_orthogonal(units, s.m), s
-        assert transforms_match_spectra(s, f, g) is (charsum_message_weights(s) == table), s
+        full_tables_agree = charsum_message_weights(s) == table
+        assert charsum_ok is transforms_match_spectra(s, f, g) is full_tables_agree, s
         compared[s.m] += 1
     assert compared == {1: 33, 2: 405, 3: 3885, 4: 852, 5: 16}
+
+
+def test_cached_route_matches_the_list_route():
+    # weigh reads the per-factor records; the list route transforms, sums up
+    # and checks the F and G of one configuration.  Every configuration at
+    # m <= 2 and the m = 5 report classes, which cover all nine families,
+    # from cold records; a degenerate one raises the same error on both.
+    codegen._d1_record.cache_clear()
+    codegen._slot_record.cache_clear()
+    specs = [
+        spec_for_family(family, *(Subset.from_mask(m, x) for x in masks))
+        for m in (1, 2)
+        for family in FAMILIES
+        for masks in itertools.product(range(1 << m), repeat=3)
+    ] + [class_spec(family, 5, sizes) for family, *sizes in REPORT_CLASSES_M5]
+    outcomes = Counter()
+    for s in specs:
+        try:
+            n, f, g = factor_transforms(s)
+            expected = summarize_transforms(n, f, g, s.global_complement)
+        except DegenerateConfigurationError as exc:
+            with pytest.raises(DegenerateConfigurationError, match=f"^{re.escape(str(exc))}$"):
+                weigh(s)
+            outcomes[str(exc)] += 1
+            continue
+        assert weigh(s) == (expected, transforms_match_spectra(s, f, g)) == (expected, True), s
+        outcomes[s.m] += 1
+    assert outcomes == {
+        1: 33, 2: 405, 5: 16,
+        "empty defining set": 208, "trivial code: every message maps to 0": 2,
+    }
 
 
 @pytest.mark.parametrize(
@@ -308,6 +343,8 @@ def test_m_cap_enforced():
         factor_transforms(s)
     with pytest.raises(ValueError, match="capped"):
         factored_summary(s)
+    with pytest.raises(ValueError, match="capped"):
+        weigh(s)
 
 
 FIELD_WIDTH_CODES = [
