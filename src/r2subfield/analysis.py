@@ -531,6 +531,10 @@ def sweep_configuration(family: int, m: int, lmask: int, mmask: int, nmask: int)
     from :func:`~r2subfield.codegen.weigh`, whose per-factor records a sweep
     fills once per D1 and once per (D2, D3); the prediction is read and
     compared for every row.
+
+    A row is flat: every value is a str, int, bool or None, never a list or
+    dict.  The CLI relies on that to encode each row with the C JSON encoder
+    (:func:`r2subfield.cli._verify_json`).
     """
     lset, mset, nset = (Subset.from_mask(m, mask) for mask in (lmask, mmask, nmask))
     row = dict.fromkeys(SWEEP_ROW_FIELDS)

@@ -18,7 +18,10 @@ Global flags on every command: ``--format json|csv|md`` and ``--out PATH``;
 
 Each command hands the dict that :mod:`~r2subfield.analysis` returns to one
 renderer, which writes it in the chosen format to stdout or ``--out``; the
-CSV columns follow the key order of that dict.  The argument parser is
+CSV columns follow the key order of that dict.  JSON is
+``json.dumps(payload, indent=2)`` plus a newline; ``verify`` writes the same
+bytes through :func:`_verify_json`, which encodes each flat sweep row with
+the C encoder that ``indent`` would bypass.  The argument parser is
 built once per process, on the first call of :func:`main`, and reused:
 parsing reads the parser and never changes it, so a call sees the same
 parser whatever calls, failed or not, came before it.
@@ -107,14 +110,15 @@ def _json_text(payload) -> str:
     return json.dumps(payload, indent=2) + "\n"
 
 
-def _render(args, payload, csv_table, md_text) -> None:
+def _render(args, payload, csv_table, md_text, json_text=_json_text) -> None:
     """Write ``payload`` in ``args.format`` to stdout, or to ``args.out`` if given.
 
-    ``csv_table(payload)`` returns the CSV header and rows and
-    ``md_text(payload)`` the markdown; only the one asked for is called.
+    ``csv_table(payload)`` returns the CSV header and rows,
+    ``md_text(payload)`` the markdown and ``json_text(payload)`` the JSON;
+    only the one asked for is called.
     """
     if args.format == "json":
-        text = _json_text(payload)
+        text = json_text(payload)
     elif args.format == "csv":
         text = _csv_text(*csv_table(payload))
     else:
@@ -209,6 +213,24 @@ def cmd_code(args) -> int:
 # ---------------------------------------------------------------- verify
 
 
+def _verify_json(sweep: dict) -> str:
+    """``_json_text(sweep)``, byte for byte, with each row encoded in C.
+
+    ``json.dumps`` runs its pure-Python encoder whenever ``indent`` is set.
+    A sweep has at least one row, and a row is a flat, non-empty dict of
+    str, int, bool and None (:func:`~r2subfield.analysis.sweep_configuration`)
+    whose fields sit at depth 3 of the payload.  So the C encoder, with a
+    newline and six spaces after each field's comma, writes them exactly as
+    ``indent=2`` does; only the row's braces go on lines of their own.  The
+    summary is small and nested, and keeps ``json.dumps``, indented one
+    level deeper.
+    """
+    encode = json.JSONEncoder(separators=(",\n      ", ": ")).encode
+    rows = ",\n".join(f"    {{\n      {encode(row)[1:-1]}\n    }}" for row in sweep["rows"])
+    summary = json.dumps(sweep["summary"], indent=2).replace("\n", "\n  ")
+    return f'{{\n  "rows": [\n{rows}\n  ],\n  "summary": {summary}\n}}\n'
+
+
 def _verify_csv(sweep: dict):
     return SWEEP_ROW_FIELDS, [[row[key] for key in SWEEP_ROW_FIELDS] for row in sweep["rows"]]
 
@@ -247,7 +269,7 @@ def cmd_verify(args) -> int:
         _check_m(m)
     families = FAMILIES if args.families is None else _parse_int_list(args.families, "family")
     rows, summary = run_sweep(ms, families, jobs=args.jobs)
-    _render(args, {"rows": rows, "summary": summary}, _verify_csv, _verify_md)
+    _render(args, {"rows": rows, "summary": summary}, _verify_csv, _verify_md, _verify_json)
     return 0 if summary["passed"] else 1
 
 

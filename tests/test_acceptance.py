@@ -22,7 +22,7 @@ from r2subfield.analysis import (
     run_sweep,
     spec_for_family,
 )
-from r2subfield.cli import BUNDLED_MANIFEST, _json_text, _scan_result
+from r2subfield.cli import BUNDLED_MANIFEST, _scan_result, _verify_json
 from r2subfield.codegen import DegenerateConfigurationError
 from r2subfield.simplicial import ComplexSpec, Subset, char_sum, phi
 from reference import (
@@ -123,7 +123,7 @@ def test_sweep_m3_json_matches_the_recorded_digest(sweep_m3):
     expected_path = Path(__file__).resolve().parents[1] / "perfbench" / "expected.json"
     expected = json.loads(expected_path.read_text(encoding="utf-8"))["sweep_m3"]
     assert expected["argv"] == ["verify", "--m", "3", "--format", "json"]
-    text = _json_text({"rows": rows, "summary": summary}).encode()
+    text = _verify_json({"rows": rows, "summary": summary}).encode()
     assert len(text) == expected["bytes"]
     assert hashlib.sha256(text).hexdigest() == expected["sha256"]
 

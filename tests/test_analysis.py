@@ -16,6 +16,7 @@ import pytest
 
 from r2subfield import analysis, codegen
 from r2subfield.algebra import f2_gram_is_zero
+from r2subfield.cli import _verify_json
 from r2subfield.analysis import (
     FAMILIES,
     MINIMALITY_CAP,
@@ -632,6 +633,10 @@ def test_mismatch_rows_are_pinned(monkeypatch):
         {key: rows[0][key] for key in ("m", "family", "L", "M", "N", "detail")}
     ]
     assert summary["passed"] is False
+    # the CLI renders the rows and findings, whose details hold "{", ":" and
+    # ",", exactly as json.dumps(indent=2) does
+    payload = {"rows": rows, "summary": summary}
+    assert _verify_json(payload) == json.dumps(payload, indent=2) + "\n"
 
 
 def test_run_sweep_m1_tallies():
@@ -691,12 +696,15 @@ def clear_factor_records():
 
 def test_m3_sweep_with_warm_caches_skips_no_check(monkeypatch):
     # A sweep transforms and checks against the spectra each D1 (16 at m = 3)
-    # and each (D2, D3) (256) once, however many configurations share it.  A
+    # and each (D2, D3) (256) once, however many configurations share it, and
+    # summarizes each of the 195 distinct pairs of record contents once.  A
     # second pass builds no record and returns the same rows, and so do
     # forked workers, which inherit the warm records.
     clear_factor_records()
+    codegen._summarize.cache_clear()
     rows, summary = run_sweep([3])
     assert factor_records_built() == (16, 256)
+    assert codegen._summarize.cache_info().misses == 195
     assert (summary["total"], summary["degenerate"]) == (4608, 4608 - 3885)
     assert run_sweep([3]) == (rows, summary)
     assert factor_records_built() == (16, 256)
@@ -734,6 +742,39 @@ def test_wrong_spectrum_value_fails_every_row_of_its_factor(monkeypatch):
             failing += target in parts
         assert {**row, "charsum_ok": True} == {**clean_row, "charsum_ok": True}, row
     assert summary["charsum_failures"] == failing > 0
+
+
+def test_summary_memo_cannot_hide_a_wrong_record(monkeypatch):
+    # The summaries are memoised on the contents of the two records, not on
+    # the configuration.  With every summary of the sweep cached, a factor
+    # whose member list loses one point must change exactly the rows built
+    # from it: each one that was ok now measures a shorter code.
+    target = ComplexSpec(Subset.from_mask(3, 0b011), complemented=True)
+    members = codegen.enumerate_members
+
+    def one_member_short(part):
+        listed = members(part)
+        return listed[:-1] if part == target else listed
+
+    clean, _ = run_sweep([3])
+    computed = codegen._summarize.cache_info().misses
+    clear_factor_records()
+    monkeypatch.setattr(codegen, "enumerate_members", one_member_short)
+    try:
+        rows, _ = run_sweep([3])
+    finally:
+        clear_factor_records()
+    assert codegen._summarize.cache_info().misses > computed
+    changed = 0
+    for row, clean_row in zip(rows, clean, strict=True):
+        parts = spec_for_family(row["family"], *(Subset.parse(3, row[key]) for key in "LMN")).parts
+        if target in parts and clean_row["status"] == "ok":
+            assert row["n"] < clean_row["n"], row
+            assert (row["status"], row["match"], row["charsum_ok"]) == ("mismatch", False, False)
+            changed += 1
+        else:
+            assert row == clean_row, row
+    assert changed > 0
 
 
 def test_one_pair_walk_per_size_class(monkeypatch):

@@ -8,6 +8,7 @@ import json
 import pytest
 
 from r2subfield import cli
+from r2subfield.analysis import SWEEP_ROW_FIELDS, run_sweep, summarize_sweep
 from r2subfield.cli import BUNDLED_MANIFEST, MANIFEST_HEADER, TABLES_M_CAP, main
 
 
@@ -129,6 +130,28 @@ def test_verify_deterministic_across_jobs(tmp_path, capsys):
     )
     assert rc1 == rc2 == 0
     assert out1.read_bytes() == out2.read_bytes()
+
+
+def indent2_json(payload) -> str:
+    return json.dumps(payload, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("ms", [[1], [2]])
+def test_verify_json_renders_sweeps_like_indent2(ms):
+    rows, summary = run_sweep(ms)
+    payload = {"rows": rows, "summary": summary}
+    assert cli._verify_json(payload) == indent2_json(payload)
+
+
+def test_verify_json_escapes_strings_like_indent2():
+    # the C encoder must escape a row's strings as the pure-Python one does
+    awkward = 'quote " backslash \\ newline \n tab \t non-ASCII é≡ {"a": [1, 2]}'
+    row = dict.fromkeys(SWEEP_ROW_FIELDS)
+    row.update(m=1, family=8, L="1", M="-", N="1", status="mismatch", n=3, match=False,
+               charsum_ok=True, detail=awkward)
+    payload = {"rows": [row], "summary": summarize_sweep([row])}
+    assert payload["summary"]["findings"][0]["detail"] == awkward
+    assert cli._verify_json(payload) == indent2_json(payload)
 
 
 def test_verify_family_filter_csv(capsys):

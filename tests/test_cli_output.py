@@ -67,6 +67,11 @@ CASES = {
         "2a49c90a0f216efd6cd4ba68395c87dac934e68cddc957f1011d0bd957e1fdc3",
         "",
     ),
+    "verify-json": (
+        "verify --m 1,2 --format json", 0,
+        "6052c1676c110917569d98b37e292380cd2b93004b090d03dc97ffeda8cea8c5",
+        "",
+    ),
     "verify-csv": (
         "verify --m 1,2 --format csv", 0,
         "64d80fce4d8830042833826b6a38c415b5e03c51bde3339a3f8f055161d55650",
