@@ -16,7 +16,6 @@ import pytest
 
 from r2subfield import analysis, codegen
 from r2subfield.algebra import f2_gram_is_zero
-from r2subfield.cli import _verify_json
 from r2subfield.analysis import (
     FAMILIES,
     MINIMALITY_CAP,
@@ -39,6 +38,7 @@ from r2subfield.analysis import (
     sweep_workers,
     table10_conditions,
 )
+from r2subfield.cli import _verify_json
 from r2subfield.codegen import DegenerateConfigurationError, InvariantError
 from r2subfield.simplicial import ComplexSpec, Subset, subset
 from reference import (
