@@ -55,11 +55,10 @@ from .codegen import (
     DefiningSetSpec,
     DegenerateConfigurationError,
     InvariantError,
-    _charsum_terms,
     min_distance,
     weigh,
 )
-from .simplicial import ComplexSpec, Subset
+from .simplicial import ComplexSpec, Subset, complex_size
 
 __all__ = [
     "FAMILIES",
@@ -332,10 +331,10 @@ def _pair_weights(m: int, factors, n: int, sign: int, whole: int):
 
         2W(a) = n + sign * S1[alpha] * S2[x] * S3[y] - whole * [a = 0]
 
-    with n, sign and whole from :func:`~r2subfield.codegen._charsum_terms`,
-    the character-sum identity that
-    :func:`~r2subfield.codegen.transforms_match_spectra` checks.  Every
-    realisable triple is yielded at least once, some more than once.
+    with n, sign and whole from :func:`_charsum_terms`, the character-sum
+    identity that :func:`~r2subfield.codegen.weigh` checks the factor
+    transforms against.  Every realisable triple is yielded at least once,
+    some more than once.
     """
     first, second, third = (_pair_classes(m, *factor) for factor in factors)
     products = {
@@ -350,6 +349,19 @@ def _pair_weights(m: int, factors, n: int, sign: int, whole: int):
                 n + sign * pb * sb - whole * (zb and yb),
                 n + sign * pab * sab - whole * (zab and yab),
             )
+
+
+def _charsum_terms(spec: DefiningSetSpec) -> tuple[int, int, int]:
+    """(n, sign, whole) of the doubled weight 2W(a) = n + sign * S1*S2*S3 - whole * [a = 0].
+
+    n = |D1||D2||D3|, sign = -1 and whole = 0; a global complement takes
+    n = 2^(3m) - n, sign = +1 and whole = 2^(3m), the character sum over all
+    of R^m.
+    """
+    n = complex_size(spec.d1) * complex_size(spec.d2) * complex_size(spec.d3)
+    if spec.global_complement:
+        return (1 << 3 * spec.m) - n, 1, 1 << 3 * spec.m
+    return n, -1, 0
 
 
 def spectral_minimality(spec: DefiningSetSpec) -> bool:
@@ -584,8 +596,11 @@ def run_sweep(ms, families=FAMILIES, jobs: int = 1):
 
     Returns (rows, summary); rows are ordered by (m, family, L, M, N) masks
     regardless of the worker count, which :func:`sweep_workers` caps.
+    Raises ``ValueError`` for an empty ``ms`` or ``families``.
     """
-    ms = tuple(ms)
+    ms, families = tuple(ms), tuple(families)
+    if not (ms and families):
+        raise ValueError("a sweep needs at least one m and one family")
     for m in ms:
         _check_m(m)
     for family in families:

@@ -24,23 +24,23 @@ d1 | (d2 + d3) << m | d2 << 2m, so the codeword of a message
 
 i.e. the plain F2 parity of the message mask ANDed with the position mask.
 
-One code is weighed in two stages:
+One code is weighed in two stages, both by :func:`weigh`:
 
-* n and two factor transforms (:func:`factor_transforms`).  The columns are
-  the image of D1 x D2 x D3 under (d1, d2, d3) -> (d1, d2 + d3, d2), or of
-  its complement in F2^(3m) for a global complement (family 9), each column
+* n and two factor transforms.  The columns are the image of
+  D1 x D2 x D3 under (d1, d2, d3) -> (d1, d2 + d3, d2), or of its
+  complement in F2^(3m) for a global complement (family 9), each column
   once.  Message v has weight (n - H[v]) / 2 with H the Walsh-Hadamard
   transform of the column indicator, and that indicator is the Kronecker
   product of the indicator of D1 (2^m entries) and the indicator of the
   slots (d2 + d3, d2) (2^(2m) entries), both written straight from the
-  member lists.  So H[alpha | sigma << m] = F[alpha] * G[sigma] (family 9:
-  2^(3m) [v = 0] - F[alpha] * G[sigma]) for F and G the transforms of the
-  two indicators, each one int of 1-, 2- or 4-byte packed fields.  No
-  table of the 2^(3m) messages is built.  F and G read only the member
-  lists, never the spectra of the complexes, so the character-sum check
-  below stays an independent check of them.
-* The weight distribution (:func:`summarize_transforms`): the histogram of
-  the doubled weights n -+ F[alpha] * G[sigma] is the product of the value
+  member lists.  So H factors into F and G, the transforms of the two
+  indicators (:func:`_d1_transform`, :func:`_slot_transform`), each one
+  int of 1-, 2- or 4-byte packed fields.  No table of the 2^(3m) messages
+  is built.  F and G read only the member lists, never the spectra of the
+  complexes, so the character-sum check below stays an independent check
+  of them.
+* The weight distribution (:func:`_summarize`): the histogram of the
+  doubled weights n -+ F[alpha] * G[sigma] is the product of the value
   histograms of F and G, each of a few values, and dividing it by the
   kernel size gives the distribution of the code.
 
@@ -51,15 +51,13 @@ below from two LRU records: one per D1 (:class:`~.simplicial.ComplexSpec`),
 is every factor and every pair at m <= :data:`BRUTE_FORCE_M_CAP`.  A record
 holds the value histogram of its transform as (value, count) pairs, the
 value at 0 and whether the transform equals the spectra, and no list of
-2^m or 2^(2m) values.  It is built by the same helpers that
-:func:`factor_transforms`, :func:`summarize_transforms` and
-:func:`transforms_match_spectra` compose, so the transforms still come only
-from the member lists and the spectra only from
-:func:`~.simplicial.char_sum`, and every configuration is still summarized
-and checked from its own two records.  The summary is a pure function of the
-contents of those two records, so it is memoised on them (:func:`_summarize`):
-the 4,608 configurations at m = 3 share 195 distinct keys.  A wrong record
-is a different key, and so gets its own summary.
+2^m or 2^(2m) values.  The transforms come only from the member lists and
+the spectra only from :func:`~.simplicial.char_sum`, and every
+configuration is summarized and checked from its own two records.  The
+summary is a pure function of the contents of those two records, so it is
+memoised on them (:func:`_summarize`): the 4,608 configurations at m = 3
+share 195 distinct keys.  A wrong record is a different key, and so gets
+its own summary.
 
 No function here builds an element of R or a generator row.  The tests keep
 the literal construction of the paper (R-vectors, trace triples,
@@ -69,10 +67,13 @@ factored route with them.
 
 The character-sum route is independent of the enumeration: the weight of
 (alpha, beta, gamma) is (|D| - S1[alpha] * S2[beta + gamma] * S3[beta]) / 2
-with Si the character-sum spectrum of the i-th complex.  So the enumeration
-agrees with it on every message exactly when F = S1 and
-G[beta | gamma << m] = S2[beta + gamma] * S3[beta]
-(:func:`transforms_match_spectra`), 2^m + 2^(2m) comparisons.
+with Si the character-sum spectrum of the i-th complex (for a global
+complement the product enters with the opposite sign, and the zero message
+also subtracts 2^(3m)).  F[0] = |D1| = S1[0] and G[0] = |D2||D3| =
+S2[0] * S3[0] are nonzero for a non-degenerate code, so the enumeration
+agrees with it on every message exactly when F = S1 (:func:`_d1_matches`)
+and G[beta | gamma << m] = S2[beta + gamma] * S3[beta]
+(:func:`_slots_match`), 2^m + 2^(2m) comparisons in place of 2^(3m).
 """
 
 from __future__ import annotations
@@ -84,7 +85,7 @@ from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .simplicial import ComplexSpec, complex_size, enumerate_members, spectrum
+from .simplicial import ComplexSpec, enumerate_members, spectrum
 
 __all__ = [
     "BRUTE_FORCE_M_CAP",
@@ -93,9 +94,6 @@ __all__ = [
     "DefiningSetSpec",
     "CodeSummary",
     "weigh",
-    "factor_transforms",
-    "summarize_transforms",
-    "transforms_match_spectra",
     "min_distance",
 ]
 
@@ -152,71 +150,36 @@ class DefiningSetSpec:
 def weigh(spec: DefiningSetSpec) -> tuple[CodeSummary, bool]:
     """The code's summary, and whether its transforms match the character sums.
 
-    The same values as :func:`summarize_transforms` on
-    :func:`factor_transforms` and :func:`transforms_match_spectra` on its F
-    and G, read from the two per-factor records (:func:`_d1_record` and
+    The message (alpha, beta, gamma), packed as v = alpha | sigma << m with
+    sigma = beta | gamma << m, has weight (n - H[v]) / 2 for H[v] the sum of
+    (-1)^(p . v) over the columns p.  For families 1-8 the column indicator
+    is the Kronecker product of the slot indicator and the indicator of D1,
+    so H[alpha | sigma << m] = F[alpha] * G[sigma] for F and G their
+    transforms (:func:`_d1_transform`, :func:`_slot_transform`).  A global
+    complement (family 9) counts the other points of F2^(3m), so
+    H = 2^(3m) [v = 0] - F[alpha] * G[sigma].  n = F[0] * G[0] = |D1||D2||D3|,
+    or 2^(3m) minus that for a global complement.
+
+    F and G are read from the two per-factor records (:func:`_d1_record` and
     :func:`_slot_record`): each holds the value histogram of its transform,
     the transform's value at 0 and its comparison with the spectra.  So a
     sweep transforms and checks each D1 and each (D2, D3) once, however many
     configurations share it, and summarizes each distinct pair of records
-    once (:func:`_summarize` is memoised on their contents).  n = F[0] * G[0],
-    or 2^(3m) minus that for a global complement.  Raises like
-    :func:`factor_transforms` and :func:`summarize_transforms`.
+    once (:func:`_summarize` is memoised on their contents).
+
+    Raises :class:`DegenerateConfigurationError` for an empty defining set or
+    a trivial code, and ``ValueError`` above :data:`BRUTE_FORCE_M_CAP`.
     """
-    _check_cap(spec.m)
+    if spec.m > BRUTE_FORCE_M_CAP:
+        raise ValueError(
+            f"exhaustive enumeration is capped at m <= {BRUTE_FORCE_M_CAP}, got m = {spec.m}"
+        )
     f_counts, f0, f_ok = _d1_record(spec.d1)
     g_counts, g0, g_ok = _slot_record(spec.d2, spec.d3)
-    n = _code_length(spec, f0 * g0)
-    return _summarize(n, f_counts, g_counts, f0 * g0, spec.global_complement), f_ok and g_ok
-
-
-def factor_transforms(spec: DefiningSetSpec) -> tuple[int, list[int], list[int]]:
-    """n and the factor transforms F and G that weigh every message of the code.
-
-    The message (alpha, beta, gamma) is packed as alpha | sigma << m with
-    sigma = beta | gamma << m.  The n columns are the points
-    (d1, d2 + d3, d2) of D1 x D2 x D3 (of its complement in F2^(3m) for a
-    global complement), each a 3m-bit mask d1 | s << m with slot
-    s = (d2 + d3) | d2 << m.  Message v then has weight (n - H[v]) / 2,
-    where H is the Walsh-Hadamard transform of the column indicator: H[v] is
-    the sum of (-1)^(p . v) over the columns p.  For families 1-8 the
-    indicator is the Kronecker product of the 0/1 slot indicator g (2^(2m)
-    entries, one per (d2, d3), as (d2, d3) -> s is injective) and the
-    indicator f of D1 (2^m entries), so H[v] = F[alpha] * G[sigma] with
-    F, G the transforms of f and g (:func:`_d1_transform`,
-    :func:`_slot_transform`), returned as lists indexed by alpha and sigma.
-    A global complement (family 9) counts every point except those, so
-    H = 2^(3m) [v = 0] - F[alpha] * G[sigma].  F[0] = |D1| and
-    G[0] = |D2||D3|.
-
-    It reads only the member lists, never the spectra, so F and G stay
-    independent of :func:`transforms_match_spectra`.  For the same reason g
-    is not factored further into transforms of D2 and D3: that would
-    recompute their spectra and repeat the character-sum identity rather
-    than check it.
-
-    Raises :class:`DegenerateConfigurationError` for an empty defining set
-    and ``ValueError`` above :data:`BRUTE_FORCE_M_CAP`.
-    """
-    _check_cap(spec.m)
-    f = _d1_transform(spec.d1)
-    g = _slot_transform(spec.d2, spec.d3)
-    return _code_length(spec, f[0] * g[0]), f, g
-
-
-def _check_cap(m: int) -> None:
-    if m > BRUTE_FORCE_M_CAP:
-        raise ValueError(
-            f"exhaustive enumeration is capped at m <= {BRUTE_FORCE_M_CAP}, got m = {m}"
-        )
-
-
-def _code_length(spec: DefiningSetSpec, product: int) -> int:
-    """n from |D1||D2||D3| = F[0] * G[0]; an empty defining set is degenerate."""
-    n = (1 << 3 * spec.m) - product if spec.global_complement else product
+    n = (1 << 3 * spec.m) - f0 * g0 if spec.global_complement else f0 * g0
     if not n:
         raise DegenerateConfigurationError("empty defining set")
-    return n
+    return _summarize(n, f_counts, g_counts, f0 * g0, spec.global_complement), f_ok and g_ok
 
 
 def _d1_transform(part: ComplexSpec) -> list[int]:
@@ -225,7 +188,13 @@ def _d1_transform(part: ComplexSpec) -> list[int]:
 
 
 def _slot_transform(d2: ComplexSpec, d3: ComplexSpec) -> list[int]:
-    """G, the transform of the slot indicator (2^(2m) entries), from the member lists."""
+    """G, the transform of the slot indicator (2^(2m) entries), from the member lists.
+
+    The slot of (d2, d3) is s = (d2 + d3) | d2 << m, and (d2, d3) -> s is
+    injective, so the indicator has one 1 per pair.  It is not factored
+    further into transforms of D2 and D3: those would be their spectra, and
+    G would then repeat the character-sum identity rather than check it.
+    """
     m, members3 = d2.m, enumerate_members(d3)
     slots = [(x ^ y) | x << m for x in enumerate_members(d2) for y in members3]
     return _indicator_transform(slots, 2 * m)
@@ -340,21 +309,6 @@ class CodeSummary:
         }
 
 
-def summarize_transforms(
-    n: int, f: Sequence[int], g: Sequence[int], global_complement: bool
-) -> CodeSummary:
-    """The code's parameters and weight distribution from its factor transforms.
-
-    Message alpha | sigma << m has doubled weight n - F[alpha] * G[sigma]
-    (:func:`factor_transforms`).  For a global complement it is
-    n + F[alpha] * G[sigma], except that the zero message has weight 0:
-    there the 2^(3m) term cancels n + F[0] * G[0].  So the doubled-weight
-    histogram of all len(f) * len(g) messages is the product of the value
-    histograms of F and G (:func:`_summarize`).
-    """
-    return _summarize(n, _histogram(f), _histogram(g), f[0] * g[0], global_complement)
-
-
 @lru_cache(maxsize=4096)
 def _summarize(
     n: int,
@@ -403,23 +357,6 @@ def _summarize(
     return CodeSummary(n=n, k=k, d=min_distance(dist), weights=dist)
 
 
-def transforms_match_spectra(spec: DefiningSetSpec, f: Sequence[int], g: Sequence[int]) -> bool:
-    """Whether F = S1 and G[beta | gamma << m] = S2[beta + gamma] * S3[beta].
-
-    Si is the closed-form character-sum spectrum of the i-th complex.  The
-    character sums give message (alpha, beta, gamma) the doubled weight
-    n - S1[alpha] * S2[beta + gamma] * S3[beta] (for a global complement the
-    product enters with the opposite sign, and the zero message also
-    subtracts 2^(3m): :func:`_charsum_terms`); :func:`factor_transforms`
-    gives it n - F[alpha] * G[beta | gamma << m], alike.  F[0] = |D1| =
-    S1[0] and G[0] = |D2||D3| = S2[0] * S3[0] are nonzero for a
-    non-degenerate code, so the two agree on every message exactly when both
-    factors agree (:func:`_d1_matches`, :func:`_slots_match`): 2^m + 2^(2m)
-    comparisons in place of 2^(3m).
-    """
-    return _d1_matches(spec.d1, f) and _slots_match(spec.d2, spec.d3, g)
-
-
 def _d1_matches(part: ComplexSpec, f: Sequence[int]) -> bool:
     """Whether F equals the spectrum S1 of D1."""
     return f == spectrum(part)
@@ -430,19 +367,6 @@ def _slots_match(d2: ComplexSpec, d3: ComplexSpec, g: Sequence[int]) -> bool:
     s2, s3 = spectrum(d2), spectrum(d3)
     full = range(1 << d2.m)
     return g == [s2[beta ^ gamma] * s3[beta] for gamma in full for beta in full]
-
-
-def _charsum_terms(spec: DefiningSetSpec) -> tuple[int, int, int]:
-    """(n, sign, whole) of the doubled weight 2W(a) = n + sign * S1*S2*S3 - whole * [a = 0].
-
-    n = |D1||D2||D3|, sign = -1 and whole = 0; a global complement takes
-    n = 2^(3m) - n, sign = +1 and whole = 2^(3m), the character sum over all
-    of R^m.
-    """
-    n = complex_size(spec.d1) * complex_size(spec.d2) * complex_size(spec.d3)
-    if spec.global_complement:
-        return (1 << 3 * spec.m) - n, 1, 1 << 3 * spec.m
-    return n, -1, 0
 
 
 def min_distance(weights: Mapping[int, int]) -> int:

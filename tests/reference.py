@@ -17,13 +17,12 @@ route with, and the exact self-orthogonality check that reads the weights
 of the unit messages and their pairs (:func:`_self_orthogonal`), which the
 tests compare with the library's decision from the spectra.  It keeps the
 4^m walk that finds the pair classes of one factor
-(:func:`enumerated_pair_classes`), which the library finds in closed form,
-and the library's two weighing stages chained (:func:`factored_summary`).
-:func:`histogram_weight_distribution` builds
-the weight distribution of a size class from three spectrum-value
-histograms, which the tests compare with the paper's closed-form tables
-past the enumeration cap.  It is a plain module, not a test file; the
-tests import it as ``from reference import ...``.
+(:func:`enumerated_pair_classes`), which the library finds in closed form.
+:func:`histogram_weight_distribution` builds the weight distribution of a
+size class from three spectrum-value histograms, which the tests compare
+with the paper's closed-form tables past the enumeration cap.  It is a
+plain module, not a test file; the tests import it as
+``from reference import ...``.
 
 An element a + b*u + c*u**2 of R (u = image of x, so u**3 = u) is packed into
 an int in ``range(8)`` as ``a | b << 1 | c << 2``.  Addition is XOR; products
@@ -50,17 +49,14 @@ from collections.abc import Sequence
 from functools import cache
 from itertools import combinations
 
-from r2subfield.analysis import MINIMALITY_CAP
+from r2subfield.analysis import MINIMALITY_CAP, _charsum_terms
 from r2subfield.codegen import (
     CodeSummary,
     DefiningSetSpec,
     DegenerateConfigurationError,
     InvariantError,
-    _charsum_terms,
     _indicator_transform,
-    factor_transforms,
     min_distance,
-    summarize_transforms,
 )
 from r2subfield.simplicial import ComplexSpec, Subset, enumerate_members, spectrum
 
@@ -348,7 +344,7 @@ def charsum_message_weights(spec: DefiningSetSpec) -> list[int]:
     """The weight of every message by the character-sum identity, as :func:`message_weights`.
 
     2W(alpha, beta, gamma) = n + sign * S1[alpha] * S2[beta + gamma] * S3[beta]
-    - whole * [message = 0], with (n, sign, whole) from ``codegen._charsum_terms``.
+    - whole * [message = 0], with (n, sign, whole) from ``analysis._charsum_terms``.
     """
     s1, s2, s3 = (spectrum(part) for part in spec.parts)
     n, sign, whole = _charsum_terms(spec)
@@ -372,12 +368,6 @@ def summarize_message_weights(weights: Sequence[int], n: int, m: int) -> CodeSum
         raise InvariantError("weight class not a union of kernel cosets")
     dist = {w: count // kernel for w, count in sorted(histogram.items())}
     return CodeSummary(n, 3 * m - kernel.bit_length() + 1, min_distance(dist), dist)
-
-
-def factored_summary(spec: DefiningSetSpec) -> CodeSummary:
-    """The library's two weighing stages in a row: factor transforms, then their summary."""
-    n, f, g = factor_transforms(spec)
-    return summarize_transforms(n, f, g, spec.global_complement)
 
 
 def enumerated_pair_classes(m: int, size: int, complemented: bool) -> frozenset:
@@ -599,8 +589,8 @@ def _unit_messages(m: int) -> frozenset[int]:
 def _unit_message_weights(n: int, f, g, global_complement: bool, m: int) -> dict[int, int]:
     """W(v) = (n -+ F[alpha] * G[sigma]) / 2 at the unit messages and their pairs.
 
-    F and G are the factor transforms of
-    :func:`~r2subfield.codegen.factor_transforms`.  None of these messages
+    F and G are the factor transforms :func:`~r2subfield.codegen._d1_transform`
+    and :func:`~r2subfield.codegen._slot_transform`.  None of these messages
     is the zero message, so family 9 needs no correction.
     """
     sign = 1 if global_complement else -1

@@ -23,12 +23,11 @@ from r2subfield.analysis import (
     spec_for_family,
 )
 from r2subfield.cli import BUNDLED_MANIFEST, _scan_result, _verify_json
-from r2subfield.codegen import DegenerateConfigurationError
+from r2subfield.codegen import DegenerateConfigurationError, weigh
 from r2subfield.simplicial import ComplexSpec, Subset, char_sum, phi
 from reference import (
     build_defining_set,
     code_words_from_rows,
-    factored_summary,
     generator_matrix_subfield,
     message_weights,
     message_words,
@@ -318,7 +317,7 @@ def test_criterion_8_conservation(sweep_m2, sweep_m3):
                     for nset in subsets:
                         spec = spec_for_family(family, lset, mset, nset)
                         try:
-                            dist = factored_summary(spec)
+                            dist = weigh(spec)[0]
                         except DegenerateConfigurationError:
                             continue
                         if dist.weights[0] != 1 or sum(dist.weights.values()) != 1 << dist.k:
@@ -328,7 +327,7 @@ def test_criterion_8_conservation(sweep_m2, sweep_m3):
         spec = spec_for_family(
             family, Subset.parse(3, "1"), Subset.parse(3, "2"), Subset.parse(3, "3")
         )
-        dist = factored_summary(spec)
+        dist = weigh(spec)[0]
         if dist.weights[0] != 1 or sum(dist.weights.values()) != 1 << dist.k:
             broken.append((family, 3, "1", "2", "3"))
         checked += 1

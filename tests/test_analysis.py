@@ -411,7 +411,7 @@ def class_spec(family, m, sl, sm, sn):
 
 def pair_weights(spec):
     factors = tuple((part.generator.size, part.complemented) for part in spec.parts)
-    return analysis._pair_weights(spec.m, factors, *codegen._charsum_terms(spec))
+    return analysis._pair_weights(spec.m, factors, *analysis._charsum_terms(spec))
 
 
 def scanned_minimality(spec):
@@ -809,6 +809,9 @@ def test_one_pair_walk_per_size_class(monkeypatch):
         ([0], FAMILIES, "m must be in 1..5, got 0"),
         ([2], (10,), "family must be 1..9, got 10"),
         ([2, 6], (10,), "m must be in 1..5, got 6"),  # every m before any family
+        # an empty sweep would pass on no rows
+        ([], FAMILIES, "^a sweep needs at least one m and one family$"),
+        ([2], (), "^a sweep needs at least one m and one family$"),
     ],
 )
 def test_run_sweep_checks_its_input_before_building_configurations(
@@ -842,8 +845,10 @@ def test_run_sweep_family_subset():
     assert summary["total"] == 64
     assert {r["family"] for r in rows} == {9}
     assert summary["mismatch"] == 0
-    # the m values are checked before the sweep, and an iterator of them still runs
+    # the m values and the families are checked before the sweep, and
+    # iterators of them still run
     assert run_sweep(iter([2]), families=(9,)) == (rows, summary)
+    assert run_sweep([2], families=(f for f in (9,))) == (rows, summary)
 
 
 def test_summarize_sweep_flags_family8_findings():

@@ -20,10 +20,7 @@ from r2subfield.codegen import (
     DefiningSetSpec,
     DegenerateConfigurationError,
     InvariantError,
-    factor_transforms,
     min_distance,
-    summarize_transforms,
-    transforms_match_spectra,
     weigh,
 )
 from r2subfield.simplicial import ComplexSpec, Subset, complex_size, spectrum, subset
@@ -36,7 +33,6 @@ from reference import (
     code_words,
     codeword,
     columns,
-    factored_summary,
     from_basis_coords,
     generator_matrix_subfield,
     message_weights,
@@ -190,28 +186,30 @@ def frozen_cases():
 
 def test_weight_distribution_bruteforce_frozen_anchors():
     # every message weighed from the generator rows, independent of the
-    # factored transforms
+    # factored transforms, and the factored route itself
     for s, expected in frozen_cases():
         n, weights = message_weights(s)
         assert summarize_message_weights(weights, n, s.m) == expected, s
+        assert weigh(s)[0] == expected, s
 
 
 def test_summarize_rejects_uncovered_table():
-    # m = 1: F has 2 entries and G 4.  No message of weight 0 leaves the
-    # kernel empty; an odd n - F[alpha] * G[sigma] is no doubled weight.
+    # m = 1: F has 2 entries and G 4, passed as n, their (value, count)
+    # histograms and F[0] * G[0].  No message of weight 0 leaves the kernel
+    # empty; an odd n - F[alpha] * G[sigma] is no doubled weight.
     with pytest.raises(InvariantError, match="kernel must be a 2-power"):
-        summarize_transforms(2, [1, 1], [0, 0, 0, 0], False)
+        codegen._summarize(2, ((1, 2),), ((0, 4),), 0, False)
     with pytest.raises(InvariantError, match="doubled weight must be even"):
-        summarize_transforms(2, [1, 1], [2, 1, 0, 0], False)
+        codegen._summarize(2, ((1, 2),), ((0, 2), (1, 1), (2, 1)), 2, False)
 
 
 def test_summarize_rejects_broken_kernel_counts():
     # six messages of weight 0 among eight: no kernel size
     with pytest.raises(InvariantError, match="kernel must be a 2-power"):
-        summarize_transforms(2, [1, 1], [2, 2, 2, 0], False)
+        codegen._summarize(2, ((1, 2),), ((0, 1), (2, 3)), 2, False)
     # a kernel of two, but one message of doubled weight 2 and one of -4
     with pytest.raises(InvariantError, match="not a union of kernel cosets"):
-        summarize_transforms(4, [2, 4], [2, 1, 0, 0], False)
+        codegen._summarize(4, ((2, 1), (4, 1)), ((0, 2), (1, 1), (2, 1)), 4, False)
 
 
 # One code per (family, |L|, |M|, |N|) of the m = 5 benchmark reports: every
@@ -232,7 +230,10 @@ def test_factored_route_matches_the_full_table():
     # m = 5 report classes: the code summary read off F and G against the
     # full message table of the reference route, self-orthogonality from the
     # spectra against the unit-pair check, and the check of F and G against
-    # the spectra against the comparison of the two full tables.
+    # the spectra against the comparison of the two full tables.  weigh runs
+    # from cold records, and raises where the reference route does.
+    codegen._d1_record.cache_clear()
+    codegen._slot_record.cache_clear()
     specs = [
         spec_for_family(family, *(Subset.from_mask(m, x) for x in masks))
         for m in (1, 2, 3)
@@ -243,20 +244,21 @@ def test_factored_route_matches_the_full_table():
         for family in FAMILIES
         for sizes in itertools.product(range(5), repeat=3)
     ] + [class_spec(family, 5, sizes) for family, *sizes in REPORT_CLASSES_M5]
-    compared = Counter()
+    compared, degenerate = Counter(), Counter()
     for s in specs:
         try:
             n, table = message_weights(s)
         except DegenerateConfigurationError:
-            with pytest.raises(DegenerateConfigurationError, match="empty defining set"):
-                factor_transforms(s)
+            with pytest.raises(DegenerateConfigurationError, match="^empty defining set$"):
+                weigh(s)
+            degenerate["empty defining set"] += 1
             continue
-        _, f, g = factor_transforms(s)
         hist = Counter(table)
         kernel = hist[0]
         if kernel == len(table):
-            with pytest.raises(DegenerateConfigurationError, match="trivial code"):
+            with pytest.raises(DegenerateConfigurationError, match="^trivial code"):
                 weigh(s)
+            degenerate["trivial code"] += 1
             continue
         measured, charsum_ok = weigh(s)
         _, flags = analysis._evaluate(s, measured, claimed_only=True)
@@ -266,43 +268,14 @@ def test_factored_route_matches_the_full_table():
         assert (measured.n, measured.k, measured.d) == (n, k, min_distance(expected)), s
         # the unit-pair check on the full table and on F and G at the unit messages
         exact = _self_orthogonal(table, s.m)
+        f, g = codegen._d1_transform(s.d1), codegen._slot_transform(s.d2, s.d3)
         units = _unit_message_weights(n, f, g, s.global_complement, s.m)
         assert flags["self_orth_exact"] == exact == _self_orthogonal(units, s.m), s
         full_tables_agree = charsum_message_weights(s) == table
-        assert charsum_ok is transforms_match_spectra(s, f, g) is full_tables_agree, s
+        assert charsum_ok is full_tables_agree is True, s
         compared[s.m] += 1
     assert compared == {1: 33, 2: 405, 3: 3885, 4: 852, 5: 16}
-
-
-def test_cached_route_matches_the_list_route():
-    # weigh reads the per-factor records; the list route transforms, sums up
-    # and checks the F and G of one configuration.  Every configuration at
-    # m <= 2 and the m = 5 report classes, which cover all nine families,
-    # from cold records; a degenerate one raises the same error on both.
-    codegen._d1_record.cache_clear()
-    codegen._slot_record.cache_clear()
-    specs = [
-        spec_for_family(family, *(Subset.from_mask(m, x) for x in masks))
-        for m in (1, 2)
-        for family in FAMILIES
-        for masks in itertools.product(range(1 << m), repeat=3)
-    ] + [class_spec(family, 5, sizes) for family, *sizes in REPORT_CLASSES_M5]
-    outcomes = Counter()
-    for s in specs:
-        try:
-            n, f, g = factor_transforms(s)
-            expected = summarize_transforms(n, f, g, s.global_complement)
-        except DegenerateConfigurationError as exc:
-            with pytest.raises(DegenerateConfigurationError, match=f"^{re.escape(str(exc))}$"):
-                weigh(s)
-            outcomes[str(exc)] += 1
-            continue
-        assert weigh(s) == (expected, transforms_match_spectra(s, f, g)) == (expected, True), s
-        outcomes[s.m] += 1
-    assert outcomes == {
-        1: 33, 2: 405, 5: 16,
-        "empty defining set": 208, "trivial code: every message maps to 0": 2,
-    }
+    assert degenerate == {"empty defining set": 1202, "trivial code": 4}
 
 
 @pytest.mark.parametrize(
@@ -321,30 +294,27 @@ def test_indicator_transform_per_field_width(bits, without_zero, typecode):
 
 def test_summarize_trivial_code():
     # n - F[alpha] * G[sigma] = 0 for every message
-    with pytest.raises(DegenerateConfigurationError):
-        summarize_transforms(1, [1, 1], [1, 1, 1, 1], False)
+    with pytest.raises(DegenerateConfigurationError, match="trivial code"):
+        codegen._summarize(1, ((1, 2),), ((1, 4),), 1, False)
 
 
 def test_empty_defining_set_is_degenerate():
     # complementing a full simplicial complex leaves nothing
-    with pytest.raises(DegenerateConfigurationError):
-        factored_summary(spec(3, 1, (), (1,), ()))
+    with pytest.raises(DegenerateConfigurationError, match="^empty defining set$"):
+        weigh(spec(3, 1, (), (1,), ()))
 
 
 def test_all_zero_defining_set_is_degenerate():
     # D = {0} gives one identically zero coordinate and only the zero word
-    with pytest.raises(DegenerateConfigurationError):
-        factored_summary(spec(1, 1, (), (), ()))
+    with pytest.raises(DegenerateConfigurationError, match="trivial code"):
+        weigh(spec(1, 1, (), (), ()))
 
 
 def test_m_cap_enforced():
-    s = spec(1, BRUTE_FORCE_M_CAP + 1, (1,), (), ())
-    with pytest.raises(ValueError, match="capped"):
-        factor_transforms(s)
-    with pytest.raises(ValueError, match="capped"):
-        factored_summary(s)
-    with pytest.raises(ValueError, match="capped"):
-        weigh(s)
+    m = BRUTE_FORCE_M_CAP + 1
+    message = f"exhaustive enumeration is capped at m <= {BRUTE_FORCE_M_CAP}, got m = {m}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        weigh(spec(1, m, (1,), (), ()))
 
 
 FIELD_WIDTH_CODES = [
@@ -356,14 +326,16 @@ FIELD_WIDTH_CODES = [
 
 
 @pytest.mark.parametrize("family, members, n", FIELD_WIDTH_CODES)
-def test_message_weights_match_charsum_per_field_width_at_m5(family, members, n):
+def test_message_weights_match_charsum_per_field_width_at_m5(monkeypatch, family, members, n):
     # The reference table packs n < 2^7 in 1-byte fields and n < 2^15 in
-    # 2-byte ones; F and G take the width of |D1| and |D2||D3| points.
+    # 2-byte ones; F and G take the width of |D1| and |D2||D3| points, which
+    # weigh transforms afresh here, past the cached records.
     s = spec(family, 5, *members)
-    assert message_weights(s) == (n, charsum_message_weights(s))
-    transforms = factor_transforms(s)
-    assert transforms[0] == n
-    assert transforms_match_spectra(s, *transforms[1:])
+    table = charsum_message_weights(s)
+    assert message_weights(s) == (n, table)
+    for name in ("_d1_record", "_slot_record"):
+        monkeypatch.setattr(codegen, name, getattr(codegen, name).__wrapped__)
+    assert weigh(s) == (summarize_message_weights(table, n, 5), True)
 
 
 @pytest.mark.parametrize(
@@ -382,7 +354,7 @@ def test_message_weights_match_reference_rows_above_m3(m, family, members, n):
         assert rows_n == n
     weights = row_message_weights(rows)
     assert message_weights(s) == (rows_n, weights)
-    assert factored_summary(s) == summarize_message_weights(weights, rows_n, m)
+    assert weigh(s) == (summarize_message_weights(weights, rows_n, m), True)
 
 
 def literal_walsh_hadamard(counts):
@@ -470,7 +442,7 @@ def test_code_rows_match_reference_route():
                             with pytest.raises(DegenerateConfigurationError):
                                 code_rows(s)
                             with pytest.raises(DegenerateConfigurationError):
-                                factor_transforms(s)
+                                weigh(s)
                             continue
                         n, rows = code_rows(s)
                         assert n == len(masks), s
@@ -481,12 +453,6 @@ def test_code_rows_match_reference_route():
                         assert message_weights(s) == (n, row_message_weights(rows)), s
                         compared += 1
     assert compared == 4326
-
-
-def test_spec_functions_compose_the_stages():
-    for s, expected in frozen_cases():
-        n, f, g = factor_transforms(s)
-        assert summarize_transforms(n, f, g, s.global_complement) == expected, s
 
 
 def test_charsum_table_equals_enumeration():
@@ -507,19 +473,22 @@ def test_charsum_table_equals_enumeration():
         assert charsum_message_weights(s) == [
             word.bit_count() for word in message_words(masks, s.m)
         ], s
-        assert transforms_match_spectra(s, *factor_transforms(s)[1:]), s
+        assert weigh(s)[1] is True, s
 
 
 def test_charsum_check_rejects_corrupted_table():
     # one entry of F or of G off by one
     for s, _ in frozen_cases():
-        _, f, g = factor_transforms(s)
-        assert transforms_match_spectra(s, f, g), s
-        for which in (0, 1):
-            for v in (0, 1, len((f, g)[which]) - 1):
-                corrupted = [list(f), list(g)]
-                corrupted[which][v] += 1
-                assert not transforms_match_spectra(s, *corrupted), (s, which, v)
+        f, g = codegen._d1_transform(s.d1), codegen._slot_transform(s.d2, s.d3)
+        assert codegen._d1_matches(s.d1, f) and codegen._slots_match(s.d2, s.d3, g), s
+        for v in (0, 1, len(f) - 1):
+            corrupted = list(f)
+            corrupted[v] += 1
+            assert not codegen._d1_matches(s.d1, corrupted), (s, v)
+        for v in (0, 1, len(g) - 1):
+            corrupted = list(g)
+            corrupted[v] += 1
+            assert not codegen._slots_match(s.d2, s.d3, corrupted), (s, v)
 
 
 def with_wrong_entry(i, j, delta):
@@ -537,8 +506,11 @@ def with_wrong_entry(i, j, delta):
 
 
 def test_charsum_check_rejects_wrong_spectrum_entry(monkeypatch):
-    for s, _ in frozen_cases():
-        _, f, g = factor_transforms(s)
+    # weigh builds each record afresh from the patched spectra: the records'
+    # uncached functions stand in for the cached ones, which keep what they hold
+    for name in ("_d1_record", "_slot_record"):
+        monkeypatch.setattr(codegen, name, getattr(codegen, name).__wrapped__)
+    for s, expected in frozen_cases():
         spectra = [spectrum(part) for part in s.parts]
         # every spectrum value at 0 is nonzero here, so entry j of any one
         # spectrum reaches an entry of F or G
@@ -547,16 +519,16 @@ def test_charsum_check_rejects_wrong_spectrum_entry(monkeypatch):
             for j in (0, len(spectra[i]) - 1):
                 with monkeypatch.context() as patch:
                     patch.setattr(codegen, "spectrum", with_wrong_entry(i, j, 2))
-                    assert not transforms_match_spectra(s, f, g), (s, i, j)
-        assert transforms_match_spectra(s, f, g)
+                    assert weigh(s) == (expected, False), (s, i, j)
+        assert weigh(s) == (expected, True)
     # M = N = {} makes every S2 and S3 value 1, so an S1 entry off by one
     # would make 2 * weight odd in the full character-sum table; the factor
     # check reports it as a mismatch of F
     s = spec(2, 2, (1,), (), ())
     assert set(spectrum(s.d2)) == set(spectrum(s.d3)) == {1}
-    _, f, g = factor_transforms(s)
+    expected = weigh(s)[0]
     monkeypatch.setattr(codegen, "spectrum", with_wrong_entry(0, 3, 1))
-    assert not transforms_match_spectra(s, f, g)
+    assert weigh(s) == (expected, False)
 
 
 def test_invariant_checks_survive_optimize_flag():
@@ -564,8 +536,8 @@ def test_invariant_checks_survive_optimize_flag():
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
     code = (
-        "from r2subfield.codegen import summarize_transforms; "
-        "print(summarize_transforms(2, [1, 1], [0, 0, 0, 0], False))"
+        "from r2subfield.codegen import _summarize; "
+        "print(_summarize(2, ((1, 2),), ((0, 4),), 0, False))"
     )
     result = subprocess.run(
         [sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True,

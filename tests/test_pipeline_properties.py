@@ -6,9 +6,11 @@ transposition; for a global complement, which orders its columns its own
 way, the sorted columns).  The full message table of the reference
 :func:`message_weights` is compared with a Gray-code walk over those rows,
 with the literal codewords of drawn messages, and with the spectral
-character-sum table, and the library's factored route with that table.
+character-sum table, and the library's weighing (:func:`weigh`) with that table.
 Skipped when hypothesis is not installed.
 """
+
+import re
 
 import pytest
 
@@ -18,12 +20,7 @@ from hypothesis import Phase, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from r2subfield.analysis import FAMILIES, spec_for_family  # noqa: E402
-from r2subfield.codegen import (  # noqa: E402
-    DegenerateConfigurationError,
-    factor_transforms,
-    summarize_transforms,
-    transforms_match_spectra,
-)
+from r2subfield.codegen import DegenerateConfigurationError, weigh  # noqa: E402
 from r2subfield.simplicial import Subset  # noqa: E402
 from reference import (  # noqa: E402
     build_defining_set,
@@ -57,10 +54,10 @@ def check_against_reference(config, messages):
     masks = subfield_defining_set(build_defining_set(spec), m)
     try:
         n, table = message_weights(spec)
-    except DegenerateConfigurationError:
+    except DegenerateConfigurationError as exc:
         assert not masks
-        with pytest.raises(DegenerateConfigurationError):
-            factor_transforms(spec)
+        with pytest.raises(DegenerateConfigurationError, match=f"^{re.escape(str(exc))}$"):
+            weigh(spec)
         return
     columns_n, rows = code_rows(spec)
     assert columns_n == n == len(masks)
@@ -73,15 +70,15 @@ def check_against_reference(config, messages):
     for v in messages:
         assert table[v] == codeword(v & low, v >> m & low, v >> 2 * m, masks, m).bit_count()
     assert charsum_message_weights(spec) == table
-    _, f, g = factor_transforms(spec)
-    assert transforms_match_spectra(spec, f, g)
     try:
         expected = summarize_message_weights(table, n, m)
-    except DegenerateConfigurationError:
-        with pytest.raises(DegenerateConfigurationError):
-            summarize_transforms(n, f, g, spec.global_complement)
+    except DegenerateConfigurationError as exc:
+        with pytest.raises(DegenerateConfigurationError, match=f"^{re.escape(str(exc))}$"):
+            weigh(spec)
         return
-    assert summarize_transforms(n, f, g, spec.global_complement) == expected
+    summary, charsum_ok = weigh(spec)
+    assert summary == expected
+    assert charsum_ok is True
 
 
 @settings(max_examples=25, deadline=None, database=None, phases=PHASES)
