@@ -24,7 +24,7 @@ optimality rule and both exact decisions below depend on the size class
 (family, m, |L|, |M|, |N|) alone.  The table is cached by it in an LRU of
 1024 entries (one family's (m + 1)^3 classes up to m = 9), as
 :func:`griesmer_sum` is by (k, d), and the rest in one record per class
-(:func:`_size_class`), read once per report or sweep row.  Neither holds an
+(:func:`_size_class`), read once per report or sweep row body.  Neither holds an
 enumerated result, so every relabelling meets them with its own code.
 
 Also implemented: the Griesmer bound (sum of ceil(d / 2^i)), the
@@ -46,7 +46,7 @@ from __future__ import annotations
 
 import os
 from functools import cache, lru_cache
-from itertools import compress
+from itertools import chain, compress
 from typing import NamedTuple
 
 from .codegen import (
@@ -55,6 +55,7 @@ from .codegen import (
     DefiningSetSpec,
     DegenerateConfigurationError,
     InvariantError,
+    _slot_record,
     min_distance,
     weigh,
 )
@@ -79,7 +80,6 @@ __all__ = [
     "self_orth_mod4",
     "table10_conditions",
     "code_report",
-    "sweep_configuration",
     "run_sweep",
     "summarize_sweep",
     "sweep_workers",
@@ -129,6 +129,11 @@ _FAMILY_OF_PATTERN = {pattern: family for family, pattern in _PATTERNS.items()}
 def family_of_spec(spec: DefiningSetSpec) -> int:
     pattern = (spec.d1.complemented, spec.d2.complemented, spec.d3.complemented)
     return _FAMILY_OF_PATTERN[(*pattern, spec.global_complement)]
+
+
+def _class_key(spec: DefiningSetSpec) -> tuple[int, ...]:
+    """The size class (family, m, |L|, |M|, |N|) of ``spec``."""
+    return (family_of_spec(spec), spec.m, *(part.generator.size for part in spec.parts))
 
 
 def _check_sizes(family: int, m: int, sl: int, sm: int, sn: int) -> None:
@@ -384,8 +389,7 @@ def spectral_minimality(spec: DefiningSetSpec) -> bool:
     m = 2..8.  At m = 1 it differs on seven classes, |L| = |M| = |N| = 0 in
     families 2-8, which are minimal but not claimed.
     """
-    key = (family_of_spec(spec), spec.m, *(part.generator.size for part in spec.parts))
-    return _size_class(*key)[0]
+    return _size_class(*_class_key(spec))[0]
 
 
 def spectral_self_orthogonality(spec: DefiningSetSpec) -> bool:
@@ -404,8 +408,7 @@ def spectral_self_orthogonality(spec: DefiningSetSpec) -> bool:
     and 2 that fails only for s = 0 in families 2-8, which are not
     self-orthogonal.
     """
-    key = (family_of_spec(spec), spec.m, *(part.generator.size for part in spec.parts))
-    return _size_class(*key)[1]
+    return _size_class(*_class_key(spec))[1]
 
 
 def self_orth_mod4(weights) -> bool:
@@ -457,20 +460,19 @@ def _size_class(family: int, m: int, sl: int, sm: int, sn: int) -> tuple:
     return minimal, self_orthogonal, table10_minimal, table10_self_orth, opt, len(comp) <= 1
 
 
-def _evaluate(spec: DefiningSetSpec, measured: CodeSummary, claimed_only: bool):
+def _evaluate(spec: DefiningSetSpec, measured: CodeSummary):
     """One configuration from its measured code: prediction and flags.
 
     ``measured`` is the :class:`~r2subfield.codegen.CodeSummary` that
     :func:`~r2subfield.codegen.weigh` read off the enumerated side.  Exact
     minimality (:func:`spectral_minimality`) is reported for codes of up to
-    :data:`MINIMALITY_CAP` codewords, and with ``claimed_only`` only where
-    the catalogued condition claims it.  Returns the predicted
+    :data:`MINIMALITY_CAP` codewords.  Returns the predicted
     :class:`~r2subfield.codegen.CodeSummary` and the flags of the report, in
     the stable JSON layout of the CLI.  The predicted table is read through
     :func:`_instantiate` on every call, and every other value of the class
     through its record (:func:`_size_class`).
     """
-    key = (family_of_spec(spec), spec.m, *(part.generator.size for part in spec.parts))
+    key = _class_key(spec)
     params = (measured.n, measured.k, measured.d)
     try:
         pn, pk, ptable = _instantiate(*key)
@@ -480,9 +482,7 @@ def _evaluate(spec: DefiningSetSpec, measured: CodeSummary, claimed_only: bool):
         ) from None
     predicted = CodeSummary(n=pn, k=pk, d=min_distance(ptable), weights=ptable)
     minimal, self_orth, table10_minimal, table10_self_orth, opt, _ = _size_class(*key)
-    minimal_exact = None
-    if (table10_minimal or not claimed_only) and (1 << measured.k) <= MINIMALITY_CAP:
-        minimal_exact = minimal
+    minimal_exact = minimal if (1 << measured.k) <= MINIMALITY_CAP else None
     flags = {
         "griesmer_equal": is_griesmer_code(*params),
         "distance_optimal_by_griesmer": distance_optimal_by_griesmer(*params),
@@ -508,7 +508,7 @@ def code_report(family: int, lset: Subset, mset: Subset, nset: Subset) -> dict:
     """
     spec = spec_for_family(family, lset, mset, nset)
     measured = weigh(spec)[0]
-    predicted, flags = _evaluate(spec, measured, claimed_only=False)
+    predicted, flags = _evaluate(spec, measured)
     return {
         "m": spec.m,
         "family": family,
@@ -531,72 +531,81 @@ SWEEP_ROW_FIELDS = (
 )
 
 
-def sweep_configuration(family: int, m: int, lmask: int, mmask: int, nmask: int) -> dict:
-    """One sweep row (:data:`SWEEP_ROW_FIELDS`): comparison outcome plus invariant checks.
+def _row_body(spec: DefiningSetSpec) -> dict:
+    """A row's fields after ``N``, by :func:`~r2subfield.codegen.weigh` and :func:`_evaluate`.
 
-    Exact minimality is reported everywhere at m <= 2 and, at larger m,
-    where the catalogued minimality condition holds (the claim under test).
-    Elsewhere it stays None; that keeps the recorded output and saves no
-    time, as every class decides it with self-orthogonality.  It is reported
-    only for codes of at most :data:`MINIMALITY_CAP` codewords, so at m = 5
-    a code with k > 14 gets none.  The measured code and ``charsum_ok`` come
-    from :func:`~r2subfield.codegen.weigh`, whose per-factor records a sweep
-    fills once per D1 and once per (D2, D3); the prediction is read and
-    compared for every row.
-
-    A row is flat: every value is a str, int, bool or None, never a list or
-    dict.  The CLI relies on that to encode each row with the C JSON encoder
-    (:func:`r2subfield.cli._verify_json`).
+    Exact minimality is known only for codes of at most :data:`MINIMALITY_CAP`
+    codewords, so at m = 5 a code with k > 14 checks no minimality claim.
     """
-    lset, mset, nset = (Subset.from_mask(m, mask) for mask in (lmask, mmask, nmask))
-    row = dict.fromkeys(SWEEP_ROW_FIELDS)
-    row.update(m=m, family=family, L=str(lset), M=str(mset), N=str(nset), status="ok", detail="")
-    spec = spec_for_family(family, lset, mset, nset)
+    body = {**dict.fromkeys(SWEEP_ROW_FIELDS[5:]), "status": "ok", "detail": ""}
     try:
         measured, charsum_ok = weigh(spec)
-        predicted, flags = _evaluate(spec, measured, claimed_only=m > 2)
+        predicted, flags = _evaluate(spec, measured)
     except DegenerateConfigurationError as exc:
-        row["status"] = "degenerate"
-        row["detail"] = str(exc)
-        return row
-    row.update(
+        body.update(status="degenerate", detail=str(exc))
+        return body
+    body.update(
         n=measured.n, k=measured.k, d=measured.d, match=predicted == measured,
         charsum_ok=charsum_ok,
     )
-    if not row["match"]:
-        row["status"] = "mismatch"
-        row["detail"] = "; ".join(
+    if not body["match"]:
+        body.update(status="mismatch", detail="; ".join(
             f"{name} [n,k,d]=[{c.n},{c.k},{c.d}] weights={dict(sorted(c.weights.items()))}"
             for name, c in (("predicted", predicted), ("measured", measured))
-        )
-    if _size_class(family, m, lset.size, mset.size, nset.size)[-1]:  # the Griesmer claim
-        row["griesmer_ok"] = flags["griesmer_equal"]
+        ))
+    if _size_class(*_class_key(spec))[-1]:  # the Griesmer claim
+        body["griesmer_ok"] = flags["griesmer_equal"]
     if flags["table10_minimal"] and flags["minimal_exact"] is not None:
-        row["minimal_claim_ok"] = flags["minimal_exact"]
+        body["minimal_claim_ok"] = flags["minimal_exact"]
     if flags["table10_self_orth"]:
-        row["selforth_claim_ok"] = flags["self_orth_exact"]
+        body["selforth_claim_ok"] = flags["self_orth_exact"]
     if flags["minimal_ab"] and flags["minimal_exact"] is not None:
-        row["ab_implication_ok"] = flags["minimal_exact"]
-    return row
+        body["ab_implication_ok"] = flags["minimal_exact"]
+    return body
 
 
-def _sweep_star(args: tuple[int, int, int, int, int]) -> dict:
-    return sweep_configuration(*args)
+def _sweep_task(family: int, m: int, lmask: int) -> list[dict]:
+    """The sweep rows of one (family, m, L); the row of masks (M, N) is at index M << m | N.
+
+    D1 is fixed for the task, and a row's fields after ``N`` depend only on
+    |M|, |N| and the record of (D2, D3) that :func:`~r2subfield.codegen.weigh`
+    reads, so :func:`_row_body` builds them once per such key.  The key holds
+    the record's contents, not the factors, so a wrong record gets its own
+    body; the memo ends with the task, so the rows are the same for any worker count.
+    """
+    c1, c2, c3, global_c = _PATTERNS[family]
+    subsets = [Subset.from_mask(m, mask) for mask in range(1 << m)]
+    labels = [str(s) for s in subsets]
+    d1 = ComplexSpec(subsets[lmask], c1)
+    d2s, d3s = ([ComplexSpec(s, c) for s in subsets] for c in (c2, c3))
+    head = {"m": m, "family": family, "L": labels[lmask]}
+    bodies, rows = {}, []
+    for mset, d2, mlabel in zip(subsets, d2s, labels):
+        for nset, d3, nlabel in zip(subsets, d3s, labels):
+            key = mset.size, nset.size, _slot_record(d2, d3)
+            if key not in bodies:
+                bodies[key] = _row_body(DefiningSetSpec(m, d1, d2, d3, global_c))
+            rows.append({**head, "M": mlabel, "N": nlabel, **bodies[key]})
+    return rows
 
 
-def sweep_workers(jobs: int, configurations: int) -> int:
-    """Worker processes for a sweep: ``jobs``, capped by the work and the cores."""
+def sweep_workers(jobs: int, tasks: int) -> int:
+    """Worker processes for a sweep: ``jobs``, capped by the tasks and the cores."""
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
-    return max(1, min(jobs, configurations, os.cpu_count() or 1))
+    return max(1, min(jobs, tasks, os.cpu_count() or 1))
 
 
 def run_sweep(ms, families=FAMILIES, jobs: int = 1):
     """Evaluate every (family, L, M, N) configuration for each m.
 
-    Returns (rows, summary); rows are ordered by (m, family, L, M, N) masks
-    regardless of the worker count, which :func:`sweep_workers` caps.
-    Raises ``ValueError`` for an empty ``ms`` or ``families``.
+    Returns (rows, summary).  Each (family, m, L) is one task
+    (:func:`_sweep_task`), run serially or by :func:`sweep_workers`
+    processes; rows are ordered by (m, family, L, M, N) masks regardless.
+    A row (:data:`SWEEP_ROW_FIELDS`) is flat: every value is a str, int,
+    bool or None, so the CLI encodes it with the C JSON encoder
+    (:func:`r2subfield.cli._verify_json`).  Raises ``ValueError`` for an
+    empty ``ms`` or ``families``.
     """
     ms, families = tuple(ms), tuple(families)
     if not (ms and families):
@@ -605,23 +614,16 @@ def run_sweep(ms, families=FAMILIES, jobs: int = 1):
         _check_m(m)
     for family in families:
         _check_family(family)
-    configs = [
-        (family, m, lmask, mmask, nmask)
-        for m in ms
-        for family in families
-        for lmask in range(1 << m)
-        for mmask in range(1 << m)
-        for nmask in range(1 << m)
-    ]
-    workers = sweep_workers(jobs, len(configs))
+    tasks = [(family, m, lmask) for m in ms for family in families for lmask in range(1 << m)]
+    workers = sweep_workers(jobs, len(tasks))
     if workers > 1:
         # imported here: the pool pulls in multiprocessing, which no serial run needs
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_sweep_star, configs, chunksize=64))
+            rows = list(chain.from_iterable(pool.map(_sweep_task, *zip(*tasks))))
     else:
-        rows = [sweep_configuration(*config) for config in configs]
+        rows = list(chain.from_iterable(map(_sweep_task, *zip(*tasks))))
     return rows, summarize_sweep(rows)
 
 

@@ -218,7 +218,7 @@ def _verify_json(sweep: dict) -> str:
 
     ``json.dumps`` runs its pure-Python encoder whenever ``indent`` is set.
     A sweep has at least one row, and a row is a flat, non-empty dict of
-    str, int, bool and None (:func:`~r2subfield.analysis.sweep_configuration`)
+    str, int, bool and None (:func:`~r2subfield.analysis.run_sweep`)
     whose fields sit at depth 3 of the payload.  So the C encoder, with a
     newline and six spaces after each field's comma, writes them exactly as
     ``indent=2`` does; only the row's braces go on lines of their own.  The

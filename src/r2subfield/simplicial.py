@@ -17,10 +17,9 @@ A vector of F2^m is a bitmask int: coordinate i lives in bit i - 1, so
 coordinate 1 is the least significant bit.  Every module of the package
 uses this convention.
 
-A sweep meets each factor many times, so :meth:`Subset.from_mask` is
-cached by (m, mask), at most 64 entries (all 63 subsets at m <= 5), and
-the member list and spectrum by the :class:`ComplexSpec`, at most 128
-entries (all 126 factors at m <= 5), kept as tuples and handed out as lists.
+A sweep meets each factor many times, so the member list and spectrum
+are cached by the :class:`ComplexSpec`, at most 128 entries (all 126
+factors at m <= 5), kept as tuples and handed out as lists.
 A subset is frozen, so its text is built once, on first use.
 """
 
@@ -58,7 +57,6 @@ class Subset:
                 raise ValueError(f"member {i} outside ground set 1..{self.m}")
 
     @classmethod
-    @lru_cache(maxsize=64)
     def from_mask(cls, m: int, mask: int) -> Subset:
         if mask >> m:
             raise ValueError(f"mask 0b{mask:b} exceeds ground set size {m}")

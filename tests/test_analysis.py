@@ -34,7 +34,6 @@ from r2subfield.analysis import (
     spectral_minimality,
     spectral_self_orthogonality,
     summarize_sweep,
-    sweep_configuration,
     sweep_workers,
     table10_conditions,
 )
@@ -50,6 +49,11 @@ from reference import (
     histogram_weight_distribution,
     message_weights,
 )
+
+
+def sweep_row(family, m, lmask, mmask, nmask):
+    """One sweep row, read off the rows of its (family, m, L) task."""
+    return analysis._sweep_task(family, m, lmask)[mmask << m | nmask]
 
 
 def test_predicted_parameters_anchors():
@@ -346,7 +350,7 @@ def test_degenerate_prediction_of_a_nontrivial_code_is_an_invariant_error(monkey
     with pytest.raises(InvariantError, match=message):
         code_report(5, subset(2), subset(2), subset(2, 1, 2))
     with pytest.raises(InvariantError, match=message):
-        sweep_configuration(5, 2, 0, 0, 0b11)
+        sweep_row(5, 2, 0, 0, 0b11)
 
 
 def test_degenerate_prediction_check_survives_optimize_flag():
@@ -363,7 +367,7 @@ def degenerate(*size_class):
 analysis._instantiate = degenerate
 for call in (
     lambda: analysis.code_report(5, subset(2), subset(2), subset(2, 1, 2)),
-    lambda: analysis.sweep_configuration(5, 2, 0, 0, 0b11),
+    lambda: analysis._sweep_task(5, 2, 0)[0b11],
 ):
     try:
         print(call())
@@ -376,32 +380,6 @@ for call in (
     assert result.returncode == 0, result.stderr
     message = "InvariantError: prediction says degenerate but enumeration found a nontrivial code"
     assert result.stdout.splitlines() == [message, message]
-
-
-def test_exact_minimality_policy(monkeypatch):
-    # the sweep reports minimality everywhere at m <= 2 and above that only
-    # where Table 10 claims it; code_report reports it up to the cap
-    reported = []
-    evaluate = analysis._evaluate
-
-    def recording(*args, **kwargs):
-        predicted, flags = evaluate(*args, **kwargs)
-        reported.append(flags["minimal_exact"])
-        return predicted, flags
-
-    monkeypatch.setattr(analysis, "_evaluate", recording)
-    assert not table10_conditions(2, 2, 1, 0, 0).minimal
-    assert sweep_configuration(2, 2, 0b1, 0, 0)["status"] == "ok"
-    assert not table10_conditions(2, 3, 2, 0, 0).minimal
-    assert sweep_configuration(2, 3, 0b11, 0, 0)["status"] == "ok"
-    report = code_report(2, subset(3, 1, 2), subset(3), subset(3))
-    decided = [
-        spectral_minimality(spec_for_family(2, subset(2, 1), subset(2), subset(2))),
-        None,
-        spectral_minimality(spec_for_family(2, subset(3, 1, 2), subset(3), subset(3))),
-    ]
-    assert reported == decided
-    assert report["flags"]["minimal_exact"] is decided[2]
 
 
 def class_spec(family, m, sl, sm, sn):
@@ -625,7 +603,7 @@ def test_mismatch_rows_are_pinned(monkeypatch):
         return n, k, {**table, d: table[d] - 1, d - 1: 1}
 
     monkeypatch.setattr(analysis, "_instantiate", shifted)
-    rows = [sweep_configuration(8, 3, 1, 0b010, 0b100), sweep_configuration(2, 3, 1, 0b011, 0b100)]
+    rows = [sweep_row(8, 3, 1, 0b010, 0b100), sweep_row(2, 3, 1, 0b011, 0b100)]
     assert json.dumps(rows) == MISMATCH_ROWS
     summary = summarize_sweep(rows)
     assert (summary["mismatch"], summary["mismatch_outside_family_8"]) == (2, 1)
@@ -708,6 +686,27 @@ def test_m3_sweep_with_warm_caches_skips_no_check(monkeypatch):
     assert (summary["total"], summary["degenerate"]) == (4608, 4608 - 3885)
     assert run_sweep([3]) == (rows, summary)
     assert factor_records_built() == (16, 256)
+    monkeypatch.setattr("os.cpu_count", lambda: 2)
+    assert run_sweep([3], jobs=2) == (rows, summary)
+
+
+def test_sweep_builds_each_row_body_once_per_task_and_key(monkeypatch):
+    # Inside a (family, m, L) task the fields after N depend only on |M|,
+    # |N| and the record of (D2, D3), so the m = 3 sweep weighs 1,152 codes
+    # for its 4,608 rows and still summarizes the 195 distinct record pairs.
+    # The memo ends with its task, so a pool of two returns the same rows.
+    weighed = []
+    weigh = analysis.weigh
+
+    def counted(spec):
+        weighed.append(spec)
+        return weigh(spec)
+
+    codegen._summarize.cache_clear()
+    monkeypatch.setattr(analysis, "weigh", counted)
+    rows, summary = run_sweep([3])
+    assert (len(weighed), summary["total"]) == (1152, 4608)
+    assert codegen._summarize.cache_info().misses == 195
     monkeypatch.setattr("os.cpu_count", lambda: 2)
     assert run_sweep([3], jobs=2) == (rows, summary)
 
@@ -817,11 +816,11 @@ def test_one_pair_walk_per_size_class(monkeypatch):
 def test_run_sweep_checks_its_input_before_building_configurations(
     monkeypatch, ms, families, message
 ):
-    # at m = 6 the configuration list alone would hold 2,359,296 tuples
+    # no task may start: at m = 6 each one would build 4,096 rows
     def unreachable(*args):
-        raise AssertionError("a configuration was evaluated")
+        raise AssertionError("a sweep task was run")
 
-    monkeypatch.setattr(analysis, "sweep_configuration", unreachable)
+    monkeypatch.setattr(analysis, "_sweep_task", unreachable)
     with pytest.raises(ValueError, match=message):
         run_sweep(ms, families)
 
@@ -831,7 +830,7 @@ def test_sweep_workers_caps_the_pool(monkeypatch):
     assert sweep_workers(1, 4608) == 1
     assert sweep_workers(2, 4608) == 2
     assert sweep_workers(64, 4608) == 3  # at most one worker per core
-    assert sweep_workers(64, 2) == 2  # at most one worker per configuration
+    assert sweep_workers(64, 2) == 2  # at most one worker per task
     assert sweep_workers(4, 0) == 1
     monkeypatch.setattr("os.cpu_count", lambda: None)
     assert sweep_workers(8, 4608) == 1
