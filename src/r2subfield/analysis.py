@@ -55,6 +55,7 @@ from .codegen import (
     DefiningSetSpec,
     DegenerateConfigurationError,
     InvariantError,
+    _d1_record,
     _slot_record,
     min_distance,
     weigh,
@@ -564,28 +565,38 @@ def _row_body(spec: DefiningSetSpec) -> dict:
     return body
 
 
-def _sweep_task(family: int, m: int, lmask: int) -> list[dict]:
-    """The sweep rows of one (family, m, L); the row of masks (M, N) is at index M << m | N.
+def _sweep_task(family: int, m: int) -> list[dict]:
+    """The sweep rows of one (family, m), the row of masks (L, M, N) at index L << 2m | M << m | N.
 
-    D1 is fixed for the task, and a row's fields after ``N`` depend only on
-    |M|, |N| and the record of (D2, D3) that :func:`~r2subfield.codegen.weigh`
-    reads, so :func:`_row_body` builds them once per such key.  The key holds
-    the record's contents, not the factors, so a wrong record gets its own
-    body; the memo ends with the task, so the rows are the same for any worker count.
+    A row's fields after ``N`` depend only on |L|, |M|, |N| and the two
+    records that :func:`~r2subfield.codegen.weigh` reads, of D1 and of
+    (D2, D3).  So the task reads the 4^m records of (D2, D3) once, with
+    their sizes and labels, then walks L, reads the record of D1 once per L,
+    and builds each body once per key with :func:`_row_body`.  The key holds
+    the records' contents, not the factors, so a wrong record gets its own
+    body; the memo ends with the task, so the rows are the same for any
+    worker count.
     """
     c1, c2, c3, global_c = _PATTERNS[family]
     subsets = [Subset.from_mask(m, mask) for mask in range(1 << m)]
     labels = [str(s) for s in subsets]
-    d1 = ComplexSpec(subsets[lmask], c1)
     d2s, d3s = ([ComplexSpec(s, c) for s in subsets] for c in (c2, c3))
-    head = {"m": m, "family": family, "L": labels[lmask]}
+    slots = [
+        (mset.size, nset.size, {"M": mlabel, "N": nlabel}, d2, d3, _slot_record(d2, d3))
+        for mset, d2, mlabel in zip(subsets, d2s, labels)
+        for nset, d3, nlabel in zip(subsets, d3s, labels)
+    ]
     bodies, rows = {}, []
-    for mset, d2, mlabel in zip(subsets, d2s, labels):
-        for nset, d3, nlabel in zip(subsets, d3s, labels):
-            key = mset.size, nset.size, _slot_record(d2, d3)
-            if key not in bodies:
-                bodies[key] = _row_body(DefiningSetSpec(m, d1, d2, d3, global_c))
-            rows.append({**head, "M": mlabel, "N": nlabel, **bodies[key]})
+    for lset, llabel in zip(subsets, labels):
+        d1 = ComplexSpec(lset, c1)
+        d1_record = _d1_record(d1)
+        head = {"m": m, "family": family, "L": llabel}
+        for sm, sn, mn_labels, d2, d3, record in slots:
+            key = lset.size, sm, sn, d1_record, record
+            body = bodies.get(key)
+            if body is None:
+                body = bodies[key] = _row_body(DefiningSetSpec(m, d1, d2, d3, global_c))
+            rows.append({**head, **mn_labels, **body})
     return rows
 
 
@@ -599,13 +610,14 @@ def sweep_workers(jobs: int, tasks: int) -> int:
 def run_sweep(ms, families=FAMILIES, jobs: int = 1):
     """Evaluate every (family, L, M, N) configuration for each m.
 
-    Returns (rows, summary).  Each (family, m, L) is one task
-    (:func:`_sweep_task`), run serially or by :func:`sweep_workers`
-    processes; rows are ordered by (m, family, L, M, N) masks regardless.
-    A row (:data:`SWEEP_ROW_FIELDS`) is flat: every value is a str, int,
-    bool or None, so the CLI encodes it with the C JSON encoder
-    (:func:`r2subfield.cli._verify_json`).  Raises ``ValueError`` for an
-    empty ``ms`` or ``families``.
+    Returns (rows, summary).  Each (family, m) is one task
+    (:func:`_sweep_task`), 9 per m for all families, run serially or by
+    :func:`sweep_workers` processes; rows are ordered by (m, family, L, M, N)
+    masks regardless.  A row (:data:`SWEEP_ROW_FIELDS`) is flat: every
+    value is a str, int, bool or None, and each field after ``N`` holds one
+    type besides None, so the CLI encodes each distinct body once with the C
+    JSON encoder (:func:`r2subfield.cli._verify_json`).  Raises
+    ``ValueError`` for an empty ``ms`` or ``families``.
     """
     ms, families = tuple(ms), tuple(families)
     if not (ms and families):
@@ -614,7 +626,7 @@ def run_sweep(ms, families=FAMILIES, jobs: int = 1):
         _check_m(m)
     for family in families:
         _check_family(family)
-    tasks = [(family, m, lmask) for m in ms for family in families for lmask in range(1 << m)]
+    tasks = [(family, m) for m in ms for family in families]
     workers = sweep_workers(jobs, len(tasks))
     if workers > 1:
         # imported here: the pool pulls in multiprocessing, which no serial run needs

@@ -20,11 +20,11 @@ Each command hands the dict that :mod:`~r2subfield.analysis` returns to one
 renderer, which writes it in the chosen format to stdout or ``--out``; the
 CSV columns follow the key order of that dict.  JSON is
 ``json.dumps(payload, indent=2)`` plus a newline; ``verify`` writes the same
-bytes through :func:`_verify_json`, which encodes each flat sweep row with
-the C encoder that ``indent`` would bypass.  The argument parser is
-built once per process, on the first call of :func:`main`, and reused:
-parsing reads the parser and never changes it, so a call sees the same
-parser whatever calls, failed or not, came before it.
+bytes through :func:`_verify_json`, which encodes each distinct row body and
+label once, with the C encoder that ``indent`` would bypass.  The argument
+parser is built once per process, on the first call of :func:`main`, and
+reused: parsing reads the parser and never changes it, so a call sees the
+same parser whatever calls, failed or not, came before it.
 """
 
 from __future__ import annotations
@@ -36,6 +36,7 @@ import json
 import sys
 from collections.abc import Sequence
 from functools import cache
+from operator import itemgetter
 
 from .analysis import (
     FAMILIES,
@@ -214,19 +215,38 @@ def cmd_code(args) -> int:
 
 
 def _verify_json(sweep: dict) -> str:
-    """``_json_text(sweep)``, byte for byte, with each row encoded in C.
+    """``_json_text(sweep)``, byte for byte, with each row body encoded in C once.
 
     ``json.dumps`` runs its pure-Python encoder whenever ``indent`` is set.
-    A sweep has at least one row, and a row is a flat, non-empty dict of
-    str, int, bool and None (:func:`~r2subfield.analysis.run_sweep`)
-    whose fields sit at depth 3 of the payload.  So the C encoder, with a
-    newline and six spaces after each field's comma, writes them exactly as
-    ``indent=2`` does; only the row's braces go on lines of their own.  The
-    summary is small and nested, and keeps ``json.dumps``, indented one
-    level deeper.
+    A sweep has at least one row, and a row holds the fields of
+    :data:`~r2subfield.analysis.SWEEP_ROW_FIELDS` in order, each a str,
+    int, bool or None (:func:`~r2subfield.analysis.run_sweep`), at depth 3
+    of the payload.  So the C encoder, with a newline and six spaces after
+    each field's comma, writes them exactly as ``indent=2`` does; only the
+    row's braces go on lines of their own.  Many rows share the fields after
+    ``N`` (the body) and their labels, so each distinct body and label is
+    encoded once, and a row is written as its m, family and three labels
+    followed by its body's text.  A body field holds one type besides None
+    in every row, so ``True == 1`` never merges two bodies.  The summary is
+    small and nested, and keeps ``json.dumps``, indented one level deeper.
     """
     encode = json.JSONEncoder(separators=(",\n      ", ": ")).encode
-    rows = ",\n".join(f"    {{\n      {encode(row)[1:-1]}\n    }}" for row in sweep["rows"])
+    fields = SWEEP_ROW_FIELDS[5:]
+    values_of = itemgetter(*fields)
+    label = cache(encode)
+
+    @cache
+    def body(values):
+        return encode(dict(zip(fields, values)))[1:-1]
+
+    texts = [
+        f'    {{\n      "m": {row["m"]},\n      "family": {row["family"]},\n'
+        f'      "L": {label(row["L"])},\n      "M": {label(row["M"])},\n'
+        f'      "N": {label(row["N"])},\n      {body(values_of(row))}\n    }}'
+        for row in sweep["rows"]
+    ]
+    rows = ",\n".join(texts)
+    del texts  # alive beside the whole text, the row texts would raise the peak
     summary = json.dumps(sweep["summary"], indent=2).replace("\n", "\n  ")
     return f'{{\n  "rows": [\n{rows}\n  ],\n  "summary": {summary}\n}}\n'
 
@@ -478,7 +498,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--families", default=None, help="comma list, default all")
     p_verify.add_argument(
         "--jobs", type=_positive_int, default=1,
-        help="worker processes (at most one per configuration and core)",
+        help="worker processes (at most one per (family, m) task and core)",
     )
     add_common(p_verify)
     p_verify.set_defaults(func=cmd_verify)

@@ -19,6 +19,7 @@ from r2subfield.algebra import f2_gram_is_zero
 from r2subfield.analysis import (
     FAMILIES,
     MINIMALITY_CAP,
+    SWEEP_ROW_FIELDS,
     ashikhmin_barg_minimal,
     code_report,
     distance_optimal_by_griesmer,
@@ -52,8 +53,8 @@ from reference import (
 
 
 def sweep_row(family, m, lmask, mmask, nmask):
-    """One sweep row, read off the rows of its (family, m, L) task."""
-    return analysis._sweep_task(family, m, lmask)[mmask << m | nmask]
+    """One sweep row, read off the rows of its (family, m) task."""
+    return analysis._sweep_task(family, m)[lmask << 2 * m | mmask << m | nmask]
 
 
 def test_predicted_parameters_anchors():
@@ -367,7 +368,7 @@ def degenerate(*size_class):
 analysis._instantiate = degenerate
 for call in (
     lambda: analysis.code_report(5, subset(2), subset(2), subset(2, 1, 2)),
-    lambda: analysis._sweep_task(5, 2, 0)[0b11],
+    lambda: analysis._sweep_task(5, 2)[0b11],
 ):
     try:
         print(call())
@@ -591,7 +592,7 @@ MISMATCH_ROWS = (
 )
 
 
-def test_mismatch_rows_are_pinned(monkeypatch):
+def forced_mismatch_rows(monkeypatch):
     # No configuration at m <= 3 mismatches, so a wrong per-class prediction
     # forces two: a family-8 finding and a family-2 mismatch.  The moved
     # codeword lands last in the table's dict, so the detail must sort it.
@@ -603,7 +604,11 @@ def test_mismatch_rows_are_pinned(monkeypatch):
         return n, k, {**table, d: table[d] - 1, d - 1: 1}
 
     monkeypatch.setattr(analysis, "_instantiate", shifted)
-    rows = [sweep_row(8, 3, 1, 0b010, 0b100), sweep_row(2, 3, 1, 0b011, 0b100)]
+    return [sweep_row(8, 3, 1, 0b010, 0b100), sweep_row(2, 3, 1, 0b011, 0b100)]
+
+
+def test_mismatch_rows_are_pinned(monkeypatch):
+    rows = forced_mismatch_rows(monkeypatch)
     assert json.dumps(rows) == MISMATCH_ROWS
     summary = summarize_sweep(rows)
     assert (summary["mismatch"], summary["mismatch_outside_family_8"]) == (2, 1)
@@ -615,6 +620,21 @@ def test_mismatch_rows_are_pinned(monkeypatch):
     # ",", exactly as json.dumps(indent=2) does
     payload = {"rows": rows, "summary": summary}
     assert _verify_json(payload) == json.dumps(payload, indent=2) + "\n"
+
+
+def test_each_row_body_field_holds_one_type_besides_none(monkeypatch):
+    # cli._verify_json encodes each distinct row body once, keyed on its
+    # values.  True == 1 and both hash alike, so a field that held a bool in
+    # one row and an int in another could merge two bodies into one text.
+    rows = run_sweep([1, 2, 3])[0] + forced_mismatch_rows(monkeypatch)
+    types = {
+        field: {type(row[field]) for row in rows} - {type(None)} for field in SWEEP_ROW_FIELDS[5:]
+    }
+    assert types == {
+        "status": {str}, "n": {int}, "k": {int}, "d": {int}, "match": {bool},
+        "charsum_ok": {bool}, "griesmer_ok": {bool}, "minimal_claim_ok": {bool},
+        "selforth_claim_ok": {bool}, "ab_implication_ok": {bool}, "detail": {str},
+    }
 
 
 def test_run_sweep_m1_tallies():
@@ -691,10 +711,12 @@ def test_m3_sweep_with_warm_caches_skips_no_check(monkeypatch):
 
 
 def test_sweep_builds_each_row_body_once_per_task_and_key(monkeypatch):
-    # Inside a (family, m, L) task the fields after N depend only on |M|,
-    # |N| and the record of (D2, D3), so the m = 3 sweep weighs 1,152 codes
-    # for its 4,608 rows and still summarizes the 195 distinct record pairs.
-    # The memo ends with its task, so a pool of two returns the same rows.
+    # Inside a (family, m) task the fields after N depend only on |L|, |M|,
+    # |N| and the records of D1 and (D2, D3), so the m = 3 sweep weighs 576
+    # codes for its 4,608 rows and still summarizes the 195 distinct record
+    # pairs.  Each task reads the 64 records of (D2, D3) once, and each of
+    # the 576 weighings reads one more: 1,152 reads in all.  The memo ends
+    # with its task, so a pool of two returns the same rows.
     weighed = []
     weigh = analysis.weigh
 
@@ -702,11 +724,14 @@ def test_sweep_builds_each_row_body_once_per_task_and_key(monkeypatch):
         weighed.append(spec)
         return weigh(spec)
 
+    clear_factor_records()
     codegen._summarize.cache_clear()
     monkeypatch.setattr(analysis, "weigh", counted)
     rows, summary = run_sweep([3])
-    assert (len(weighed), summary["total"]) == (1152, 4608)
+    assert (len(weighed), summary["total"]) == (576, 4608)
     assert codegen._summarize.cache_info().misses == 195
+    reads = codegen._slot_record.cache_info()
+    assert reads.hits + reads.misses == 1152
     monkeypatch.setattr("os.cpu_count", lambda: 2)
     assert run_sweep([3], jobs=2) == (rows, summary)
 
@@ -816,7 +841,7 @@ def test_one_pair_walk_per_size_class(monkeypatch):
 def test_run_sweep_checks_its_input_before_building_configurations(
     monkeypatch, ms, families, message
 ):
-    # no task may start: at m = 6 each one would build 4,096 rows
+    # no task may start: at m = 6 each one would build 262,144 rows
     def unreachable(*args):
         raise AssertionError("a sweep task was run")
 

@@ -144,12 +144,19 @@ def test_verify_json_renders_sweeps_like_indent2(ms):
 
 
 def test_verify_json_escapes_strings_like_indent2():
-    # the C encoder must escape a row's strings as the pure-Python one does
+    # the C encoder must escape a row's strings as the pure-Python one does,
+    # in the body, which is encoded once for the rows that share it, and in
+    # the labels, which are encoded apart from it
     awkward = 'quote " backslash \\ newline \n tab \t non-ASCII é≡ {"a": [1, 2]}'
     row = dict.fromkeys(SWEEP_ROW_FIELDS)
     row.update(m=1, family=8, L="1", M="-", N="1", status="mismatch", n=3, match=False,
                charsum_ok=True, detail=awkward)
-    payload = {"rows": [row], "summary": summarize_sweep([row])}
+    rows = [
+        row,
+        {**row, "L": 'a "label"', "M": "back\\slash", "N": "é≡\n"},
+        {**row, "family": 2, "L": "tab\t", "M": "{", "N": '"'},
+    ]
+    payload = {"rows": rows, "summary": summarize_sweep(rows)}
     assert payload["summary"]["findings"][0]["detail"] == awkward
     assert cli._verify_json(payload) == indent2_json(payload)
 

@@ -82,6 +82,16 @@ CASES = {
         "71f84bb1645581a567813858824a719fdf6b1febd6759dbfd5e4d33cf8aa9e2f",
         "",
     ),
+    "verify-m3-csv": (
+        "verify --m 3 --format csv", 0,
+        "aa3d150fbdaba97712cb65b210cef079ca206b51ddfefdb775f0e7f357f3d427",
+        "",
+    ),
+    "verify-m3-md": (
+        "verify --m 3", 0,
+        "4c57fa98f4c70bf3572f062169c86bff46533efee7654f0a274c1dc28a6b0c4a",
+        "",
+    ),
     "scan-json": (
         "scan --format json", 0,
         "f63b3b2a4bfbed30e82292f3196c98da32fd71aefa2184eea057a1425eab5cf2",
