@@ -83,6 +83,10 @@ __all__ = [
     "code_report",
     "run_sweep",
     "summarize_sweep",
+    "sweep_tasks",
+    "SweepTasks",
+    "tally_rows",
+    "fold_tallies",
     "sweep_workers",
 ]
 
@@ -451,14 +455,23 @@ def _size_class(family: int, m: int, sl: int, sm: int, sn: int) -> tuple:
     comp = _shape(family, sl, sm, sn)[0]
     opt = None if len(comp) == 3 else optimality_condition(family, m, sl, sm, sn)
     spec = spec_for_family(family, *(Subset(m, frozenset(range(1, s + 1))) for s in (sl, sm, sn)))
-    factors = tuple((part.generator.size, part.complemented) for part in spec.parts)
-    minimal = self_orthogonal = True
-    for wa, wb, wab in _pair_weights(m, factors, *_charsum_terms(spec)):
-        minimal = minimal and not (wa > 0 and wb > 0 and wa + wb == wab)
-        self_orthogonal = self_orthogonal and (wa + wb - wab) % 8 == 0
-        if not (minimal or self_orthogonal):
-            break
+    factors = sorted((part.generator.size, part.complemented) for part in spec.parts)
+    minimal, self_orthogonal = _decisions(m, tuple(factors), *_charsum_terms(spec))
     return minimal, self_orthogonal, table10_minimal, table10_self_orth, opt, len(comp) <= 1
+
+
+@cache
+def _decisions(m: int, factors: tuple, n: int, sign: int, whole: int) -> tuple[bool, bool]:
+    """(minimal, self-orthogonal) from the distinct triples of :func:`_pair_weights`.
+
+    The triples do not change when the three factors are permuted, so the
+    size classes whose factors are one multiset, with one global flag
+    (carried by ``sign``), share this walk: 102 keys for the 405
+    non-degenerate size classes at m = 3.
+    """
+    triples = set(_pair_weights(m, factors, n, sign, whole))
+    minimal = not any(wa > 0 and wb > 0 and wa + wb == wab for wa, wb, wab in triples)
+    return minimal, all((wa + wb - wab) % 8 == 0 for wa, wb, wab in triples)
 
 
 def _evaluate(spec: DefiningSetSpec, measured: CodeSummary):
@@ -607,17 +620,12 @@ def sweep_workers(jobs: int, tasks: int) -> int:
     return max(1, min(jobs, tasks, os.cpu_count() or 1))
 
 
-def run_sweep(ms, families=FAMILIES, jobs: int = 1):
-    """Evaluate every (family, L, M, N) configuration for each m.
+def sweep_tasks(ms, families=FAMILIES, jobs: int = 1) -> SweepTasks:
+    """The (family, m) tasks of a sweep over ``ms`` and ``families``, as a :class:`SweepTasks`.
 
-    Returns (rows, summary).  Each (family, m) is one task
-    (:func:`_sweep_task`), 9 per m for all families, run serially or by
-    :func:`sweep_workers` processes; rows are ordered by (m, family, L, M, N)
-    masks regardless.  A row (:data:`SWEEP_ROW_FIELDS`) is flat: every
-    value is a str, int, bool or None, and each field after ``N`` holds one
-    type besides None, so the CLI encodes each distinct body once with the C
-    JSON encoder (:func:`r2subfield.cli._verify_json`).  Raises
-    ``ValueError`` for an empty ``ms`` or ``families``.
+    ``ms``, ``families`` and ``jobs`` are checked here, before any task
+    runs: ``ValueError`` for an m outside 1..BRUTE_FORCE_M_CAP, an unknown
+    family, an empty ``ms`` or ``families``, or ``jobs`` below 1.
     """
     ms, families = tuple(ms), tuple(families)
     if not (ms and families):
@@ -627,21 +635,80 @@ def run_sweep(ms, families=FAMILIES, jobs: int = 1):
     for family in families:
         _check_family(family)
     tasks = [(family, m) for m in ms for family in families]
-    workers = sweep_workers(jobs, len(tasks))
-    if workers > 1:
-        # imported here: the pool pulls in multiprocessing, which no serial run needs
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(chain.from_iterable(pool.map(_sweep_task, *zip(*tasks))))
-    else:
-        rows = list(chain.from_iterable(map(_sweep_task, *zip(*tasks))))
-    return rows, summarize_sweep(rows)
+    return SweepTasks(tasks, sweep_workers(jobs, len(tasks)))
 
 
-def summarize_sweep(rows) -> dict:
-    """Tallies plus the family-8 findings list for a finished sweep."""
-    summary = {
+class SweepTasks:
+    """The row lists of a sweep's (family, m) tasks (:func:`_sweep_task`), in sweep order.
+
+    Made by :func:`sweep_tasks`; iterate it once, inside its ``with``
+    block.  The first step runs the tasks serially, or submits them all to
+    a pool of ``workers`` processes, and each task's rows are tallied
+    (:func:`tally_rows`) as they are yielded; :meth:`summary` folds the
+    tallies so far.  Leaving the ``with`` block, normally or by an
+    exception, shuts the pool down and cancels every task not yet started.
+    """
+
+    def __init__(self, tasks: list[tuple[int, int]], workers: int) -> None:
+        self._tasks = tasks
+        self._workers = workers
+        self._pool = None
+        self._tallies: list[dict] | None = None
+
+    def __enter__(self) -> SweepTasks:
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        if self._pool is not None:
+            self._pool.shutdown(cancel_futures=True)
+
+    def __iter__(self):
+        if self._tallies is not None:
+            raise RuntimeError("a sweep's tasks can be iterated once")
+        self._tallies = []
+        if self._workers > 1:
+            # imported here: the pool pulls in multiprocessing, which no serial run needs
+            from concurrent.futures import ProcessPoolExecutor
+
+            self._pool = ProcessPoolExecutor(max_workers=self._workers)
+            results = self._pool.map(_sweep_task, *zip(*self._tasks))
+        else:
+            results = map(_sweep_task, *zip(*self._tasks))
+        for rows in results:
+            self._tallies.append(tally_rows(rows))
+            yield rows
+            del rows  # not kept alive while the next task runs
+
+    def summary(self) -> dict:
+        """:func:`fold_tallies` of the tasks yielded so far."""
+        return fold_tallies(self._tallies or ())
+
+
+def run_sweep(ms, families=FAMILIES, jobs: int = 1):
+    """Evaluate every (family, L, M, N) configuration for each m.
+
+    Returns (rows, summary): every row of :func:`sweep_tasks`, collected,
+    and their summary.  Each (family, m) is one task, 9 per m for all
+    families, run serially or by :func:`sweep_workers` processes; rows are
+    ordered by (m, family, L, M, N) masks regardless.  A row
+    (:data:`SWEEP_ROW_FIELDS`) is flat: every value is a str, int, bool or
+    None, and each field after ``N`` holds one type besides None, so the CLI
+    encodes each distinct body once with the C JSON encoder
+    (:func:`r2subfield.cli._verify_json`).  Raises ``ValueError`` as
+    :func:`sweep_tasks` does.
+    """
+    with sweep_tasks(ms, families, jobs) as tasks:
+        rows = list(chain.from_iterable(tasks))
+    return rows, tasks.summary()
+
+
+def tally_rows(rows) -> dict:
+    """The summary counts and family-8 findings of some sweep rows, without the verdict.
+
+    Tallies add up key by key (:func:`fold_tallies`), the findings lists in
+    order, so a sweep is tallied one task at a time.
+    """
+    return {
         "total": len(rows),
         "ok": sum(r["status"] == "ok" for r in rows),
         "mismatch": sum(r["status"] == "mismatch" for r in rows),
@@ -660,9 +727,22 @@ def summarize_sweep(rows) -> dict:
             if r["status"] == "mismatch" and r["family"] == 8
         ],
     }
+
+
+def fold_tallies(tallies) -> dict:
+    """The summary of a sweep from the :func:`tally_rows` of its parts, in sweep order."""
+    summary = tally_rows(())
+    for tally in tallies:
+        for key, value in tally.items():
+            summary[key] += value
     # The pass/fail verdict follows the table-agreement contract: family-8
     # disagreements are findings, everything else must match.  The other
     # tallies (Griesmer equality, sufficiency claims) are informational here
     # and asserted separately by the test suite.
     summary["passed"] = summary["mismatch_outside_family_8"] == 0
     return summary
+
+
+def summarize_sweep(rows) -> dict:
+    """Tallies plus the family-8 findings list for a finished sweep: one tally, folded."""
+    return fold_tallies([tally_rows(rows)])

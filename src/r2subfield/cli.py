@@ -16,15 +16,21 @@ Global flags on every command: ``--format json|csv|md`` and ``--out PATH``;
 1-based indices, or ``-`` for the empty set.  Exit codes: 0 all checks pass,
 1 at least one mismatch, 2 invalid input or degenerate configuration.
 
-Each command hands the dict that :mod:`~r2subfield.analysis` returns to one
-renderer, which writes it in the chosen format to stdout or ``--out``; the
-CSV columns follow the key order of that dict.  JSON is
-``json.dumps(payload, indent=2)`` plus a newline; ``verify`` writes the same
-bytes through :func:`_verify_json`, which encodes each distinct row body and
-label once, with the C encoder that ``indent`` would bypass.  The argument
-parser is built once per process, on the first call of :func:`main`, and
-reused: parsing reads the parser and never changes it, so a call sees the
-same parser whatever calls, failed or not, came before it.
+Each command turns what :mod:`~r2subfield.analysis` returns into text
+pieces in the chosen format, and one renderer (:func:`_render`) writes each
+piece to stdout or ``--out`` as it comes.  ``code``, ``scan`` and ``tables``
+render one dict: JSON is ``json.dumps(payload, indent=2)`` plus a newline,
+and the CSV columns follow the key order of the dict.  ``verify`` streams:
+it writes the rows of each (family, m) task as soon as the task finishes,
+then the summary, so its memory follows one task, not the sweep.  Its JSON
+is the same bytes as ``json.dumps(indent=2)`` of ``{"rows", "summary"}``,
+made by :func:`_verify_json`, which encodes each distinct row body and
+label once, with the C encoder that ``indent`` would bypass.  The input is
+checked, and ``--out`` opened, before the first task runs; a program fault
+in the middle of a sweep leaves a truncated document.  The argument parser
+is built once per process, on the first call of :func:`main`, and reused:
+parsing reads the parser and never changes it, so a call sees the same
+parser whatever calls, failed or not, came before it.
 """
 
 from __future__ import annotations
@@ -34,7 +40,8 @@ import csv
 import io
 import json
 import sys
-from collections.abc import Sequence
+from collections.abc import Iterable, Iterator, Sequence
+from contextlib import nullcontext
 from functools import cache
 from operator import itemgetter
 
@@ -47,7 +54,7 @@ from .analysis import (
     family_of_spec,
     predicted_parameters,
     predicted_weight_table,
-    run_sweep,
+    sweep_tasks,
 )
 from .codegen import DefiningSetSpec
 from .simplicial import ComplexSpec, Subset
@@ -98,37 +105,40 @@ def _fmt_value(value) -> str:
     return str(value)
 
 
-def _csv_text(header: Sequence[str], rows: Sequence[Sequence]) -> str:
+def _csv_text(rows: Iterable[Sequence]) -> str:
     buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(header)
-    for row in rows:
-        writer.writerow([_fmt_value(cell) for cell in row])
+    csv.writer(buffer, lineterminator="\n").writerows(
+        [_fmt_value(cell) for cell in row] for row in rows
+    )
     return buffer.getvalue()
 
 
-def _json_text(payload) -> str:
-    return json.dumps(payload, indent=2) + "\n"
+def _report_pieces(fmt: str, payload, csv_table, md_text) -> Iterable[str]:
+    """The text of one report ``payload`` in ``fmt``.
 
-
-def _render(args, payload, csv_table, md_text, json_text=_json_text) -> None:
-    """Write ``payload`` in ``args.format`` to stdout, or to ``args.out`` if given.
-
-    ``csv_table(payload)`` returns the CSV header and rows,
-    ``md_text(payload)`` the markdown and ``json_text(payload)`` the JSON;
-    only the one asked for is called.
+    ``csv_table(payload)`` returns the CSV header and rows and
+    ``md_text(payload)`` the markdown; only the one asked for is called.
     """
-    if args.format == "json":
-        text = json_text(payload)
-    elif args.format == "csv":
-        text = _csv_text(*csv_table(payload))
-    else:
-        text = md_text(payload)
+    if fmt == "json":
+        return [json.dumps(payload, indent=2) + "\n"]
+    if fmt == "csv":
+        header, rows = csv_table(payload)
+        return [_csv_text([header, *rows])]
+    return [md_text(payload)]
+
+
+def _render(args, pieces: Iterable[str]) -> None:
+    """Write each text piece, as it comes, to stdout, or to ``args.out`` if given.
+
+    ``args.out`` is opened before the first piece is asked for, so a path
+    that cannot be written fails before the work of any piece starts.
+    """
     if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="") as handle:
-            handle.write(text)
+        output = open(args.out, "w", encoding="utf-8", newline="")
     else:
-        sys.stdout.write(text)
+        output = nullcontext(sys.stdout)
+    with output as handle:
+        handle.writelines(pieces)
 
 
 def _parse_int_list(text: str, what: str) -> tuple[int, ...]:
@@ -207,16 +217,18 @@ def cmd_code(args) -> int:
     mset = Subset.parse(args.m, args.M)
     nset = Subset.parse(args.m, args.N)
     report = code_report(family, lset, mset, nset)
-    _render(args, report, _code_csv, _code_md)
+    _render(args, _report_pieces(args.format, report, _code_csv, _code_md))
     return 0 if report["match"] else 1
 
 
 # ---------------------------------------------------------------- verify
 
 
-def _verify_json(sweep: dict) -> str:
-    """``_json_text(sweep)``, byte for byte, with each row body encoded in C once.
+def _verify_json(tasks: Iterable[Sequence[dict]], summary) -> Iterator[str]:
+    """The text of ``json.dumps(sweep, indent=2)`` plus a newline, one piece per task.
 
+    ``sweep`` is ``{"rows": [every row of every task], "summary":
+    summary()}``, and ``summary`` is called after the last task.
     ``json.dumps`` runs its pure-Python encoder whenever ``indent`` is set.
     A sweep has at least one row, and a row holds the fields of
     :data:`~r2subfield.analysis.SWEEP_ROW_FIELDS` in order, each a str,
@@ -239,36 +251,50 @@ def _verify_json(sweep: dict) -> str:
     def body(values):
         return encode(dict(zip(fields, values)))[1:-1]
 
-    texts = [
-        f'    {{\n      "m": {row["m"]},\n      "family": {row["family"]},\n'
-        f'      "L": {label(row["L"])},\n      "M": {label(row["M"])},\n'
-        f'      "N": {label(row["N"])},\n      {body(values_of(row))}\n    }}'
-        for row in sweep["rows"]
-    ]
-    rows = ",\n".join(texts)
-    del texts  # alive beside the whole text, the row texts would raise the peak
-    summary = json.dumps(sweep["summary"], indent=2).replace("\n", "\n  ")
-    return f'{{\n  "rows": [\n{rows}\n  ],\n  "summary": {summary}\n}}\n'
-
-
-def _verify_csv(sweep: dict):
-    return SWEEP_ROW_FIELDS, [[row[key] for key in SWEEP_ROW_FIELDS] for row in sweep["rows"]]
-
-
-def _verify_md(sweep: dict) -> str:
-    summary = sweep["summary"]
-    lines = ["# verification sweep", ""]
-    for row in sweep["rows"]:
-        line = (
-            f"m={row['m']} family={row['family']} L={row['L']} M={row['M']} "
-            f"N={row['N']} status={row['status']}"
+    yield '{\n  "rows": [\n'
+    separator = ""
+    for rows in tasks:
+        yield separator + ",\n".join(
+            f'    {{\n      "m": {row["m"]},\n      "family": {row["family"]},\n'
+            f'      "L": {label(row["L"])},\n      "M": {label(row["M"])},\n'
+            f'      "N": {label(row["N"])},\n      {body(values_of(row))}\n    }}'
+            for row in rows
         )
-        if row["status"] == "ok":
-            line += f" [n,k,d]=[{row['n']},{row['k']},{row['d']}]"
-        elif row["status"] == "mismatch":
-            line += f" {row['detail']}"
-        lines.append(line)
-    lines.extend(["", "## summary", ""])
+        separator = ",\n"
+        del rows  # not kept alive while the next task runs
+    text = json.dumps(summary(), indent=2).replace("\n", "\n  ")
+    yield f'\n  ],\n  "summary": {text}\n}}\n'
+
+
+def _verify_csv(tasks: Iterable[Sequence[dict]], summary) -> Iterator[str]:
+    """The header, then one CSV row per sweep row, one piece per task; no summary."""
+    cells = itemgetter(*SWEEP_ROW_FIELDS)
+    yield _csv_text([SWEEP_ROW_FIELDS])
+    for rows in tasks:
+        yield _csv_text(map(cells, rows))
+        del rows  # not kept alive while the next task runs
+
+
+def _verify_md_line(row: dict) -> str:
+    line = (
+        f"m={row['m']} family={row['family']} L={row['L']} M={row['M']} "
+        f"N={row['N']} status={row['status']}"
+    )
+    if row["status"] == "ok":
+        line += f" [n,k,d]=[{row['n']},{row['k']},{row['d']}]"
+    elif row["status"] == "mismatch":
+        line += f" {row['detail']}"
+    return line + "\n"
+
+
+def _verify_md(tasks: Iterable[Sequence[dict]], summary) -> Iterator[str]:
+    """One line per sweep row, one piece per task, then the summary, findings and verdict."""
+    yield "# verification sweep\n\n"
+    for rows in tasks:
+        yield "".join(map(_verify_md_line, rows))
+        del rows  # not kept alive while the next task runs
+    summary = summary()
+    lines = ["", "## summary", ""]
     for key, value in summary.items():
         if key not in ("findings", "passed"):
             lines.append(f"{key}: {value}")
@@ -280,7 +306,10 @@ def _verify_md(sweep: dict) -> str:
                 f"N={finding['N']}: {finding['detail']}"
             )
     lines.extend(["", f"verdict: {'PASS' if summary['passed'] else 'FAIL'}", ""])
-    return "\n".join(lines)
+    yield "\n".join(lines)
+
+
+_VERIFY_PIECES = {"json": _verify_json, "csv": _verify_csv, "md": _verify_md}
 
 
 def cmd_verify(args) -> int:
@@ -288,9 +317,9 @@ def cmd_verify(args) -> int:
     for m in ms:
         _check_m(m)
     families = FAMILIES if args.families is None else _parse_int_list(args.families, "family")
-    rows, summary = run_sweep(ms, families, jobs=args.jobs)
-    _render(args, {"rows": rows, "summary": summary}, _verify_csv, _verify_md, _verify_json)
-    return 0 if summary["passed"] else 1
+    with sweep_tasks(ms, families, jobs=args.jobs) as tasks:
+        _render(args, _VERIFY_PIECES[args.format](tasks, tasks.summary))
+    return 0 if tasks.summary()["passed"] else 1
 
 
 # ---------------------------------------------------------------- scan
@@ -408,7 +437,7 @@ def _scan_csv(results: Sequence[dict]):
 def cmd_scan(args) -> int:
     manifest = _load_manifest(args.manifest)
     results = [_scan_result(row) for row in manifest]
-    _render(args, results, _scan_csv, _scan_md)
+    _render(args, _report_pieces(args.format, results, _scan_csv, _scan_md))
     return 0 if all(r["result"] == "PASS" for r in results) else 1
 
 
@@ -450,7 +479,7 @@ def cmd_tables(args) -> int:
         "d": d,
         "weights": [{"w": w, "count": c} for w, c in sorted(table.items())],
     }
-    _render(args, payload, _tables_csv, _tables_md)
+    _render(args, _report_pieces(args.format, payload, _tables_csv, _tables_md))
     return 0
 
 

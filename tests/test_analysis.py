@@ -4,6 +4,7 @@ import copy
 import hashlib
 import itertools
 import json
+import multiprocessing
 import os
 import random
 import subprocess
@@ -24,6 +25,7 @@ from r2subfield.analysis import (
     code_report,
     distance_optimal_by_griesmer,
     family_of_spec,
+    fold_tallies,
     griesmer_sum,
     is_griesmer_code,
     optimality_condition,
@@ -35,8 +37,10 @@ from r2subfield.analysis import (
     spectral_minimality,
     spectral_self_orthogonality,
     summarize_sweep,
+    sweep_tasks,
     sweep_workers,
     table10_conditions,
+    tally_rows,
 )
 from r2subfield.cli import _verify_json
 from r2subfield.codegen import DegenerateConfigurationError, InvariantError
@@ -619,7 +623,28 @@ def test_mismatch_rows_are_pinned(monkeypatch):
     # the CLI renders the rows and findings, whose details hold "{", ":" and
     # ",", exactly as json.dumps(indent=2) does
     payload = {"rows": rows, "summary": summary}
-    assert _verify_json(payload) == json.dumps(payload, indent=2) + "\n"
+    text = "".join(_verify_json([rows[:1], rows[1:]], lambda: summary))
+    assert text == json.dumps(payload, indent=2) + "\n"
+
+
+def test_folded_task_tallies_equal_one_summary(monkeypatch):
+    # A sweep is summarized one task at a time; folding the tallies must
+    # give summarize_sweep's summary of all the rows, key order and the
+    # order of the findings included.
+    with sweep_tasks([1, 2, 3]) as tasks:
+        per_task = list(tasks)
+    rows = list(itertools.chain.from_iterable(per_task))
+    summary = json.dumps(summarize_sweep(rows))
+    assert json.dumps(tasks.summary()) == summary
+    assert json.dumps(fold_tallies(map(tally_rows, per_task))) == summary
+    forced = forced_mismatch_rows(monkeypatch)
+    forced += [{**forced[0], "L": "1,2"}, forced[1]]
+    folded = fold_tallies([tally_rows(forced[:1]), tally_rows(forced[1:3]), tally_rows(forced[3:])])
+    assert folded["findings"] == [
+        {key: row[key] for key in ("m", "family", "L", "M", "N", "detail")}
+        for row in forced[:3:2]
+    ]
+    assert json.dumps(folded) == json.dumps(summarize_sweep(forced))
 
 
 def test_each_row_body_field_holds_one_type_besides_none(monkeypatch):
@@ -662,6 +687,35 @@ def test_run_sweep_deterministic_across_jobs():
     par_rows, par_summary = run_sweep([1], jobs=2)
     assert seq_rows == par_rows
     assert seq_summary == par_summary
+
+
+def test_a_failing_consumer_leaves_no_worker_behind(monkeypatch):
+    # Leaving the with block by an exception shuts the pool down, waits for
+    # its workers and cancels the tasks not yet started.
+    monkeypatch.setattr("os.cpu_count", lambda: 2)
+    started = []
+
+    class RecordingPool(ProcessPoolExecutor):
+        def __init__(self, max_workers):
+            started.append(max_workers)
+            super().__init__(max_workers=max_workers)
+
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", RecordingPool)
+    with pytest.raises(RuntimeError, match="consumer"):
+        with sweep_tasks([1, 2], jobs=2) as tasks:
+            for _ in tasks:
+                raise RuntimeError("the consumer fails after the first task")
+    assert started == [2]
+    assert multiprocessing.active_children() == []
+
+
+def test_sweep_tasks_run_once():
+    # a second pass would tally every task twice, and start a second pool
+    with sweep_tasks([1], families=(9,)) as tasks:
+        assert [len(rows) for rows in tasks] == [8]
+        with pytest.raises(RuntimeError, match="iterated once"):
+            next(iter(tasks))
+    assert tasks.summary()["total"] == 8
 
 
 def test_run_sweep_pool_matches_serial(monkeypatch):
@@ -803,9 +857,12 @@ def test_summary_memo_cannot_hide_a_wrong_record(monkeypatch):
 
 def test_one_pair_walk_per_size_class(monkeypatch):
     # Both exact decisions of a size class come from one walk of its pair
-    # weights, made once per non-degenerate class; a second pass reads the
+    # weights.  The weights do not change when the three factors are
+    # permuted, so the 405 non-degenerate classes at m = 3 share 102 walks,
+    # one per multiset of factors and global flag.  A second pass reads the
     # cached records and rebuilds no character-sum terms.
     analysis._size_class.cache_clear()
+    analysis._decisions.cache_clear()
     calls = Counter()
 
     def counted(name):
@@ -820,7 +877,7 @@ def test_one_pair_walk_per_size_class(monkeypatch):
     for name in ("_pair_weights", "_charsum_terms"):
         monkeypatch.setattr(analysis, name, counted(name))
     run_sweep([3])
-    assert calls["_pair_weights"] == 405
+    assert calls["_pair_weights"] == 102
     calls.clear()
     run_sweep([3])
     assert calls == {}
@@ -848,6 +905,8 @@ def test_run_sweep_checks_its_input_before_building_configurations(
     monkeypatch.setattr(analysis, "_sweep_task", unreachable)
     with pytest.raises(ValueError, match=message):
         run_sweep(ms, families)
+    with pytest.raises(ValueError, match=message):
+        sweep_tasks(ms, families)  # when called, before its with block
 
 
 def test_sweep_workers_caps_the_pool(monkeypatch):

@@ -4,11 +4,12 @@ import argparse
 import csv
 import io
 import json
+import tracemalloc
 
 import pytest
 
-from r2subfield import cli
-from r2subfield.analysis import SWEEP_ROW_FIELDS, run_sweep, summarize_sweep
+from r2subfield import analysis, cli
+from r2subfield.analysis import SWEEP_ROW_FIELDS, run_sweep, summarize_sweep, sweep_tasks
 from r2subfield.cli import BUNDLED_MANIFEST, MANIFEST_HEADER, TABLES_M_CAP, main
 
 
@@ -136,11 +137,14 @@ def indent2_json(payload) -> str:
     return json.dumps(payload, indent=2) + "\n"
 
 
-@pytest.mark.parametrize("ms", [[1], [2]])
+@pytest.mark.parametrize("ms", [[1], [2], [1, 2]])
 def test_verify_json_renders_sweeps_like_indent2(ms):
+    # one piece per task, joined here: the rows of the tasks are separated
+    # exactly as in the one list of json.dumps
     rows, summary = run_sweep(ms)
-    payload = {"rows": rows, "summary": summary}
-    assert cli._verify_json(payload) == indent2_json(payload)
+    with sweep_tasks(ms) as tasks:
+        text = "".join(cli._verify_json(tasks, tasks.summary))
+    assert text == indent2_json({"rows": rows, "summary": summary})
 
 
 def test_verify_json_escapes_strings_like_indent2():
@@ -158,7 +162,8 @@ def test_verify_json_escapes_strings_like_indent2():
     ]
     payload = {"rows": rows, "summary": summarize_sweep(rows)}
     assert payload["summary"]["findings"][0]["detail"] == awkward
-    assert cli._verify_json(payload) == indent2_json(payload)
+    pieces = cli._verify_json([rows[:2], rows[2:]], lambda: payload["summary"])
+    assert "".join(pieces) == indent2_json(payload)
 
 
 def test_verify_family_filter_csv(capsys):
@@ -184,12 +189,64 @@ def test_verify_bad_input_exits_2(capsys, argv):
     assert err.startswith("error:")
 
 
+@pytest.mark.parametrize("fmt", ["json", "csv", "md"])
+@pytest.mark.parametrize(
+    "argv", [["--m", "6"], ["--m", "2", "--families", "10"]], ids=["m-6", "family-10"],
+)
+def test_verify_bad_input_writes_nothing(tmp_path, capsys, fmt, argv):
+    # the input is checked before the first byte, to stdout or to --out
+    out = tmp_path / "sweep.out"
+    for extra in ([], ["--out", str(out)]):
+        rc, stdout, err = run_cli(capsys, "verify", *argv, "--format", fmt, *extra)
+        assert (rc, stdout) == (2, "")
+        assert err.startswith("error:")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_unwritable_out_fails_before_any_task(tmp_path, capsys, monkeypatch, jobs):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("a sweep task or pool was started")
+
+    monkeypatch.setattr(analysis, "_sweep_task", unreachable)
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", unreachable)
+    monkeypatch.setattr("os.cpu_count", lambda: 2)
+    out = tmp_path / "missing" / "sweep.json"
+    rc, stdout, err = run_cli(
+        capsys, "verify", "--m", "1", "--jobs", jobs, "--format", "json", "--out", str(out),
+    )
+    assert (rc, stdout) == (2, "")
+    assert err.startswith("error:")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv", "md"])
+def test_verify_memory_follows_one_task_not_the_sweep(tmp_path, fmt):
+    # verify writes the rows of each (family, m) task as the task finishes,
+    # so a sweep of nine families peaks about as high as one of one family;
+    # a render of the whole sweep at once peaks 7 to 9 times higher at m = 3.
+    # A first untraced sweep fills the per-class caches of every family.
+    argv = ["verify", "--m", "3", "--format", fmt, "--out", str(tmp_path / "sweep.out")]
+    assert main(argv) == 0
+
+    def peak(*families):
+        tracemalloc.start()
+        try:
+            assert main(argv + list(families)) == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    one_family = peak("--families", "5")
+    assert peak() < 2 * one_family
+
+
 @pytest.mark.parametrize("jobs", ["0", "-3", "two"])
 def test_jobs_below_one_rejected_at_parsing(capsys, monkeypatch, jobs):
     def no_sweep(*args, **kwargs):
         raise AssertionError("the sweep must not start")
 
-    monkeypatch.setattr(cli, "run_sweep", no_sweep)
+    monkeypatch.setattr(cli, "sweep_tasks", no_sweep)
     with pytest.raises(SystemExit) as exc:
         main(["verify", "--m", "1", "--jobs", jobs])
     assert exc.value.code == 2
