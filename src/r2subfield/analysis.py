@@ -44,7 +44,6 @@ the Gram check of the generator rows.
 
 from __future__ import annotations
 
-import os
 from functools import cache, lru_cache
 from itertools import chain, compress
 from typing import NamedTuple
@@ -87,7 +86,6 @@ __all__ = [
     "SweepTasks",
     "tally_rows",
     "fold_tallies",
-    "sweep_workers",
 ]
 
 FAMILIES = tuple(range(1, 10))
@@ -587,8 +585,7 @@ def _sweep_task(family: int, m: int) -> list[dict]:
     their sizes and labels, then walks L, reads the record of D1 once per L,
     and builds each body once per key with :func:`_row_body`.  The key holds
     the records' contents, not the factors, so a wrong record gets its own
-    body; the memo ends with the task, so the rows are the same for any
-    worker count.
+    body; the memo ends with the task.
     """
     c1, c2, c3, global_c = _PATTERNS[family]
     subsets = [Subset.from_mask(m, mask) for mask in range(1 << m)]
@@ -613,19 +610,12 @@ def _sweep_task(family: int, m: int) -> list[dict]:
     return rows
 
 
-def sweep_workers(jobs: int, tasks: int) -> int:
-    """Worker processes for a sweep: ``jobs``, capped by the tasks and the cores."""
-    if jobs < 1:
-        raise ValueError(f"jobs must be >= 1, got {jobs}")
-    return max(1, min(jobs, tasks, os.cpu_count() or 1))
-
-
-def sweep_tasks(ms, families=FAMILIES, jobs: int = 1) -> SweepTasks:
+def sweep_tasks(ms, families=FAMILIES) -> SweepTasks:
     """The (family, m) tasks of a sweep over ``ms`` and ``families``, as a :class:`SweepTasks`.
 
-    ``ms``, ``families`` and ``jobs`` are checked here, before any task
-    runs: ``ValueError`` for an m outside 1..BRUTE_FORCE_M_CAP, an unknown
-    family, an empty ``ms`` or ``families``, or ``jobs`` below 1.
+    ``ms`` and ``families`` are checked here, before any task runs:
+    ``ValueError`` for an m outside 1..BRUTE_FORCE_M_CAP, an unknown family,
+    or an empty ``ms`` or ``families``.
     """
     ms, families = tuple(ms), tuple(families)
     if not (ms and families):
@@ -634,47 +624,27 @@ def sweep_tasks(ms, families=FAMILIES, jobs: int = 1) -> SweepTasks:
         _check_m(m)
     for family in families:
         _check_family(family)
-    tasks = [(family, m) for m in ms for family in families]
-    return SweepTasks(tasks, sweep_workers(jobs, len(tasks)))
+    return SweepTasks([(family, m) for m in ms for family in families])
 
 
 class SweepTasks:
     """The row lists of a sweep's (family, m) tasks (:func:`_sweep_task`), in sweep order.
 
-    Made by :func:`sweep_tasks`; iterate it once, inside its ``with``
-    block.  The first step runs the tasks serially, or submits them all to
-    a pool of ``workers`` processes, and each task's rows are tallied
-    (:func:`tally_rows`) as they are yielded; :meth:`summary` folds the
-    tallies so far.  Leaving the ``with`` block, normally or by an
-    exception, shuts the pool down and cancels every task not yet started.
+    Made by :func:`sweep_tasks`; iterate it once.  Each step runs the next
+    task and tallies its rows (:func:`tally_rows`) as it yields them;
+    :meth:`summary` folds the tallies so far.
     """
 
-    def __init__(self, tasks: list[tuple[int, int]], workers: int) -> None:
+    def __init__(self, tasks: list[tuple[int, int]]) -> None:
         self._tasks = tasks
-        self._workers = workers
-        self._pool = None
         self._tallies: list[dict] | None = None
-
-    def __enter__(self) -> SweepTasks:
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        if self._pool is not None:
-            self._pool.shutdown(cancel_futures=True)
 
     def __iter__(self):
         if self._tallies is not None:
             raise RuntimeError("a sweep's tasks can be iterated once")
         self._tallies = []
-        if self._workers > 1:
-            # imported here: the pool pulls in multiprocessing, which no serial run needs
-            from concurrent.futures import ProcessPoolExecutor
-
-            self._pool = ProcessPoolExecutor(max_workers=self._workers)
-            results = self._pool.map(_sweep_task, *zip(*self._tasks))
-        else:
-            results = map(_sweep_task, *zip(*self._tasks))
-        for rows in results:
+        for family, m in self._tasks:
+            rows = _sweep_task(family, m)
             self._tallies.append(tally_rows(rows))
             yield rows
             del rows  # not kept alive while the next task runs
@@ -684,21 +654,20 @@ class SweepTasks:
         return fold_tallies(self._tallies or ())
 
 
-def run_sweep(ms, families=FAMILIES, jobs: int = 1):
+def run_sweep(ms, families=FAMILIES):
     """Evaluate every (family, L, M, N) configuration for each m.
 
     Returns (rows, summary): every row of :func:`sweep_tasks`, collected,
     and their summary.  Each (family, m) is one task, 9 per m for all
-    families, run serially or by :func:`sweep_workers` processes; rows are
-    ordered by (m, family, L, M, N) masks regardless.  A row
-    (:data:`SWEEP_ROW_FIELDS`) is flat: every value is a str, int, bool or
-    None, and each field after ``N`` holds one type besides None, so the CLI
-    encodes each distinct body once with the C JSON encoder
+    families, run in turn; rows are ordered by (m, family, L, M, N) masks.
+    A row (:data:`SWEEP_ROW_FIELDS`) is flat: every value is a str, int,
+    bool or None, and each field after ``N`` holds one type besides None, so
+    the CLI encodes each distinct body once with the C JSON encoder
     (:func:`r2subfield.cli._verify_json`).  Raises ``ValueError`` as
     :func:`sweep_tasks` does.
     """
-    with sweep_tasks(ms, families, jobs) as tasks:
-        rows = list(chain.from_iterable(tasks))
+    tasks = sweep_tasks(ms, families)
+    rows = list(chain.from_iterable(tasks))
     return rows, tasks.summary()
 
 

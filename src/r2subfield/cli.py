@@ -12,9 +12,11 @@ Four commands:
                  subset cardinalities alone.
 
 Global flags on every command: ``--format json|csv|md`` and ``--out PATH``;
-``verify`` also takes ``--jobs N``.  Subsets are written as comma-separated
-1-based indices, or ``-`` for the empty set.  Exit codes: 0 all checks pass,
-1 at least one mismatch, 2 invalid input or degenerate configuration.
+``verify`` also accepts ``--jobs N`` (N >= 1), which changes nothing: a
+sweep runs its tasks in turn, in one process.  Subsets are written as
+comma-separated 1-based indices, or ``-`` for the empty set.  Exit codes: 0
+all checks pass, 1 at least one mismatch, 2 invalid input or degenerate
+configuration.
 
 Each command turns what :mod:`~r2subfield.analysis` returns into text
 pieces in the chosen format, and one renderer (:func:`_render`) writes each
@@ -317,8 +319,8 @@ def cmd_verify(args) -> int:
     for m in ms:
         _check_m(m)
     families = FAMILIES if args.families is None else _parse_int_list(args.families, "family")
-    with sweep_tasks(ms, families, jobs=args.jobs) as tasks:
-        _render(args, _VERIFY_PIECES[args.format](tasks, tasks.summary))
+    tasks = sweep_tasks(ms, families)
+    _render(args, _VERIFY_PIECES[args.format](tasks, tasks.summary))
     return 0 if tasks.summary()["passed"] else 1
 
 
@@ -527,7 +529,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--families", default=None, help="comma list, default all")
     p_verify.add_argument(
         "--jobs", type=_positive_int, default=1,
-        help="worker processes (at most one per (family, m) task and core)",
+        help="accepted and ignored: the sweep runs in one process",
     )
     add_common(p_verify)
     p_verify.set_defaults(func=cmd_verify)

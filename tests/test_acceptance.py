@@ -56,7 +56,7 @@ def sweep_m2():
 @pytest.fixture(scope="module")
 def sweep_m3():
     started = time.monotonic()
-    rows, summary = run_sweep([3], jobs=4)
+    rows, summary = run_sweep([3])
     return rows, summary, time.monotonic() - started
 
 

@@ -4,13 +4,11 @@ import copy
 import hashlib
 import itertools
 import json
-import multiprocessing
 import os
 import random
 import subprocess
 import sys
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import pytest
@@ -38,7 +36,6 @@ from r2subfield.analysis import (
     spectral_self_orthogonality,
     summarize_sweep,
     sweep_tasks,
-    sweep_workers,
     table10_conditions,
     tally_rows,
 )
@@ -631,8 +628,8 @@ def test_folded_task_tallies_equal_one_summary(monkeypatch):
     # A sweep is summarized one task at a time; folding the tallies must
     # give summarize_sweep's summary of all the rows, key order and the
     # order of the findings included.
-    with sweep_tasks([1, 2, 3]) as tasks:
-        per_task = list(tasks)
+    tasks = sweep_tasks([1, 2, 3])
+    per_task = list(tasks)
     rows = list(itertools.chain.from_iterable(per_task))
     summary = json.dumps(summarize_sweep(rows))
     assert json.dumps(tasks.summary()) == summary
@@ -682,59 +679,13 @@ def test_run_sweep_m1_tallies():
     )
 
 
-def test_run_sweep_deterministic_across_jobs():
-    seq_rows, seq_summary = run_sweep([1], jobs=1)
-    par_rows, par_summary = run_sweep([1], jobs=2)
-    assert seq_rows == par_rows
-    assert seq_summary == par_summary
-
-
-def test_a_failing_consumer_leaves_no_worker_behind(monkeypatch):
-    # Leaving the with block by an exception shuts the pool down, waits for
-    # its workers and cancels the tasks not yet started.
-    monkeypatch.setattr("os.cpu_count", lambda: 2)
-    started = []
-
-    class RecordingPool(ProcessPoolExecutor):
-        def __init__(self, max_workers):
-            started.append(max_workers)
-            super().__init__(max_workers=max_workers)
-
-    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", RecordingPool)
-    with pytest.raises(RuntimeError, match="consumer"):
-        with sweep_tasks([1, 2], jobs=2) as tasks:
-            for _ in tasks:
-                raise RuntimeError("the consumer fails after the first task")
-    assert started == [2]
-    assert multiprocessing.active_children() == []
-
-
 def test_sweep_tasks_run_once():
-    # a second pass would tally every task twice, and start a second pool
-    with sweep_tasks([1], families=(9,)) as tasks:
-        assert [len(rows) for rows in tasks] == [8]
-        with pytest.raises(RuntimeError, match="iterated once"):
-            next(iter(tasks))
+    # a second pass would run and tally every task twice
+    tasks = sweep_tasks([1], families=(9,))
+    assert [len(rows) for rows in tasks] == [8]
+    with pytest.raises(RuntimeError, match="iterated once"):
+        next(iter(tasks))
     assert tasks.summary()["total"] == 8
-
-
-def test_run_sweep_pool_matches_serial(monkeypatch):
-    # two cores whatever the machine has, so jobs=2 really starts the pool
-    monkeypatch.setattr("os.cpu_count", lambda: 2)
-    started = []
-
-    class RecordingPool(ProcessPoolExecutor):
-        def __init__(self, max_workers):
-            started.append(max_workers)
-            super().__init__(max_workers=max_workers)
-
-    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", RecordingPool)
-    seq_rows, seq_summary = run_sweep([1], jobs=1)
-    assert started == []
-    par_rows, par_summary = run_sweep([1], jobs=2)
-    assert started == [2]
-    assert par_rows == seq_rows
-    assert par_summary == seq_summary
 
 
 def factor_records_built():
@@ -746,12 +697,11 @@ def clear_factor_records():
     codegen._slot_record.cache_clear()
 
 
-def test_m3_sweep_with_warm_caches_skips_no_check(monkeypatch):
+def test_m3_sweep_with_warm_caches_skips_no_check():
     # A sweep transforms and checks against the spectra each D1 (16 at m = 3)
     # and each (D2, D3) (256) once, however many configurations share it, and
     # summarizes each of the 195 distinct pairs of record contents once.  A
-    # second pass builds no record and returns the same rows, and so do
-    # forked workers, which inherit the warm records.
+    # second pass builds no record and returns the same rows.
     clear_factor_records()
     codegen._summarize.cache_clear()
     rows, summary = run_sweep([3])
@@ -760,8 +710,6 @@ def test_m3_sweep_with_warm_caches_skips_no_check(monkeypatch):
     assert (summary["total"], summary["degenerate"]) == (4608, 4608 - 3885)
     assert run_sweep([3]) == (rows, summary)
     assert factor_records_built() == (16, 256)
-    monkeypatch.setattr("os.cpu_count", lambda: 2)
-    assert run_sweep([3], jobs=2) == (rows, summary)
 
 
 def test_sweep_builds_each_row_body_once_per_task_and_key(monkeypatch):
@@ -769,8 +717,7 @@ def test_sweep_builds_each_row_body_once_per_task_and_key(monkeypatch):
     # |N| and the records of D1 and (D2, D3), so the m = 3 sweep weighs 576
     # codes for its 4,608 rows and still summarizes the 195 distinct record
     # pairs.  Each task reads the 64 records of (D2, D3) once, and each of
-    # the 576 weighings reads one more: 1,152 reads in all.  The memo ends
-    # with its task, so a pool of two returns the same rows.
+    # the 576 weighings reads one more: 1,152 reads in all.
     weighed = []
     weigh = analysis.weigh
 
@@ -786,8 +733,6 @@ def test_sweep_builds_each_row_body_once_per_task_and_key(monkeypatch):
     assert codegen._summarize.cache_info().misses == 195
     reads = codegen._slot_record.cache_info()
     assert reads.hits + reads.misses == 1152
-    monkeypatch.setattr("os.cpu_count", lambda: 2)
-    assert run_sweep([3], jobs=2) == (rows, summary)
 
 
 def test_wrong_spectrum_value_fails_every_row_of_its_factor(monkeypatch):
@@ -906,21 +851,7 @@ def test_run_sweep_checks_its_input_before_building_configurations(
     with pytest.raises(ValueError, match=message):
         run_sweep(ms, families)
     with pytest.raises(ValueError, match=message):
-        sweep_tasks(ms, families)  # when called, before its with block
-
-
-def test_sweep_workers_caps_the_pool(monkeypatch):
-    monkeypatch.setattr("os.cpu_count", lambda: 3)
-    assert sweep_workers(1, 4608) == 1
-    assert sweep_workers(2, 4608) == 2
-    assert sweep_workers(64, 4608) == 3  # at most one worker per core
-    assert sweep_workers(64, 2) == 2  # at most one worker per task
-    assert sweep_workers(4, 0) == 1
-    monkeypatch.setattr("os.cpu_count", lambda: None)
-    assert sweep_workers(8, 4608) == 1
-    for jobs in (0, -3):
-        with pytest.raises(ValueError):
-            sweep_workers(jobs, 4608)
+        sweep_tasks(ms, families)  # when called, before it is iterated
 
 
 def test_run_sweep_family_subset():

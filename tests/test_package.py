@@ -61,16 +61,22 @@ def test_reference_route_is_not_in_the_library():
 
 
 def test_cli_start_imports_no_process_pool():
-    # the pool is imported only when a sweep starts one
+    # a sweep runs its tasks in one process whatever --jobs says, so neither
+    # starting the CLI nor a sweep imports a process pool
     code = (
-        "import sys, r2subfield.cli; r2subfield.cli.build_parser(); "
-        "print(sorted({'concurrent.futures', 'multiprocessing'} & set(sys.modules)))"
+        "import sys, r2subfield.cli as cli\n"
+        "pool = {'concurrent.futures', 'multiprocessing'}\n"
+        "cli.build_parser()\n"
+        "print(sorted(pool & set(sys.modules)), file=sys.stderr)\n"
+        "rc = cli.main(['verify', '--m', '1', '--jobs', '2'])\n"
+        "print(rc, sorted(pool & set(sys.modules)), file=sys.stderr)\n"
     )
     result = subprocess.run(
         [sys.executable, "-c", code], env=source_env(), capture_output=True, text=True
     )
     assert result.returncode == 0, result.stderr
-    assert result.stdout == "[]\n"
+    assert result.stderr == "[]\n0 []\n"
+    assert "verdict: PASS" in result.stdout
 
 
 def test_python_m_runs_the_cli(capsys):
