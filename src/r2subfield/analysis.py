@@ -44,8 +44,9 @@ the Gram check of the generator rows.
 
 from __future__ import annotations
 
+from collections import Counter
 from functools import cache, lru_cache
-from itertools import chain, compress
+from itertools import chain, compress, product
 from typing import NamedTuple
 
 from .codegen import (
@@ -81,10 +82,8 @@ __all__ = [
     "table10_conditions",
     "code_report",
     "run_sweep",
-    "summarize_sweep",
     "sweep_tasks",
     "SweepTasks",
-    "tally_rows",
     "fold_tallies",
 ]
 
@@ -576,38 +575,48 @@ def _row_body(spec: DefiningSetSpec) -> dict:
     return body
 
 
-def _sweep_task(family: int, m: int) -> list[dict]:
-    """The sweep rows of one (family, m), the row of masks (L, M, N) at index L << 2m | M << m | N.
+def _sweep_task(family: int, m: int) -> tuple:
+    """The rows of one (family, m) as the task (family, m, labels, bodies, index).
 
-    A row's fields after ``N`` depend only on |L|, |M|, |N| and the two
-    records that :func:`~r2subfield.codegen.weigh` reads, of D1 and of
-    (D2, D3).  So the task reads the 4^m records of (D2, D3) once, with
-    their sizes and labels, then walks L, reads the record of D1 once per L,
-    and builds each body once per key with :func:`_row_body`.  The key holds
-    the records' contents, not the factors, so a wrong record gets its own
-    body; the memo ends with the task.
+    ``labels`` holds the subset labels by mask, ``bodies`` each distinct row
+    body (the fields after ``N``) once, and ``index`` one body number per
+    row, the row of masks (L, M, N) at L << 2m | M << m | N, where
+    ``itertools.product(labels, repeat=3)`` has its labels.  A body depends
+    only on |L|, |M|, |N| and the records of D1 and of (D2, D3) that
+    :func:`~r2subfield.codegen.weigh` reads.  So the task reads the 4^m
+    records of (D2, D3) once, then one record of D1 per L, and builds each
+    body once per key with :func:`_row_body`.  The key holds the records'
+    contents, so a wrong record gets its own body.
     """
     c1, c2, c3, global_c = _PATTERNS[family]
     subsets = [Subset.from_mask(m, mask) for mask in range(1 << m)]
-    labels = [str(s) for s in subsets]
     d2s, d3s = ([ComplexSpec(s, c) for s in subsets] for c in (c2, c3))
     slots = [
-        (mset.size, nset.size, {"M": mlabel, "N": nlabel}, d2, d3, _slot_record(d2, d3))
-        for mset, d2, mlabel in zip(subsets, d2s, labels)
-        for nset, d3, nlabel in zip(subsets, d3s, labels)
+        (mset.size, nset.size, d2, d3, _slot_record(d2, d3))
+        for mset, d2 in zip(subsets, d2s)
+        for nset, d3 in zip(subsets, d3s)
     ]
-    bodies, rows = {}, []
-    for lset, llabel in zip(subsets, labels):
+    numbers, bodies, index = {}, [], []
+    for lset in subsets:
         d1 = ComplexSpec(lset, c1)
-        d1_record = _d1_record(d1)
-        head = {"m": m, "family": family, "L": llabel}
-        for sm, sn, mn_labels, d2, d3, record in slots:
-            key = lset.size, sm, sn, d1_record, record
-            body = bodies.get(key)
-            if body is None:
-                body = bodies[key] = _row_body(DefiningSetSpec(m, d1, d2, d3, global_c))
-            rows.append({**head, **mn_labels, **body})
-    return rows
+        sl, d1_record = lset.size, _d1_record(d1)
+        for sm, sn, d2, d3, record in slots:
+            key = sl, sm, sn, d1_record, record
+            number = numbers.get(key)
+            if number is None:
+                number = numbers[key] = len(bodies)
+                bodies.append(_row_body(DefiningSetSpec(m, d1, d2, d3, global_c)))
+            index.append(number)
+    return family, m, [str(s) for s in subsets], bodies, index
+
+
+def _task_rows(task) -> list[dict]:
+    """The flat rows (:data:`SWEEP_ROW_FIELDS`) of a :func:`_sweep_task`, in row order."""
+    family, m, labels, bodies, index = task
+    return [
+        {"m": m, "family": family, "L": lset, "M": mset, "N": nset, **bodies[number]}
+        for (lset, mset, nset), number in zip(product(labels, repeat=3), index)
+    ]
 
 
 def sweep_tasks(ms, families=FAMILIES) -> SweepTasks:
@@ -628,11 +637,11 @@ def sweep_tasks(ms, families=FAMILIES) -> SweepTasks:
 
 
 class SweepTasks:
-    """The row lists of a sweep's (family, m) tasks (:func:`_sweep_task`), in sweep order.
+    """The tasks of a sweep (:func:`_sweep_task`), one per (family, m), in sweep order.
 
     Made by :func:`sweep_tasks`; iterate it once.  Each step runs the next
-    task and tallies its rows (:func:`tally_rows`) as it yields them;
-    :meth:`summary` folds the tallies so far.
+    task and tallies it (:func:`_tally`) as it yields it; :meth:`summary`
+    folds the tallies so far.
     """
 
     def __init__(self, tasks: list[tuple[int, int]]) -> None:
@@ -644,10 +653,9 @@ class SweepTasks:
             raise RuntimeError("a sweep's tasks can be iterated once")
         self._tallies = []
         for family, m in self._tasks:
-            rows = _sweep_task(family, m)
-            self._tallies.append(tally_rows(rows))
-            yield rows
-            del rows  # not kept alive while the next task runs
+            task = _sweep_task(family, m)
+            self._tallies.append(_tally(task))
+            yield task
 
     def summary(self) -> dict:
         """:func:`fold_tallies` of the tasks yielded so far."""
@@ -657,50 +665,55 @@ class SweepTasks:
 def run_sweep(ms, families=FAMILIES):
     """Evaluate every (family, L, M, N) configuration for each m.
 
-    Returns (rows, summary): every row of :func:`sweep_tasks`, collected,
-    and their summary.  Each (family, m) is one task, 9 per m for all
-    families, run in turn; rows are ordered by (m, family, L, M, N) masks.
-    A row (:data:`SWEEP_ROW_FIELDS`) is flat: every value is a str, int,
-    bool or None, and each field after ``N`` holds one type besides None, so
-    the CLI encodes each distinct body once with the C JSON encoder
+    Returns (rows, summary): the rows of every task of :func:`sweep_tasks`,
+    built as flat dicts, and their summary.  Each (family, m) is one task,
+    9 per m for all families, run in turn; rows are ordered by (m, family,
+    L, M, N) masks.  A row (:data:`SWEEP_ROW_FIELDS`) is flat: every value
+    is a str, int, bool or None, as the CLI's JSON rendering needs
     (:func:`r2subfield.cli._verify_json`).  Raises ``ValueError`` as
     :func:`sweep_tasks` does.
     """
     tasks = sweep_tasks(ms, families)
-    rows = list(chain.from_iterable(tasks))
+    rows = list(chain.from_iterable(map(_task_rows, tasks)))
     return rows, tasks.summary()
 
 
-def tally_rows(rows) -> dict:
-    """The summary counts and family-8 findings of some sweep rows, without the verdict.
+# The counts of a summary in key order; the last five count the rows whose
+# field of SWEEP_ROW_FIELDS[10:15], in that order, is False.
+_COUNTS = (
+    "total", "ok", "mismatch", "degenerate", "mismatch_outside_family_8", "charsum_failures",
+    "griesmer_failures", "minimality_claim_failures", "selforth_claim_failures",
+    "ab_implication_failures",
+)
 
-    Tallies add up key by key (:func:`fold_tallies`), the findings lists in
-    order, so a sweep is tallied one task at a time.
+
+def _tally(task) -> dict:
+    """The summary counts and family-8 findings of one task, without the verdict.
+
+    Each distinct body is read once, counted once per row that holds it; the
+    findings are read row by row.  Tallies add up key by key
+    (:func:`fold_tallies`), the findings lists in order.
     """
-    return {
-        "total": len(rows),
-        "ok": sum(r["status"] == "ok" for r in rows),
-        "mismatch": sum(r["status"] == "mismatch" for r in rows),
-        "degenerate": sum(r["status"] == "degenerate" for r in rows),
-        "mismatch_outside_family_8": sum(
-            r["status"] == "mismatch" and r["family"] != 8 for r in rows
-        ),
-        "charsum_failures": sum(r["charsum_ok"] is False for r in rows),
-        "griesmer_failures": sum(r["griesmer_ok"] is False for r in rows),
-        "minimality_claim_failures": sum(r["minimal_claim_ok"] is False for r in rows),
-        "selforth_claim_failures": sum(r["selforth_claim_ok"] is False for r in rows),
-        "ab_implication_failures": sum(r["ab_implication_ok"] is False for r in rows),
-        "findings": [
-            {key: r[key] for key in ("m", "family", "L", "M", "N", "detail")}
-            for r in rows
-            if r["status"] == "mismatch" and r["family"] == 8
-        ],
-    }
+    family, m, labels, bodies, index = task
+    tally = dict.fromkeys(_COUNTS, 0)
+    tally["total"] = len(index)
+    for number, rows in Counter(index).items():
+        body = bodies[number]
+        tally[body["status"]] += rows
+        for key, field in zip(_COUNTS[5:], SWEEP_ROW_FIELDS[10:15]):
+            tally[key] += rows * (body[field] is False)
+    tally["mismatch_outside_family_8"] = tally["mismatch"] if family != 8 else 0
+    tally["findings"] = [
+        {key: row[key] for key in ("m", "family", "L", "M", "N", "detail")}
+        for row in (_task_rows(task) if family == 8 and tally["mismatch"] else ())
+        if row["status"] == "mismatch"
+    ]
+    return tally
 
 
 def fold_tallies(tallies) -> dict:
-    """The summary of a sweep from the :func:`tally_rows` of its parts, in sweep order."""
-    summary = tally_rows(())
+    """The summary of a sweep from the tallies of its tasks, in sweep order."""
+    summary = {**dict.fromkeys(_COUNTS, 0), "findings": []}
     for tally in tallies:
         for key, value in tally.items():
             summary[key] += value
@@ -710,8 +723,3 @@ def fold_tallies(tallies) -> dict:
     # and asserted separately by the test suite.
     summary["passed"] = summary["mismatch_outside_family_8"] == 0
     return summary
-
-
-def summarize_sweep(rows) -> dict:
-    """Tallies plus the family-8 findings list for a finished sweep: one tally, folded."""
-    return fold_tallies([tally_rows(rows)])

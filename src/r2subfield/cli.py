@@ -24,15 +24,16 @@ piece to stdout or ``--out`` as it comes.  ``code``, ``scan`` and ``tables``
 render one dict: JSON is ``json.dumps(payload, indent=2)`` plus a newline,
 and the CSV columns follow the key order of the dict.  ``verify`` streams:
 it writes the rows of each (family, m) task as soon as the task finishes,
-then the summary, so its memory follows one task, not the sweep.  Its JSON
-is the same bytes as ``json.dumps(indent=2)`` of ``{"rows", "summary"}``,
-made by :func:`_verify_json`, which encodes each distinct row body and
-label once, with the C encoder that ``indent`` would bypass.  The input is
-checked, and ``--out`` opened, before the first task runs; a program fault
-in the middle of a sweep leaves a truncated document.  The argument parser
-is built once per process, on the first call of :func:`main`, and reused:
-parsing reads the parser and never changes it, so a call sees the same
-parser whatever calls, failed or not, came before it.
+then the summary, so its memory follows one task, not the sweep.  A task
+holds its labels, each distinct row body once and one body number per row,
+and each format encodes each label and body once per task.  The JSON is
+the same bytes as ``json.dumps(indent=2)`` of ``{"rows", "summary"}``, made
+by :func:`_verify_json` with the C encoder that ``indent`` would bypass.
+The input is checked, and ``--out`` opened, before the first task runs; a
+program fault in the middle of a sweep leaves a truncated document.  The
+argument parser is built once per process, on the first call of
+:func:`main`, and reused: parsing reads the parser and never changes it, so
+a call sees the same parser whatever calls, failed or not, came before it.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ import sys
 from collections.abc import Iterable, Iterator, Sequence
 from contextlib import nullcontext
 from functools import cache
-from operator import itemgetter
+from itertools import product
 
 from .analysis import (
     FAMILIES,
@@ -226,75 +227,65 @@ def cmd_code(args) -> int:
 # ---------------------------------------------------------------- verify
 
 
-def _verify_json(tasks: Iterable[Sequence[dict]], summary) -> Iterator[str]:
+def _verify_json(tasks: Iterable[tuple], summary) -> Iterator[str]:
     """The text of ``json.dumps(sweep, indent=2)`` plus a newline, one piece per task.
 
     ``sweep`` is ``{"rows": [every row of every task], "summary":
-    summary()}``, and ``summary`` is called after the last task.
-    ``json.dumps`` runs its pure-Python encoder whenever ``indent`` is set.
-    A sweep has at least one row, and a row holds the fields of
+    summary()}``, the rows as :func:`~r2subfield.analysis.run_sweep` builds
+    them, and ``summary`` is called after the last task.  ``json.dumps``
+    runs its pure-Python encoder whenever ``indent`` is set.  A sweep has at
+    least one row, and a row holds the fields of
     :data:`~r2subfield.analysis.SWEEP_ROW_FIELDS` in order, each a str,
-    int, bool or None (:func:`~r2subfield.analysis.run_sweep`), at depth 3
-    of the payload.  So the C encoder, with a newline and six spaces after
-    each field's comma, writes them exactly as ``indent=2`` does; only the
-    row's braces go on lines of their own.  Many rows share the fields after
-    ``N`` (the body) and their labels, so each distinct body and label is
-    encoded once, and a row is written as its m, family and three labels
-    followed by its body's text.  A body field holds one type besides None
-    in every row, so ``True == 1`` never merges two bodies.  The summary is
-    small and nested, and keeps ``json.dumps``, indented one level deeper.
+    int, bool or None, at depth 3 of the payload.  So the C encoder, with a
+    newline and six spaces after each field's comma, writes them exactly as
+    ``indent=2`` does; only the row's braces go on lines of their own.  A
+    task (:func:`~r2subfield.analysis.sweep_tasks`) holds each distinct row
+    body (the fields after ``N``) and each label once, so each is encoded
+    once, and a row is written as its m, family and three labels followed
+    by its body's text.  The summary is small and nested, and keeps
+    ``json.dumps``, indented one level deeper.
     """
     encode = json.JSONEncoder(separators=(",\n      ", ": ")).encode
-    fields = SWEEP_ROW_FIELDS[5:]
-    values_of = itemgetter(*fields)
-    label = cache(encode)
-
-    @cache
-    def body(values):
-        return encode(dict(zip(fields, values)))[1:-1]
-
     yield '{\n  "rows": [\n'
     separator = ""
-    for rows in tasks:
+    for family, m, labels, bodies, index in tasks:
+        texts = [encode(body)[1:-1] for body in bodies]
         yield separator + ",\n".join(
-            f'    {{\n      "m": {row["m"]},\n      "family": {row["family"]},\n'
-            f'      "L": {label(row["L"])},\n      "M": {label(row["M"])},\n'
-            f'      "N": {label(row["N"])},\n      {body(values_of(row))}\n    }}'
-            for row in rows
+            f'    {{\n      "m": {m},\n      "family": {family},\n      "L": {lset},\n'
+            f'      "M": {mset},\n      "N": {nset},\n      {texts[number]}\n    }}'
+            for (lset, mset, nset), number in zip(product(map(encode, labels), repeat=3), index)
         )
         separator = ",\n"
-        del rows  # not kept alive while the next task runs
     text = json.dumps(summary(), indent=2).replace("\n", "\n  ")
     yield f'\n  ],\n  "summary": {text}\n}}\n'
 
 
-def _verify_csv(tasks: Iterable[Sequence[dict]], summary) -> Iterator[str]:
+def _verify_csv(tasks: Iterable[tuple], summary) -> Iterator[str]:
     """The header, then one CSV row per sweep row, one piece per task; no summary."""
-    cells = itemgetter(*SWEEP_ROW_FIELDS)
     yield _csv_text([SWEEP_ROW_FIELDS])
-    for rows in tasks:
-        yield _csv_text(map(cells, rows))
-        del rows  # not kept alive while the next task runs
+    for family, m, labels, bodies, index in tasks:
+        cells = [_csv_text([[label, None]])[:-2] for label in labels]  # quoted as in a row
+        texts = [_csv_text([body.values()]) for body in bodies]
+        yield "".join(
+            f"{m},{family},{lset},{mset},{nset},{texts[number]}"
+            for (lset, mset, nset), number in zip(product(cells, repeat=3), index)
+        )
 
 
-def _verify_md_line(row: dict) -> str:
-    line = (
-        f"m={row['m']} family={row['family']} L={row['L']} M={row['M']} "
-        f"N={row['N']} status={row['status']}"
-    )
-    if row["status"] == "ok":
-        line += f" [n,k,d]=[{row['n']},{row['k']},{row['d']}]"
-    elif row["status"] == "mismatch":
-        line += f" {row['detail']}"
-    return line + "\n"
-
-
-def _verify_md(tasks: Iterable[Sequence[dict]], summary) -> Iterator[str]:
+def _verify_md(tasks: Iterable[tuple], summary) -> Iterator[str]:
     """One line per sweep row, one piece per task, then the summary, findings and verdict."""
     yield "# verification sweep\n\n"
-    for rows in tasks:
-        yield "".join(map(_verify_md_line, rows))
-        del rows  # not kept alive while the next task runs
+    for family, m, labels, bodies, index in tasks:
+        texts = [
+            f"{b['status']} [n,k,d]=[{b['n']},{b['k']},{b['d']}]" if b["status"] == "ok"
+            else f"{b['status']} {b['detail']}" if b["status"] == "mismatch"
+            else b["status"]
+            for b in bodies
+        ]
+        yield "".join(
+            f"m={m} family={family} L={lset} M={mset} N={nset} status={texts[number]}\n"
+            for (lset, mset, nset), number in zip(product(labels, repeat=3), index)
+        )
     summary = summary()
     lines = ["", "## summary", ""]
     for key, value in summary.items():

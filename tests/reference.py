@@ -20,9 +20,12 @@ tests compare with the library's decision from the spectra.  It keeps the
 (:func:`enumerated_pair_classes`), which the library finds in closed form.
 :func:`histogram_weight_distribution` builds the weight distribution of a
 size class from three spectrum-value histograms, which the tests compare
-with the paper's closed-form tables past the enumeration cap.  It is a
-plain module, not a test file; the tests import it as
-``from reference import ...``.
+with the paper's closed-form tables past the enumeration cap.  The library
+tallies a sweep once per distinct row body; :func:`tally_rows` tallies
+flat rows one by one, and :func:`shift_predictions` makes every prediction
+wrong, so that the sweep has mismatches to tally and render.  It is a plain
+module, not a test file; the tests import it as ``from reference import
+...``.
 
 An element a + b*u + c*u**2 of R (u = image of x, so u**3 = u) is packed into
 an int in ``range(8)`` as ``a | b << 1 | c << 2``.  Addition is XOR; products
@@ -49,6 +52,7 @@ from collections.abc import Sequence
 from functools import cache
 from itertools import combinations
 
+from r2subfield import analysis
 from r2subfield.analysis import MINIMALITY_CAP, _charsum_terms
 from r2subfield.codegen import (
     CodeSummary,
@@ -596,3 +600,54 @@ def _unit_message_weights(n: int, f, g, global_complement: bool, m: int) -> dict
     sign = 1 if global_complement else -1
     low = (1 << m) - 1
     return {v: (n + sign * f[v & low] * g[v >> m]) >> 1 for v in _unit_messages(m)}
+
+
+def tally_rows(rows) -> dict:
+    """The summary counts and family-8 findings of some flat sweep rows, without the verdict.
+
+    The library tallies a task once per distinct row body; this reads every
+    row, one pass per count.
+    """
+    return {
+        "total": len(rows),
+        "ok": sum(r["status"] == "ok" for r in rows),
+        "mismatch": sum(r["status"] == "mismatch" for r in rows),
+        "degenerate": sum(r["status"] == "degenerate" for r in rows),
+        "mismatch_outside_family_8": sum(
+            r["status"] == "mismatch" and r["family"] != 8 for r in rows
+        ),
+        "charsum_failures": sum(r["charsum_ok"] is False for r in rows),
+        "griesmer_failures": sum(r["griesmer_ok"] is False for r in rows),
+        "minimality_claim_failures": sum(r["minimal_claim_ok"] is False for r in rows),
+        "selforth_claim_failures": sum(r["selforth_claim_ok"] is False for r in rows),
+        "ab_implication_failures": sum(r["ab_implication_ok"] is False for r in rows),
+        "findings": [
+            {key: r[key] for key in ("m", "family", "L", "M", "N", "detail")}
+            for r in rows
+            if r["status"] == "mismatch" and r["family"] == 8
+        ],
+    }
+
+
+def summarize_rows(rows) -> dict:
+    """The sweep summary of flat rows: their tally and the verdict."""
+    summary = tally_rows(rows)
+    summary["passed"] = summary["mismatch_outside_family_8"] == 0
+    return summary
+
+
+def shift_predictions(monkeypatch) -> None:
+    """Move one codeword of every predicted table from weight d to d - 1.
+
+    No configuration at m <= 3 mismatches, so this wrong prediction forces
+    a mismatch on every non-degenerate row.  The moved codeword lands last
+    in the table's dict, so a row's detail must sort it.
+    """
+    real = analysis._instantiate
+
+    def shifted(*size_class):
+        n, k, table = real(*size_class)
+        d = min(w for w in table if w)
+        return n, k, {**table, d: table[d] - 1, d - 1: 1}
+
+    monkeypatch.setattr(analysis, "_instantiate", shifted)

@@ -21,6 +21,7 @@ from r2subfield.analysis import (
     optimality_condition,
     run_sweep,
     spec_for_family,
+    sweep_tasks,
 )
 from r2subfield.cli import BUNDLED_MANIFEST, _scan_result, _verify_json
 from r2subfield.codegen import DegenerateConfigurationError, weigh
@@ -122,9 +123,15 @@ def test_sweep_m3_json_matches_the_recorded_digest(sweep_m3):
     expected_path = Path(__file__).resolve().parents[1] / "perfbench" / "expected.json"
     expected = json.loads(expected_path.read_text(encoding="utf-8"))["sweep_m3"]
     assert expected["argv"] == ["verify", "--m", "3", "--format", "json"]
-    text = "".join(_verify_json([rows], lambda: summary)).encode()
-    assert len(text) == expected["bytes"]
-    assert hashlib.sha256(text).hexdigest() == expected["sha256"]
+    # the rows and summary of run_sweep, as json.dumps(indent=2) writes them,
+    # and the streamed rendering of the sweep's tasks
+    tasks = sweep_tasks([3])
+    for text in (
+        json.dumps({"rows": rows, "summary": summary}, indent=2) + "\n",
+        "".join(_verify_json(tasks, tasks.summary)),
+    ):
+        assert len(text.encode()) == expected["bytes"]
+        assert hashlib.sha256(text.encode()).hexdigest() == expected["sha256"]
 
 
 def _family1_shortfall(row) -> str:

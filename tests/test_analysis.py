@@ -34,10 +34,8 @@ from r2subfield.analysis import (
     spec_for_family,
     spectral_minimality,
     spectral_self_orthogonality,
-    summarize_sweep,
     sweep_tasks,
     table10_conditions,
-    tally_rows,
 )
 from r2subfield.cli import _verify_json
 from r2subfield.codegen import DegenerateConfigurationError, InvariantError
@@ -50,12 +48,14 @@ from reference import (
     exact_minimality,
     histogram_weight_distribution,
     message_weights,
+    shift_predictions,
+    summarize_rows,
 )
 
 
 def sweep_row(family, m, lmask, mmask, nmask):
-    """One sweep row, read off the rows of its (family, m) task."""
-    return analysis._sweep_task(family, m)[lmask << 2 * m | mmask << m | nmask]
+    """One sweep row, read off the rows of its (family, m) sweep."""
+    return run_sweep([m], (family,))[0][lmask << 2 * m | mmask << m | nmask]
 
 
 def test_predicted_parameters_anchors():
@@ -369,7 +369,7 @@ def degenerate(*size_class):
 analysis._instantiate = degenerate
 for call in (
     lambda: analysis.code_report(5, subset(2), subset(2), subset(2, 1, 2)),
-    lambda: analysis._sweep_task(5, 2)[0b11],
+    lambda: analysis.run_sweep([2], (5,)),
 ):
     try:
         print(call())
@@ -594,60 +594,58 @@ MISMATCH_ROWS = (
 
 
 def forced_mismatch_rows(monkeypatch):
-    # No configuration at m <= 3 mismatches, so a wrong per-class prediction
-    # forces two: a family-8 finding and a family-2 mismatch.  The moved
-    # codeword lands last in the table's dict, so the detail must sort it.
-    real = analysis._instantiate
-
-    def shifted(*size_class):
-        n, k, table = real(*size_class)
-        d = min(w for w in table if w)
-        return n, k, {**table, d: table[d] - 1, d - 1: 1}
-
-    monkeypatch.setattr(analysis, "_instantiate", shifted)
+    # Under the shifted predictions every non-degenerate row mismatches;
+    # these two are a family-8 finding and a family-2 mismatch.
+    shift_predictions(monkeypatch)
     return [sweep_row(8, 3, 1, 0b010, 0b100), sweep_row(2, 3, 1, 0b011, 0b100)]
 
 
+def finding(row):
+    return {key: row[key] for key in ("m", "family", "L", "M", "N", "detail")}
+
+
 def test_mismatch_rows_are_pinned(monkeypatch):
-    rows = forced_mismatch_rows(monkeypatch)
-    assert json.dumps(rows) == MISMATCH_ROWS
-    summary = summarize_sweep(rows)
-    assert (summary["mismatch"], summary["mismatch_outside_family_8"]) == (2, 1)
-    assert summary["findings"] == [
-        {key: rows[0][key] for key in ("m", "family", "L", "M", "N", "detail")}
-    ]
+    pinned = forced_mismatch_rows(monkeypatch)
+    assert json.dumps(pinned) == MISMATCH_ROWS
+    rows, summary = run_sweep([3], (8, 2))
+    mismatches = [row for row in rows if row["status"] == "mismatch"]
+    assert summary["mismatch"] == len(mismatches) == len(rows) - summary["degenerate"]
+    assert summary["mismatch_outside_family_8"] == sum(r["family"] == 2 for r in mismatches)
+    assert summary["findings"] == [finding(row) for row in mismatches if row["family"] == 8]
+    assert finding(pinned[0]) in summary["findings"]
     assert summary["passed"] is False
     # the CLI renders the rows and findings, whose details hold "{", ":" and
     # ",", exactly as json.dumps(indent=2) does
-    payload = {"rows": rows, "summary": summary}
-    text = "".join(_verify_json([rows[:1], rows[1:]], lambda: summary))
-    assert text == json.dumps(payload, indent=2) + "\n"
+    tasks = sweep_tasks([3], (8, 2))
+    text = "".join(_verify_json(tasks, tasks.summary))
+    assert text == json.dumps({"rows": rows, "summary": summary}, indent=2) + "\n"
 
 
 def test_folded_task_tallies_equal_one_summary(monkeypatch):
-    # A sweep is summarized one task at a time; folding the tallies must
-    # give summarize_sweep's summary of all the rows, key order and the
-    # order of the findings included.
-    tasks = sweep_tasks([1, 2, 3])
-    per_task = list(tasks)
-    rows = list(itertools.chain.from_iterable(per_task))
-    summary = json.dumps(summarize_sweep(rows))
-    assert json.dumps(tasks.summary()) == summary
-    assert json.dumps(fold_tallies(map(tally_rows, per_task))) == summary
-    forced = forced_mismatch_rows(monkeypatch)
-    forced += [{**forced[0], "L": "1,2"}, forced[1]]
-    folded = fold_tallies([tally_rows(forced[:1]), tally_rows(forced[1:3]), tally_rows(forced[3:])])
-    assert folded["findings"] == [
-        {key: row[key] for key in ("m", "family", "L", "M", "N", "detail")}
-        for row in forced[:3:2]
-    ]
-    assert json.dumps(folded) == json.dumps(summarize_sweep(forced))
+    # A sweep is tallied one task at a time, once per distinct row body; the
+    # folded tallies must equal the row-by-row tally of the reference route
+    # over run_sweep's rows, key order and the order of the findings
+    # included.  The forced sweep has findings in two family-8 tasks.
+    def check(families):
+        tasks = sweep_tasks([1, 2, 3], families)
+        for _ in tasks:
+            pass
+        expected = summarize_rows(run_sweep([1, 2, 3], families)[0])
+        assert tasks.summary() == expected
+        assert json.dumps(tasks.summary()) == json.dumps(expected)
+        return expected
+
+    assert check(FAMILIES)["findings"] == []
+    shift_predictions(monkeypatch)
+    findings = check((2, 8, 9))["findings"]
+    assert Counter(item["m"] for item in findings) == {2: 27, 3: 343}
 
 
 def test_each_row_body_field_holds_one_type_besides_none(monkeypatch):
-    # cli._verify_json encodes each distinct row body once, keyed on its
-    # values.  True == 1 and both hash alike, so a field that held a bool in
-    # one row and an int in another could merge two bodies into one text.
+    # cli._verify_json writes each body field with the C encoder, at the
+    # depth where indent=2 would put it on one line of its own, so every
+    # value must be flat: a str, an int, a bool or None.  Each field holds
+    # one of those types in every row.
     rows = run_sweep([1, 2, 3])[0] + forced_mismatch_rows(monkeypatch)
     types = {
         field: {type(row[field]) for row in rows} - {type(None)} for field in SWEEP_ROW_FIELDS[5:]
@@ -682,7 +680,7 @@ def test_run_sweep_m1_tallies():
 def test_sweep_tasks_run_once():
     # a second pass would run and tally every task twice
     tasks = sweep_tasks([1], families=(9,))
-    assert [len(rows) for rows in tasks] == [8]
+    assert [len(index) for *_, index in tasks] == [8]
     with pytest.raises(RuntimeError, match="iterated once"):
         next(iter(tasks))
     assert tasks.summary()["total"] == 8
@@ -865,30 +863,35 @@ def test_run_sweep_family_subset():
     assert run_sweep([2], families=(f for f in (9,))) == (rows, summary)
 
 
-def test_summarize_sweep_flags_family8_findings():
-    rows = [
+def test_task_tally_flags_family8_findings():
+    # a hand-built m = 1 task: 8 rows, one mismatch (masks 0, 0, 0) and
+    # seven rows that share one body
+    bodies = [
         {
-            "m": 2, "family": 8, "L": "-", "M": "-", "N": "-",
             "status": "mismatch", "n": 27, "k": 6, "d": 12, "match": False,
             "charsum_ok": True, "griesmer_ok": None, "minimal_claim_ok": None,
             "selforth_claim_ok": None, "ab_implication_ok": True,
             "detail": "weights differ",
         },
         {
-            "m": 2, "family": 1, "L": "1", "M": "-", "N": "-",
             "status": "ok", "n": 2, "k": 1, "d": 1, "match": True,
             "charsum_ok": True, "griesmer_ok": False, "minimal_claim_ok": None,
             "selforth_claim_ok": None, "ab_implication_ok": True,
             "detail": "",
         },
     ]
-    summary = summarize_sweep(rows)
-    assert summary["mismatch"] == 1
+    task = [8, 1, ["-", "1"], bodies, [0] + [1] * 7]
+    summary = fold_tallies([analysis._tally(task)])
+    assert (summary["total"], summary["ok"], summary["mismatch"]) == (8, 7, 1)
+    assert summary["griesmer_failures"] == 7
     assert summary["mismatch_outside_family_8"] == 0
-    assert len(summary["findings"]) == 1
+    assert summary["findings"] == [
+        {"m": 1, "family": 8, "L": "-", "M": "-", "N": "-", "detail": "weights differ"}
+    ]
     assert summary["passed"] is True
 
-    rows[0]["family"] = 7
-    summary = summarize_sweep(rows)
+    task[0] = 7
+    summary = fold_tallies([analysis._tally(task)])
     assert summary["mismatch_outside_family_8"] == 1
+    assert summary["findings"] == []
     assert summary["passed"] is False

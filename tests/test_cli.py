@@ -3,14 +3,16 @@
 import argparse
 import csv
 import io
+import itertools
 import json
 import tracemalloc
 
 import pytest
 
 from r2subfield import analysis, cli
-from r2subfield.analysis import SWEEP_ROW_FIELDS, run_sweep, summarize_sweep, sweep_tasks
+from r2subfield.analysis import SWEEP_ROW_FIELDS, run_sweep, sweep_tasks
 from r2subfield.cli import BUNDLED_MANIFEST, MANIFEST_HEADER, TABLES_M_CAP, main
+from reference import summarize_rows
 
 
 def run_cli(capsys, *argv):
@@ -150,19 +152,25 @@ def test_verify_json_renders_sweeps_like_indent2(ms):
 def test_verify_json_escapes_strings_like_indent2():
     # the C encoder must escape a row's strings as the pure-Python one does,
     # in the body, which is encoded once for the rows that share it, and in
-    # the labels, which are encoded apart from it
+    # the labels, which are encoded apart from it.  Two hand-built m = 1
+    # tasks of 8 rows each, with awkward labels and details.
     awkward = 'quote " backslash \\ newline \n tab \t non-ASCII é≡ {"a": [1, 2]}'
-    row = dict.fromkeys(SWEEP_ROW_FIELDS)
-    row.update(m=1, family=8, L="1", M="-", N="1", status="mismatch", n=3, match=False,
-               charsum_ok=True, detail=awkward)
-    rows = [
-        row,
-        {**row, "L": 'a "label"', "M": "back\\slash", "N": "é≡\n"},
-        {**row, "family": 2, "L": "tab\t", "M": "{", "N": '"'},
+    body = dict.fromkeys(SWEEP_ROW_FIELDS[5:])
+    body.update(status="mismatch", n=3, match=False, charsum_ok=True, detail=awkward)
+    bodies = [body, {**body, "status": "ok", "detail": "tab\t"}]
+    tasks = [
+        (8, 1, ['a "label"', "back\\slash"], bodies, [0, 1, 1, 0, 1, 1, 1, 0]),
+        (2, 1, ["é≡\n", "{"], bodies[::-1], [1, 1, 0, 0, 1, 0, 0, 1]),
     ]
-    payload = {"rows": rows, "summary": summarize_sweep(rows)}
+    rows = [
+        {"m": m, "family": family, "L": lset, "M": mset, "N": nset, **shared[number]}
+        for family, m, labels, shared, index in tasks
+        for (lset, mset, nset), number in zip(itertools.product(labels, repeat=3), index)
+    ]
+    payload = {"rows": rows, "summary": summarize_rows(rows)}
     assert payload["summary"]["findings"][0]["detail"] == awkward
-    pieces = cli._verify_json([rows[:2], rows[2:]], lambda: payload["summary"])
+    assert payload["summary"]["findings"][0]["L"] == 'a "label"'
+    pieces = cli._verify_json(tasks, lambda: payload["summary"])
     assert "".join(pieces) == indent2_json(payload)
 
 

@@ -10,6 +10,7 @@ import hashlib
 import pytest
 
 from r2subfield.cli import MANIFEST_HEADER, main
+from reference import shift_predictions
 
 EMPTY_SHA256 = hashlib.sha256(b"").hexdigest()
 
@@ -218,3 +219,21 @@ def run(capsys, manifests, argv):
 def test_output_is_byte_identical(capsys, manifests, case):
     argv, code, digest, err = CASES[case]
     assert run(capsys, manifests, argv) == (code, digest, err)
+
+
+# sha256 of `verify --m 2 --families 8,2` in each format under predictions
+# made wrong on purpose (reference.shift_predictions): every non-degenerate
+# row mismatches, so the output holds mismatch rows, family-8 findings and
+# a FAIL verdict, and the exit code is 1
+FORCED_MISMATCH = {
+    "json": "fd9db636610c35e22b465860ed0892aecbcd35d1733694c2cdc52a23c506d246",
+    "csv": "3609ad0c7a3be808c9fd2877dbf73055ea9387646b1ac3441b574d5039ec2818",
+    "md": "f63129980f4083d3dd0b969d0efd6698d2505a0dbf6a5418bc4bcf9ddf03ddc8",
+}
+
+
+@pytest.mark.parametrize("fmt", list(FORCED_MISMATCH))
+def test_forced_mismatch_output_is_byte_identical(capsys, monkeypatch, manifests, fmt):
+    shift_predictions(monkeypatch)
+    argv = f"verify --m 2 --families 8,2 --format {fmt}"
+    assert run(capsys, manifests, argv) == (1, FORCED_MISMATCH[fmt], "")
