@@ -57,6 +57,7 @@ from .codegen import (
     InvariantError,
     _d1_record,
     _slot_record,
+    _weigh_records,
     min_distance,
     weigh,
 )
@@ -471,8 +472,8 @@ def _decisions(m: int, factors: tuple, n: int, sign: int, whole: int) -> tuple[b
     return minimal, all((wa + wb - wab) % 8 == 0 for wa, wb, wab in triples)
 
 
-def _evaluate(spec: DefiningSetSpec, measured: CodeSummary):
-    """One configuration from its measured code: prediction and flags.
+def _evaluate(key: tuple[int, ...], measured: CodeSummary):
+    """One configuration of size class ``key`` (:func:`_class_key`): prediction and flags.
 
     ``measured`` is the :class:`~r2subfield.codegen.CodeSummary` that
     :func:`~r2subfield.codegen.weigh` read off the enumerated side.  Exact
@@ -483,7 +484,6 @@ def _evaluate(spec: DefiningSetSpec, measured: CodeSummary):
     :func:`_instantiate` on every call, and every other value of the class
     through its record (:func:`_size_class`).
     """
-    key = _class_key(spec)
     params = (measured.n, measured.k, measured.d)
     try:
         pn, pk, ptable = _instantiate(*key)
@@ -519,7 +519,7 @@ def code_report(family: int, lset: Subset, mset: Subset, nset: Subset) -> dict:
     """
     spec = spec_for_family(family, lset, mset, nset)
     measured = weigh(spec)[0]
-    predicted, flags = _evaluate(spec, measured)
+    predicted, flags = _evaluate(_class_key(spec), measured)
     return {
         "m": spec.m,
         "family": family,
@@ -542,16 +542,18 @@ SWEEP_ROW_FIELDS = (
 )
 
 
-def _row_body(spec: DefiningSetSpec) -> dict:
-    """A row's fields after ``N``, by :func:`~r2subfield.codegen.weigh` and :func:`_evaluate`.
+def _row_body(key: tuple[int, ...], d1_record, slot_record, global_complement: bool) -> dict:
+    """A row's fields after ``N``, from its size class ``key`` and its two factor records.
 
+    The records of D1 and (D2, D3) are weighed by
+    :func:`~r2subfield.codegen._weigh_records` and checked by :func:`_evaluate`.
     Exact minimality is known only for codes of at most :data:`MINIMALITY_CAP`
     codewords, so at m = 5 a code with k > 14 checks no minimality claim.
     """
     body = {**dict.fromkeys(SWEEP_ROW_FIELDS[5:]), "status": "ok", "detail": ""}
     try:
-        measured, charsum_ok = weigh(spec)
-        predicted, flags = _evaluate(spec, measured)
+        measured, charsum_ok = _weigh_records(key[1], d1_record, slot_record, global_complement)
+        predicted, flags = _evaluate(key, measured)
     except DegenerateConfigurationError as exc:
         body.update(status="degenerate", detail=str(exc))
         return body
@@ -564,7 +566,7 @@ def _row_body(spec: DefiningSetSpec) -> dict:
             f"{name} [n,k,d]=[{c.n},{c.k},{c.d}] weights={dict(sorted(c.weights.items()))}"
             for name, c in (("predicted", predicted), ("measured", measured))
         ))
-    if _size_class(*_class_key(spec))[-1]:  # the Griesmer claim
+    if _size_class(*key)[-1]:  # the Griesmer claim
         body["griesmer_ok"] = flags["griesmer_equal"]
     if flags["table10_minimal"] and flags["minimal_exact"] is not None:
         body["minimal_claim_ok"] = flags["minimal_exact"]
@@ -583,30 +585,32 @@ def _sweep_task(family: int, m: int) -> tuple:
     row, the row of masks (L, M, N) at L << 2m | M << m | N, where
     ``itertools.product(labels, repeat=3)`` has its labels.  A body depends
     only on |L|, |M|, |N| and the records of D1 and of (D2, D3) that
-    :func:`~r2subfield.codegen.weigh` reads.  So the task reads the 4^m
-    records of (D2, D3) once, then one record of D1 per L, and builds each
-    body once per key with :func:`_row_body`.  The key holds the records'
-    contents, so a wrong record gets its own body.
+    :func:`~r2subfield.codegen.weigh` reads.  So the task numbers each
+    distinct (|M|, |N|, slot record) over the 4^m (M, N), and keys each L on
+    (|L|, D1 record): the first L of a D1 class builds one body per slot
+    class (:func:`_row_body`) and the class's index row, which every L of it
+    appends.  A wrong record is a class, with bodies, of its own.
     """
     c1, c2, c3, global_c = _PATTERNS[family]
     subsets = [Subset.from_mask(m, mask) for mask in range(1 << m)]
     d2s, d3s = ([ComplexSpec(s, c) for s in subsets] for c in (c2, c3))
-    slots = [
-        (mset.size, nset.size, d2, d3, _slot_record(d2, d3))
+    slot_classes = {}
+    slot_of = [
+        slot_classes.setdefault((mset.size, nset.size, _slot_record(d2, d3)), len(slot_classes))
         for mset, d2 in zip(subsets, d2s)
         for nset, d3 in zip(subsets, d3s)
     ]
-    numbers, bodies, index = {}, [], []
+    rows_of, bodies, index = {}, [], []
     for lset in subsets:
-        d1 = ComplexSpec(lset, c1)
-        sl, d1_record = lset.size, _d1_record(d1)
-        for sm, sn, d2, d3, record in slots:
-            key = sl, sm, sn, d1_record, record
-            number = numbers.get(key)
-            if number is None:
-                number = numbers[key] = len(bodies)
-                bodies.append(_row_body(DefiningSetSpec(m, d1, d2, d3, global_c)))
-            index.append(number)
+        key = lset.size, _d1_record(ComplexSpec(lset, c1))
+        if key not in rows_of:
+            sl, d1_record = key
+            rows_of[key] = [len(bodies) + slot for slot in slot_of]
+            bodies += (
+                _row_body((family, m, sl, sm, sn), d1_record, record, global_c)
+                for sm, sn, record in slot_classes
+            )
+        index += rows_of[key]
     return family, m, [str(s) for s in subsets], bodies, index
 
 

@@ -46,7 +46,7 @@ import sys
 from collections.abc import Iterable, Iterator, Sequence
 from contextlib import nullcontext
 from functools import cache
-from itertools import product
+from itertools import chain, product, repeat
 
 from .analysis import (
     FAMILIES,
@@ -227,6 +227,20 @@ def cmd_code(args) -> int:
 # ---------------------------------------------------------------- verify
 
 
+def _task_text(heads: list, nparts: list, texts: list, index: list, separator: str) -> str:
+    """The rows of one sweep task, joined by ``separator``.
+
+    Row L << 2m | M << m | N is the text of its (L, M) in ``heads``, of its
+    N in ``nparts`` and of its body, ``texts[index[row]]``: one C-level join
+    per row, and no Python frame.
+    """
+    return separator.join(map("".join, zip(
+        chain.from_iterable(map(repeat, heads, repeat(len(nparts)))),
+        nparts * len(heads),
+        map(texts.__getitem__, index),
+    )))
+
+
 def _verify_json(tasks: Iterable[tuple], summary) -> Iterator[str]:
     """The text of ``json.dumps(sweep, indent=2)`` plus a newline, one piece per task.
 
@@ -241,20 +255,23 @@ def _verify_json(tasks: Iterable[tuple], summary) -> Iterator[str]:
     ``indent=2`` does; only the row's braces go on lines of their own.  A
     task (:func:`~r2subfield.analysis.sweep_tasks`) holds each distinct row
     body (the fields after ``N``) and each label once, so each is encoded
-    once, and a row is written as its m, family and three labels followed
-    by its body's text.  The summary is small and nested, and keeps
-    ``json.dumps``, indented one level deeper.
+    once, into the 4^m heads (``m`` to the ``N`` key), the 2^m N labels and
+    the body texts (with the row's closing brace) that :func:`_task_text`
+    joins.  The summary is small and nested, and keeps ``json.dumps``,
+    indented one level deeper.
     """
     encode = json.JSONEncoder(separators=(",\n      ", ": ")).encode
     yield '{\n  "rows": [\n'
     separator = ""
     for family, m, labels, bodies, index in tasks:
-        texts = [encode(body)[1:-1] for body in bodies]
-        yield separator + ",\n".join(
+        encoded = [encode(label) for label in labels]
+        heads = [
             f'    {{\n      "m": {m},\n      "family": {family},\n      "L": {lset},\n'
-            f'      "M": {mset},\n      "N": {nset},\n      {texts[number]}\n    }}'
-            for (lset, mset, nset), number in zip(product(map(encode, labels), repeat=3), index)
-        )
+            f'      "M": {mset},\n      "N": ' for lset, mset in product(encoded, repeat=2)
+        ]
+        nparts = [f"{nset},\n      " for nset in encoded]
+        texts = [f"{encode(body)[1:-1]}\n    }}" for body in bodies]
+        yield separator + _task_text(heads, nparts, texts, index, ",\n")
         separator = ",\n"
     text = json.dumps(summary(), indent=2).replace("\n", "\n  ")
     yield f'\n  ],\n  "summary": {text}\n}}\n'
@@ -265,27 +282,27 @@ def _verify_csv(tasks: Iterable[tuple], summary) -> Iterator[str]:
     yield _csv_text([SWEEP_ROW_FIELDS])
     for family, m, labels, bodies, index in tasks:
         cells = [_csv_text([[label, None]])[:-2] for label in labels]  # quoted as in a row
+        heads = [f"{m},{family},{lset},{mset}," for lset, mset in product(cells, repeat=2)]
+        nparts = [f"{nset}," for nset in cells]
         texts = [_csv_text([body.values()]) for body in bodies]
-        yield "".join(
-            f"{m},{family},{lset},{mset},{nset},{texts[number]}"
-            for (lset, mset, nset), number in zip(product(cells, repeat=3), index)
-        )
+        yield _task_text(heads, nparts, texts, index, "")
 
 
 def _verify_md(tasks: Iterable[tuple], summary) -> Iterator[str]:
     """One line per sweep row, one piece per task, then the summary, findings and verdict."""
     yield "# verification sweep\n\n"
     for family, m, labels, bodies, index in tasks:
+        heads = [
+            f"m={m} family={family} L={lset} M={mset} N=" for lset, mset in product(labels, repeat=2)
+        ]
+        nparts = [f"{nset} status=" for nset in labels]
         texts = [
-            f"{b['status']} [n,k,d]=[{b['n']},{b['k']},{b['d']}]" if b["status"] == "ok"
-            else f"{b['status']} {b['detail']}" if b["status"] == "mismatch"
-            else b["status"]
+            f"{b['status']} [n,k,d]=[{b['n']},{b['k']},{b['d']}]\n" if b["status"] == "ok"
+            else f"{b['status']} {b['detail']}\n" if b["status"] == "mismatch"
+            else f"{b['status']}\n"
             for b in bodies
         ]
-        yield "".join(
-            f"m={m} family={family} L={lset} M={mset} N={nset} status={texts[number]}\n"
-            for (lset, mset, nset), number in zip(product(labels, repeat=3), index)
-        )
+        yield _task_text(heads, nparts, texts, index, "")
     summary = summary()
     lines = ["", "## summary", ""]
     for key, value in summary.items():

@@ -44,9 +44,9 @@ One code is weighed in two stages, both by :func:`weigh`:
   histograms of F and G, each of a few values, and dividing it by the
   kernel size gives the distribution of the code.
 
-F depends on D1 alone and G on (D2, D3) alone, so :func:`weigh`, which the
-sweep and the reports call, reads both stages and the character-sum check
-below from two LRU records: one per D1 (:class:`~.simplicial.ComplexSpec`),
+F depends on D1 alone and G on (D2, D3) alone, so :func:`weigh` (and the
+sweep, through :func:`_weigh_records`) reads both stages and the character-sum
+check below from two LRU records: one per D1 (:class:`~.simplicial.ComplexSpec`),
 2 * 2^5 = 64 entries, and one per (D2, D3), 4 * 4^5 = 4,096 entries, which
 is every factor and every pair at m <= :data:`BRUTE_FORCE_M_CAP`.  A record
 holds the value histogram of its transform as (value, count) pairs, the
@@ -161,11 +161,7 @@ def weigh(spec: DefiningSetSpec) -> tuple[CodeSummary, bool]:
     or 2^(3m) minus that for a global complement.
 
     F and G are read from the two per-factor records (:func:`_d1_record` and
-    :func:`_slot_record`): each holds the value histogram of its transform,
-    the transform's value at 0 and its comparison with the spectra.  So a
-    sweep transforms and checks each D1 and each (D2, D3) once, however many
-    configurations share it, and summarizes each distinct pair of records
-    once (:func:`_summarize` is memoised on their contents).
+    :func:`_slot_record`) and weighed by :func:`_weigh_records`.
 
     Raises :class:`DegenerateConfigurationError` for an empty defining set or
     a trivial code, and ``ValueError`` above :data:`BRUTE_FORCE_M_CAP`.
@@ -174,12 +170,24 @@ def weigh(spec: DefiningSetSpec) -> tuple[CodeSummary, bool]:
         raise ValueError(
             f"exhaustive enumeration is capped at m <= {BRUTE_FORCE_M_CAP}, got m = {spec.m}"
         )
-    f_counts, f0, f_ok = _d1_record(spec.d1)
-    g_counts, g0, g_ok = _slot_record(spec.d2, spec.d3)
-    n = (1 << 3 * spec.m) - f0 * g0 if spec.global_complement else f0 * g0
+    return _weigh_records(
+        spec.m, _d1_record(spec.d1), _slot_record(spec.d2, spec.d3), spec.global_complement
+    )
+
+
+def _weigh_records(m: int, d1_record, slot_record, global_complement: bool):
+    """:func:`weigh` from the records of D1 and (D2, D3) (:func:`_d1_record`, :func:`_slot_record`).
+
+    A record holds its transform's value histogram, value at 0 and check
+    against the spectra, so a sweep weighs each configuration from records
+    it has read once, and :func:`_summarize` summarizes each distinct pair once.
+    """
+    f_counts, f0, f_ok = d1_record
+    g_counts, g0, g_ok = slot_record
+    n = (1 << 3 * m) - f0 * g0 if global_complement else f0 * g0
     if not n:
         raise DegenerateConfigurationError("empty defining set")
-    return _summarize(n, f_counts, g_counts, f0 * g0, spec.global_complement), f_ok and g_ok
+    return _summarize(n, f_counts, g_counts, f0 * g0, global_complement), f_ok and g_ok
 
 
 def _d1_transform(part: ComplexSpec) -> list[int]:

@@ -21,8 +21,10 @@ tests compare with the library's decision from the spectra.  It keeps the
 :func:`histogram_weight_distribution` builds the weight distribution of a
 size class from three spectrum-value histograms, which the tests compare
 with the paper's closed-form tables past the enumeration cap.  The library
-tallies a sweep once per distinct row body; :func:`tally_rows` tallies
-flat rows one by one, and :func:`shift_predictions` makes every prediction
+builds a sweep task's bodies once per pair of factor classes;
+:func:`sweep_task_by_rows` builds the same task with one memo lookup per
+row.  It tallies a sweep once per distinct row body; :func:`tally_rows`
+tallies flat rows one by one, and :func:`shift_predictions` makes every prediction
 wrong, so that the sweep has mismatches to tally and render.  It is a plain
 module, not a test file; the tests import it as ``from reference import
 ...``.
@@ -50,7 +52,7 @@ from __future__ import annotations
 from collections import Counter
 from collections.abc import Sequence
 from functools import cache
-from itertools import combinations
+from itertools import combinations, product
 
 from r2subfield import analysis
 from r2subfield.analysis import MINIMALITY_CAP, _charsum_terms
@@ -600,6 +602,31 @@ def _unit_message_weights(n: int, f, g, global_complement: bool, m: int) -> dict
     sign = 1 if global_complement else -1
     low = (1 << m) - 1
     return {v: (n + sign * f[v & low] * g[v >> m]) >> 1 for v in _unit_messages(m)}
+
+
+def sweep_task_by_rows(family: int, m: int) -> tuple:
+    """The task of :func:`~r2subfield.analysis._sweep_task`, built one row at a time.
+
+    Every row of masks (L, M, N), in mask order, reads its two factor
+    records and looks up the key (|L|, |M|, |N|, D1 record, slot record);
+    a new key gets the next body number and its body.  The records are read
+    through the names ``analysis`` looks up, so a patched record reaches
+    both routes.
+    """
+    c1, c2, c3, global_c = analysis._PATTERNS[family]
+    subsets = [Subset.from_mask(m, mask) for mask in range(1 << m)]
+    numbers, bodies, index = {}, [], []
+    for lset, mset, nset in product(subsets, repeat=3):
+        d1_record = analysis._d1_record(ComplexSpec(lset, c1))
+        slot_record = analysis._slot_record(ComplexSpec(mset, c2), ComplexSpec(nset, c3))
+        key = lset.size, mset.size, nset.size, d1_record, slot_record
+        if key not in numbers:
+            numbers[key] = len(bodies)
+            bodies.append(
+                analysis._row_body((family, m, *key[:3]), d1_record, slot_record, global_c)
+            )
+        index.append(numbers[key])
+    return family, m, [str(s) for s in subsets], bodies, index
 
 
 def tally_rows(rows) -> dict:

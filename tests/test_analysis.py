@@ -50,6 +50,7 @@ from reference import (
     message_weights,
     shift_predictions,
     summarize_rows,
+    sweep_task_by_rows,
 )
 
 
@@ -713,24 +714,80 @@ def test_m3_sweep_with_warm_caches_skips_no_check():
 def test_sweep_builds_each_row_body_once_per_task_and_key(monkeypatch):
     # Inside a (family, m) task the fields after N depend only on |L|, |M|,
     # |N| and the records of D1 and (D2, D3), so the m = 3 sweep weighs 576
-    # codes for its 4,608 rows and still summarizes the 195 distinct record
-    # pairs.  Each task reads the 64 records of (D2, D3) once, and each of
-    # the 576 weighings reads one more: 1,152 reads in all.
+    # codes (64 per task) for its 4,608 rows and still summarizes the 195
+    # distinct record pairs.  Each task reads its 64 records of (D2, D3) and
+    # its 8 records of D1 once, and a body weighs the records the task
+    # holds, reading none again: 576 and 72 reads in all.
     weighed = []
-    weigh = analysis.weigh
+    weigh_records = analysis._weigh_records
 
-    def counted(spec):
-        weighed.append(spec)
-        return weigh(spec)
+    def counted(*records):
+        weighed.append(records)
+        return weigh_records(*records)
 
     clear_factor_records()
     codegen._summarize.cache_clear()
-    monkeypatch.setattr(analysis, "weigh", counted)
+    monkeypatch.setattr(analysis, "_weigh_records", counted)
     rows, summary = run_sweep([3])
     assert (len(weighed), summary["total"]) == (576, 4608)
     assert codegen._summarize.cache_info().misses == 195
-    reads = codegen._slot_record.cache_info()
-    assert reads.hits + reads.misses == 1152
+    reads = codegen._slot_record.cache_info(), codegen._d1_record.cache_info()
+    assert [info.hits + info.misses for info in reads] == [576, 72]
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_sweep_task_equals_the_row_by_row_route(family):
+    # The task numbers its factor classes once and appends one index row per
+    # L; the reference looks up each row's sizes and both records.  Labels,
+    # bodies in order and index must be equal.  The records of a factor
+    # depend on its size alone, so a task has one body per size class.
+    for m in (1, 2, 3):
+        task = analysis._sweep_task(family, m)
+        assert task == sweep_task_by_rows(family, m)
+        assert len(task[3]) == (m + 1) ** 3
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+@pytest.mark.parametrize("poisoned", ["_d1_record", "_slot_record"])
+def test_a_poisoned_record_gets_its_own_bodies_in_exactly_its_rows(monkeypatch, poisoned, family):
+    # One L's D1 record, or one (M, N)'s slot record, says its transform
+    # fails the spectra.  Its factor class is then a class of its own: its
+    # rows, and only they, get body numbers that no other row has, and each
+    # non-degenerate one fails the character-sum check.  Every other row
+    # keeps its clean body.  Neither target is the first subset of its size.
+    m = 3
+    c1, c2, c3, _ = analysis._PATTERNS[family]
+    if poisoned == "_d1_record":
+        target = (ComplexSpec(Subset.from_mask(m, 0b101), c1),)
+
+        def hit(row):
+            return row >> 2 * m == 0b101
+    else:
+        target = tuple(ComplexSpec(Subset.from_mask(m, x), c) for x, c in ((0b110, c2), (1, c3)))
+
+        def hit(row):
+            return row & (1 << 2 * m) - 1 == 0b110 << m | 1
+    record = getattr(analysis, poisoned)
+
+    def wrong(*parts):
+        counts, zero, ok = record(*parts)
+        return counts, zero, ok and parts != target
+
+    *_, clean_bodies, clean_index = analysis._sweep_task(family, m)
+    monkeypatch.setattr(analysis, poisoned, wrong)
+    task = analysis._sweep_task(family, m)
+    assert task == sweep_task_by_rows(family, m)
+    *_, bodies, index = task
+    rows = range(len(index))
+    assert sum(map(hit, rows)) == (64 if poisoned == "_d1_record" else 8)
+    own = {index[row] for row in rows if hit(row)}
+    assert own.isdisjoint(index[row] for row in rows if not hit(row))
+    for row in rows:
+        body, clean_body = bodies[index[row]], clean_bodies[clean_index[row]]
+        if hit(row) and clean_body["status"] != "degenerate":
+            assert body == {**clean_body, "charsum_ok": False}, row
+        else:
+            assert body == clean_body, row
 
 
 def test_wrong_spectrum_value_fails_every_row_of_its_factor(monkeypatch):

@@ -261,7 +261,7 @@ def test_factored_route_matches_the_full_table():
             degenerate["trivial code"] += 1
             continue
         measured, charsum_ok = weigh(s)
-        _, flags = analysis._evaluate(s, measured)
+        _, flags = analysis._evaluate(analysis._class_key(s), measured)
         expected = {w: count // kernel for w, count in sorted(hist.items())}
         assert list(measured.weights.items()) == list(expected.items()), s
         k = 3 * s.m - kernel.bit_length() + 1
