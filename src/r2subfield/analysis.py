@@ -266,9 +266,16 @@ def distance_optimal_by_griesmer(n: int, k: int, d: int) -> bool:
 
     False means the bound does not decide; it never certifies non-optimality.
     """
-    if griesmer_sum(k, d) > n:
-        raise ValueError(f"[{n},{k},{d}] already violates the Griesmer bound")
+    _griesmer_checked(n, k, d)
     return griesmer_sum(k, d + 1) > n
+
+
+def _griesmer_checked(n: int, k: int, d: int) -> int:
+    """:func:`griesmer_sum` (k, d); ``ValueError`` if [n, k, d] lies below the bound."""
+    bound = griesmer_sum(k, d)
+    if bound > n:
+        raise ValueError(f"[{n},{k},{d}] already violates the Griesmer bound")
+    return bound
 
 
 def optimality_condition(family: int, m: int, sl: int, sm: int, sn: int) -> bool:
@@ -472,6 +479,24 @@ def _decisions(m: int, factors: tuple, n: int, sign: int, whole: int) -> tuple[b
     return minimal, all((wa + wb - wab) % 8 == 0 for wa, wb, wab in triples)
 
 
+def _predict(key: tuple[int, ...]) -> CodeSummary:
+    """The predicted :class:`~r2subfield.codegen.CodeSummary` of size class ``key``.
+
+    Only called for a code that enumeration found nontrivial, so a
+    prediction of degeneracy is a program fault (:class:`InvariantError`).
+    The table is read through :func:`_instantiate` on every call; its
+    ``min_distance`` still raises :class:`DegenerateConfigurationError` for
+    a table with no nonzero weight.
+    """
+    try:
+        pn, pk, ptable = _instantiate(*key)
+    except DegenerateConfigurationError:
+        raise InvariantError(
+            "prediction says degenerate but enumeration found a nontrivial code"
+        ) from None
+    return CodeSummary(n=pn, k=pk, d=min_distance(ptable), weights=ptable)
+
+
 def _evaluate(key: tuple[int, ...], measured: CodeSummary):
     """One configuration of size class ``key`` (:func:`_class_key`): prediction and flags.
 
@@ -479,19 +504,12 @@ def _evaluate(key: tuple[int, ...], measured: CodeSummary):
     :func:`~r2subfield.codegen.weigh` read off the enumerated side.  Exact
     minimality (:func:`spectral_minimality`) is reported for codes of up to
     :data:`MINIMALITY_CAP` codewords.  Returns the predicted
-    :class:`~r2subfield.codegen.CodeSummary` and the flags of the report, in
-    the stable JSON layout of the CLI.  The predicted table is read through
-    :func:`_instantiate` on every call, and every other value of the class
-    through its record (:func:`_size_class`).
+    :class:`~r2subfield.codegen.CodeSummary` (:func:`_predict`) and the
+    flags of the report, in the stable JSON layout of the CLI; every value
+    of the class but its table is read through its record (:func:`_size_class`).
     """
     params = (measured.n, measured.k, measured.d)
-    try:
-        pn, pk, ptable = _instantiate(*key)
-    except DegenerateConfigurationError:
-        raise InvariantError(
-            "prediction says degenerate but enumeration found a nontrivial code"
-        ) from None
-    predicted = CodeSummary(n=pn, k=pk, d=min_distance(ptable), weights=ptable)
+    predicted = _predict(key)
     minimal, self_orth, table10_minimal, table10_self_orth, opt, _ = _size_class(*key)
     minimal_exact = minimal if (1 << measured.k) <= MINIMALITY_CAP else None
     flags = {
@@ -546,38 +564,66 @@ def _row_body(key: tuple[int, ...], d1_record, slot_record, global_complement: b
     """A row's fields after ``N``, from its size class ``key`` and its two factor records.
 
     The records of D1 and (D2, D3) are weighed by
-    :func:`~r2subfield.codegen._weigh_records` and checked by :func:`_evaluate`.
-    Exact minimality is known only for codes of at most :data:`MINIMALITY_CAP`
-    codewords, so at m = 5 a code with k > 14 checks no minimality claim.
+    :func:`~r2subfield.codegen._weigh_records` and the class predicted by
+    :func:`_predict`, both inside the catch that makes a row degenerate.
+    The body is then one dict of the fields a row prints, read off the
+    measured code, the prediction and the class record (:func:`_size_class`):
+    the values :func:`_evaluate` would flag, computed only where a field
+    reads them.  A code below the Griesmer bound is still a ``ValueError``
+    (:func:`_griesmer_checked`).  Exact minimality is known only for codes
+    of at most :data:`MINIMALITY_CAP` codewords, so at m = 5 a code with
+    k > 14 checks no minimality claim.
     """
-    body = {**dict.fromkeys(SWEEP_ROW_FIELDS[5:]), "status": "ok", "detail": ""}
     try:
         measured, charsum_ok = _weigh_records(key[1], d1_record, slot_record, global_complement)
-        predicted, flags = _evaluate(key, measured)
+        predicted = _predict(key)
     except DegenerateConfigurationError as exc:
-        body.update(status="degenerate", detail=str(exc))
-        return body
-    body.update(
-        n=measured.n, k=measured.k, d=measured.d, match=predicted == measured,
-        charsum_ok=charsum_ok,
-    )
-    if not body["match"]:
-        body.update(status="mismatch", detail="; ".join(
+        return {**dict.fromkeys(SWEEP_ROW_FIELDS[5:]), "status": "degenerate", "detail": str(exc)}
+    n, k, d, weights = measured.n, measured.k, measured.d, measured.weights
+    minimal, self_orth, table10_minimal, table10_self_orth, _, griesmer_claim = _size_class(*key)
+    griesmer_equal = _griesmer_checked(n, k, d) == n
+    minimal_exact = minimal if (1 << k) <= MINIMALITY_CAP else None
+    match = predicted == measured
+    return {
+        "status": "ok" if match else "mismatch",
+        "n": n,
+        "k": k,
+        "d": d,
+        "match": match,
+        "charsum_ok": charsum_ok,
+        "griesmer_ok": griesmer_equal if griesmer_claim else None,
+        "minimal_claim_ok": minimal_exact if table10_minimal else None,
+        "selforth_claim_ok": self_orth if table10_self_orth else None,
+        "ab_implication_ok": (
+            minimal_exact if minimal_exact is not None and ashikhmin_barg_minimal(weights) else None
+        ),
+        "detail": "" if match else "; ".join(
             f"{name} [n,k,d]=[{c.n},{c.k},{c.d}] weights={dict(sorted(c.weights.items()))}"
             for name, c in (("predicted", predicted), ("measured", measured))
-        ))
-    if _size_class(*key)[-1]:  # the Griesmer claim
-        body["griesmer_ok"] = flags["griesmer_equal"]
-    if flags["table10_minimal"] and flags["minimal_exact"] is not None:
-        body["minimal_claim_ok"] = flags["minimal_exact"]
-    if flags["table10_self_orth"]:
-        body["selforth_claim_ok"] = flags["self_orth_exact"]
-    if flags["minimal_ab"] and flags["minimal_exact"] is not None:
-        body["ab_implication_ok"] = flags["minimal_exact"]
-    return body
+        ),
+    }
 
 
-def _sweep_task(family: int, m: int) -> tuple:
+def _slot_table(m: int, c2: bool, c3: bool) -> tuple[list[tuple], list[int]]:
+    """The slot classes of every (M, N) at m, D2 and D3 complemented as ``c2`` and ``c3``.
+
+    Returns (classes, slot_of): ``classes`` lists each distinct
+    (|M|, |N|, slot record) once, in order of first appearance over the 4^m
+    (M, N) by mask, and ``slot_of`` the class number of the (M, N) at
+    M << m | N.  Each :func:`~r2subfield.codegen._slot_record` is read once.
+    """
+    subsets = [Subset.from_mask(m, mask) for mask in range(1 << m)]
+    d2s, d3s = ([ComplexSpec(s, c) for s in subsets] for c in (c2, c3))
+    classes = {}
+    slot_of = [
+        classes.setdefault((mset.size, nset.size, _slot_record(d2, d3)), len(classes))
+        for mset, d2 in zip(subsets, d2s)
+        for nset, d3 in zip(subsets, d3s)
+    ]
+    return list(classes), slot_of
+
+
+def _sweep_task(family: int, m: int, slot_table: tuple | None = None) -> tuple:
     """The rows of one (family, m) as the task (family, m, labels, bodies, index).
 
     ``labels`` holds the subset labels by mask, ``bodies`` each distinct row
@@ -585,21 +631,17 @@ def _sweep_task(family: int, m: int) -> tuple:
     row, the row of masks (L, M, N) at L << 2m | M << m | N, where
     ``itertools.product(labels, repeat=3)`` has its labels.  A body depends
     only on |L|, |M|, |N| and the records of D1 and of (D2, D3) that
-    :func:`~r2subfield.codegen.weigh` reads.  So the task numbers each
-    distinct (|M|, |N|, slot record) over the 4^m (M, N), and keys each L on
-    (|L|, D1 record): the first L of a D1 class builds one body per slot
-    class (:func:`_row_body`) and the class's index row, which every L of it
-    appends.  A wrong record is a class, with bodies, of its own.
+    :func:`~r2subfield.codegen.weigh` reads.  So the task takes the slot
+    classes (|M|, |N|, slot record) of the 4^m (M, N) from ``slot_table``
+    (:func:`_slot_table` of m and the family's complements of D2 and D3,
+    built here if not given; :class:`SweepTasks` passes one per sweep), and
+    keys each L on (|L|, D1 record): the first L of a D1 class builds one
+    body per slot class (:func:`_row_body`) and the class's index row, which
+    every L of it appends.  A wrong record is a class, with bodies, of its own.
     """
     c1, c2, c3, global_c = _PATTERNS[family]
+    slot_classes, slot_of = slot_table or _slot_table(m, c2, c3)
     subsets = [Subset.from_mask(m, mask) for mask in range(1 << m)]
-    d2s, d3s = ([ComplexSpec(s, c) for s in subsets] for c in (c2, c3))
-    slot_classes = {}
-    slot_of = [
-        slot_classes.setdefault((mset.size, nset.size, _slot_record(d2, d3)), len(slot_classes))
-        for mset, d2 in zip(subsets, d2s)
-        for nset, d3 in zip(subsets, d3s)
-    ]
     rows_of, bodies, index = {}, [], []
     for lset in subsets:
         key = lset.size, _d1_record(ComplexSpec(lset, c1))
@@ -645,7 +687,11 @@ class SweepTasks:
 
     Made by :func:`sweep_tasks`; iterate it once.  Each step runs the next
     task and tallies it (:func:`_tally`) as it yields it; :meth:`summary`
-    folds the tallies so far.
+    folds the tallies so far.  The slot table of a task (:func:`_slot_table`)
+    depends only on m and the family's complements of D2 and D3, so the
+    iteration builds it once per such (m, c2, c3) and hands it to every
+    task that has it: 4 tables for the 9 families of one m.  The tables
+    live for that one iteration, so the next sweep reads every record again.
     """
 
     def __init__(self, tasks: list[tuple[int, int]]) -> None:
@@ -656,8 +702,12 @@ class SweepTasks:
         if self._tallies is not None:
             raise RuntimeError("a sweep's tasks can be iterated once")
         self._tallies = []
+        tables = {}  # (m, complement D2, complement D3) -> its slot table, for this pass only
         for family, m in self._tasks:
-            task = _sweep_task(family, m)
+            pattern = (m, *_PATTERNS[family][1:3])
+            if pattern not in tables:
+                tables[pattern] = _slot_table(*pattern)
+            task = _sweep_task(family, m, tables[pattern])
             self._tallies.append(_tally(task))
             yield task
 

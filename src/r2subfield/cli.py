@@ -241,6 +241,10 @@ def _task_text(heads: list, nparts: list, texts: list, index: list, separator: s
     )))
 
 
+# What the C encoder of _verify_json writes between two bodies of a task's list
+_BODY_BREAK = "},\n      {"
+
+
 def _verify_json(tasks: Iterable[tuple], summary) -> Iterator[str]:
     """The text of ``json.dumps(sweep, indent=2)`` plus a newline, one piece per task.
 
@@ -254,11 +258,16 @@ def _verify_json(tasks: Iterable[tuple], summary) -> Iterator[str]:
     newline and six spaces after each field's comma, writes them exactly as
     ``indent=2`` does; only the row's braces go on lines of their own.  A
     task (:func:`~r2subfield.analysis.sweep_tasks`) holds each distinct row
-    body (the fields after ``N``) and each label once, so each is encoded
-    once, into the 4^m heads (``m`` to the ``N`` key), the 2^m N labels and
-    the body texts (with the row's closing brace) that :func:`_task_text`
-    joins.  The summary is small and nested, and keeps ``json.dumps``,
-    indented one level deeper.
+    body (the fields after ``N``) and each label once, so each label is
+    encoded once, into the 4^m heads (``m`` to the ``N`` key) and the 2^m N
+    labels, and the bodies of a task in one call of the C encoder on their
+    list, which puts :data:`_BODY_BREAK` between two bodies.  Splitting on
+    it gives each body's text: an encoded string holds no raw newline (it
+    writes ``\\n``), and a body holds no nested object, so inside a body the
+    separator is always followed by a key's quote, never by ``{``.  Each
+    text, with the row's closing brace, is what :func:`_task_text` joins.
+    The summary is small and nested, and keeps ``json.dumps``, indented one
+    level deeper.
     """
     encode = json.JSONEncoder(separators=(",\n      ", ": ")).encode
     yield '{\n  "rows": [\n'
@@ -270,7 +279,7 @@ def _verify_json(tasks: Iterable[tuple], summary) -> Iterator[str]:
             f'      "M": {mset},\n      "N": ' for lset, mset in product(encoded, repeat=2)
         ]
         nparts = [f"{nset},\n      " for nset in encoded]
-        texts = [f"{encode(body)[1:-1]}\n    }}" for body in bodies]
+        texts = [f"{text}\n    }}" for text in encode(bodies)[2:-2].split(_BODY_BREAK)]
         yield separator + _task_text(heads, nparts, texts, index, ",\n")
         separator = ",\n"
     text = json.dumps(summary(), indent=2).replace("\n", "\n  ")

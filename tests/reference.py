@@ -21,9 +21,10 @@ tests compare with the library's decision from the spectra.  It keeps the
 :func:`histogram_weight_distribution` builds the weight distribution of a
 size class from three spectrum-value histograms, which the tests compare
 with the paper's closed-form tables past the enumeration cap.  The library
-builds a sweep task's bodies once per pair of factor classes;
-:func:`sweep_task_by_rows` builds the same task with one memo lookup per
-row.  It tallies a sweep once per distinct row body; :func:`tally_rows`
+builds a sweep task's bodies once per pair of factor classes, each as one
+dict of the fields a row prints; :func:`sweep_task_by_rows` builds the same
+task with one memo lookup per row, and :func:`row_body_by_flags` each body
+from the nine flags of a report.  It tallies a sweep once per distinct row body; :func:`tally_rows`
 tallies flat rows one by one, and :func:`shift_predictions` makes every prediction
 wrong, so that the sweep has mismatches to tally and render.  It is a plain
 module, not a test file; the tests import it as ``from reference import
@@ -604,15 +605,54 @@ def _unit_message_weights(n: int, f, g, global_complement: bool, m: int) -> dict
     return {v: (n + sign * f[v & low] * g[v >> m]) >> 1 for v in _unit_messages(m)}
 
 
-def sweep_task_by_rows(family: int, m: int) -> tuple:
+def row_body_by_flags(key: tuple[int, ...], d1_record, slot_record, global_complement: bool) -> dict:
+    """The body of :func:`~r2subfield.analysis._row_body`, read through the report's flags.
+
+    The records are weighed by ``analysis._weigh_records`` and checked by
+    ``analysis._evaluate``, the route of ``code_report``, whose nine flags
+    the body then reads field by field, all through the names ``analysis``
+    looks up, so a patched weighing or prediction reaches both routes.
+    """
+    body = {**dict.fromkeys(analysis.SWEEP_ROW_FIELDS[5:]), "status": "ok", "detail": ""}
+    try:
+        measured, charsum_ok = analysis._weigh_records(
+            key[1], d1_record, slot_record, global_complement
+        )
+        predicted, flags = analysis._evaluate(key, measured)
+    except DegenerateConfigurationError as exc:
+        body.update(status="degenerate", detail=str(exc))
+        return body
+    body.update(
+        n=measured.n, k=measured.k, d=measured.d, match=predicted == measured,
+        charsum_ok=charsum_ok,
+    )
+    if not body["match"]:
+        body.update(status="mismatch", detail="; ".join(
+            f"{name} [n,k,d]=[{c.n},{c.k},{c.d}] weights={dict(sorted(c.weights.items()))}"
+            for name, c in (("predicted", predicted), ("measured", measured))
+        ))
+    if analysis._size_class(*key)[-1]:  # the Griesmer claim
+        body["griesmer_ok"] = flags["griesmer_equal"]
+    if flags["table10_minimal"] and flags["minimal_exact"] is not None:
+        body["minimal_claim_ok"] = flags["minimal_exact"]
+    if flags["table10_self_orth"]:
+        body["selforth_claim_ok"] = flags["self_orth_exact"]
+    if flags["minimal_ab"] and flags["minimal_exact"] is not None:
+        body["ab_implication_ok"] = flags["minimal_exact"]
+    return body
+
+
+def sweep_task_by_rows(family: int, m: int, row_body=None) -> tuple:
     """The task of :func:`~r2subfield.analysis._sweep_task`, built one row at a time.
 
     Every row of masks (L, M, N), in mask order, reads its two factor
     records and looks up the key (|L|, |M|, |N|, D1 record, slot record);
-    a new key gets the next body number and its body.  The records are read
-    through the names ``analysis`` looks up, so a patched record reaches
-    both routes.
+    a new key gets the next body number and its body, built by
+    ``row_body`` (by default ``analysis._row_body``; :func:`row_body_by_flags`
+    is the flags route).  The records are read through the names
+    ``analysis`` looks up, so a patched record reaches both routes.
     """
+    row_body = row_body or analysis._row_body
     c1, c2, c3, global_c = analysis._PATTERNS[family]
     subsets = [Subset.from_mask(m, mask) for mask in range(1 << m)]
     numbers, bodies, index = {}, [], []
@@ -622,9 +662,7 @@ def sweep_task_by_rows(family: int, m: int) -> tuple:
         key = lset.size, mset.size, nset.size, d1_record, slot_record
         if key not in numbers:
             numbers[key] = len(bodies)
-            bodies.append(
-                analysis._row_body((family, m, *key[:3]), d1_record, slot_record, global_c)
-            )
+            bodies.append(row_body((family, m, *key[:3]), d1_record, slot_record, global_c))
         index.append(numbers[key])
     return family, m, [str(s) for s in subsets], bodies, index
 

@@ -37,7 +37,7 @@ from r2subfield.analysis import (
     sweep_tasks,
     table10_conditions,
 )
-from r2subfield.cli import _verify_json
+from r2subfield.cli import _verify_json, main
 from r2subfield.codegen import DegenerateConfigurationError, InvariantError
 from r2subfield.simplicial import ComplexSpec, Subset, subset
 from reference import (
@@ -48,6 +48,7 @@ from reference import (
     exact_minimality,
     histogram_weight_distribution,
     message_weights,
+    row_body_by_flags,
     shift_predictions,
     summarize_rows,
     sweep_task_by_rows,
@@ -715,9 +716,11 @@ def test_sweep_builds_each_row_body_once_per_task_and_key(monkeypatch):
     # Inside a (family, m) task the fields after N depend only on |L|, |M|,
     # |N| and the records of D1 and (D2, D3), so the m = 3 sweep weighs 576
     # codes (64 per task) for its 4,608 rows and still summarizes the 195
-    # distinct record pairs.  Each task reads its 64 records of (D2, D3) and
-    # its 8 records of D1 once, and a body weighs the records the task
-    # holds, reading none again: 576 and 72 reads in all.
+    # distinct record pairs.  Each task reads its 8 records of D1 once, 72
+    # reads in all.  The slot records depend only on m and the complements
+    # of D2 and D3, four patterns over the nine families, so the sweep reads
+    # the 64 records of each pattern once: 256 reads.  A body weighs the
+    # records the task holds, reading none again.
     weighed = []
     weigh_records = analysis._weigh_records
 
@@ -732,7 +735,81 @@ def test_sweep_builds_each_row_body_once_per_task_and_key(monkeypatch):
     assert (len(weighed), summary["total"]) == (576, 4608)
     assert codegen._summarize.cache_info().misses == 195
     reads = codegen._slot_record.cache_info(), codegen._d1_record.cache_info()
-    assert [info.hits + info.misses for info in reads] == [576, 72]
+    assert [info.hits + info.misses for info in reads] == [256, 72]
+
+
+def test_slot_tables_are_read_once_per_sweep(monkeypatch):
+    # A sweep shares one slot table per (m, complement D2, complement D3)
+    # among its tasks, and builds it again on the next sweep.  After a clean
+    # sweep, one (M, N)'s slot record with plain D2 and plain D3 says its
+    # transform fails the spectra: the next sweep must fail exactly the
+    # non-degenerate rows of that (M, N) at m = 3 in families 1, 2 and 9,
+    # the families with plain D2 and D3, and leave every other row as it
+    # was.  A table kept from the clean sweep would hide the poison, and one
+    # keyed without m would serve the m = 2 table to the m = 3 tasks.
+    clean = run_sweep([2, 3])
+    target = tuple(ComplexSpec(Subset.from_mask(3, x), False) for x in (0b110, 1))
+    record = analysis._slot_record
+
+    def wrong(*parts):
+        counts, zero, ok = record(*parts)
+        return counts, zero, ok and parts != target
+
+    clear_factor_records()
+    monkeypatch.setattr(analysis, "_slot_record", wrong)
+    rows, summary = run_sweep([2, 3])
+    assert len(rows) == len(clean[0])
+    hit = 0
+    for row, clean_row in zip(rows, clean[0], strict=True):
+        if (row["m"], row["M"], row["N"]) == (3, "2,3", "1") and row["family"] in (1, 2, 9):
+            if clean_row["status"] != "degenerate":
+                assert row == {**clean_row, "charsum_ok": False}, row
+                hit += 1
+                continue
+        assert row == clean_row, row
+    # in family 2, L = {1, 2, 3} leaves D1 empty, so that row is degenerate
+    assert summary["charsum_failures"] == hit == 3 * 8 - 1
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+@pytest.mark.parametrize("shifted", [False, True])
+def test_row_bodies_equal_the_flags_route(monkeypatch, shifted, family):
+    # A body is one dict of the fields a row prints; the reference reads
+    # each field through the nine flags of code_report's _evaluate.  Every
+    # body of every task must be equal, on clean records and under wrong
+    # predictions.  These move a codeword of weight d to d - 1, so a table
+    # whose one nonzero word has weight 1 (families 1-8 have such classes)
+    # becomes degenerate by prediction, and every other non-degenerate row a
+    # mismatch.
+    if shifted:
+        shift_predictions(monkeypatch)
+    statuses = Counter()
+    for m in (1, 2, 3):
+        task = analysis._sweep_task(family, m)
+        assert task == sweep_task_by_rows(family, m, row_body_by_flags)
+        statuses.update(
+            "by prediction" if body["detail"] == "trivial code has no nonzero codeword"
+            else body["status"] for body in task[3]
+        )
+    assert (statuses["ok"] > 0, statuses["mismatch"] > 0) == (not shifted, shifted)
+    assert (statuses["by prediction"] > 0) is (shifted and family != 9)
+
+
+def test_a_code_below_the_griesmer_bound_is_a_value_error(monkeypatch, capsys):
+    # No binary [3, 3, 2] code exists: the Griesmer sum is 2 + 1 + 1 = 4.  A
+    # weighing that measured one is a fault the sweep must not print as a
+    # row; the CLI reports it as an error and exits 2.
+    weigh_records = analysis._weigh_records
+
+    def impossible(*records):
+        charsum_ok = weigh_records(*records)[1]  # a degenerate code stays degenerate
+        return codegen.CodeSummary(n=3, k=3, d=2, weights={0: 1, 2: 6, 3: 1}), charsum_ok
+
+    monkeypatch.setattr(analysis, "_weigh_records", impossible)
+    with pytest.raises(ValueError, match=r"^\[3,3,2\] already violates the Griesmer bound$"):
+        run_sweep([1], [1])
+    assert main(["verify", "--m", "1", "--families", "1"]) == 2
+    assert capsys.readouterr().err == "error: [3,3,2] already violates the Griesmer bound\n"
 
 
 @pytest.mark.parametrize("family", FAMILIES)

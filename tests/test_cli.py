@@ -153,8 +153,10 @@ def test_verify_json_escapes_strings_like_indent2():
     # the C encoder must escape a row's strings as the pure-Python one does,
     # in the body, which is encoded once for the rows that share it, and in
     # the labels, which are encoded apart from it.  Two hand-built m = 1
-    # tasks of 8 rows each, with awkward labels and details.
-    awkward = 'quote " backslash \\ newline \n tab \t non-ASCII é≡ {"a": [1, 2]}'
+    # tasks of 8 rows each, with awkward labels and details.  The bodies of
+    # a task are encoded in one call and split where one ends and the next
+    # begins, so a detail also holds that break as raw text.
+    awkward = 'quote " backslash \\ newline \n tab \t non-ASCII é≡ {"a": [1, 2]} },\n      {'
     body = dict.fromkeys(SWEEP_ROW_FIELDS[5:])
     body.update(status="mismatch", n=3, match=False, charsum_ok=True, detail=awkward)
     bodies = [body, {**body, "status": "ok", "detail": "tab\t"}]

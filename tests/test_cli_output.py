@@ -83,6 +83,11 @@ CASES = {
         "71f84bb1645581a567813858824a719fdf6b1febd6759dbfd5e4d33cf8aa9e2f",
         "",
     ),
+    "verify-m123-json": (
+        "verify --m 1,2,3 --format json", 0,
+        "a310ae68cd922a6ae1d0bd999b521d9fa72503b08482510c89888cd8b45eefdb",
+        "",
+    ),
     "verify-m3-csv": (
         "verify --m 3 --format csv", 0,
         "aa3d150fbdaba97712cb65b210cef079ca206b51ddfefdb775f0e7f357f3d427",
