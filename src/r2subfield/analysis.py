@@ -11,21 +11,23 @@ Each family carries an exact predicted weight table in the subset sizes
 theorem with the roles of L, M, N permuted, so the tables, the sufficiency
 conditions and the optimality rule are written once per complement shape
 (none, one, two, three, global), in the complemented sizes and p, the sum
-of the plain ones.  The tables are instantiated over the integers and then
-normalized: zero-count rows are dropped, rows whose weights collide are
-merged, and if a row lands on weight 0 with positive count (possible in
-families 2-8 when a complement degenerates, say |L| = |M| = m - 1 in family
-5) the homomorphism from messages to codewords has extra kernel, so every
-count is divided by the total weight-0 count and k drops accordingly.  The
-normalized table is what ``predicted_parameters`` reads n, k, d from; it is
-compared codeword-for-codeword against brute-force enumeration by the
-sweep driver here and the test suite.  The table, the conditions, the
-optimality rule and both exact decisions below depend on the size class
-(family, m, |L|, |M|, |N|) alone.  The table is cached by it in an LRU of
-1024 entries (one family's (m + 1)^3 classes up to m = 9), as
-:func:`griesmer_sum` is by (k, d), and the rest in one record per class
-(:func:`_size_class`), read once per report or sweep row body.  Neither holds an
-enumerated result, so every relabelling meets them with its own code.
+of the plain ones.  The tables are instantiated over the integers
+(:func:`_instantiate`): zero-count rows are dropped, rows whose weights
+collide are merged, and the result is normalized by the kernel-coset step
+that also ends the enumeration (:func:`~r2subfield.codegen._cosets`).  A
+row can land on weight 0 with positive count (in families 2-8 when a
+complement degenerates, say |L| = |M| = m - 1 in family 5); the messages
+then have extra kernel, every count is divided by the weight-0 count and k
+drops accordingly.  The normalized table is what ``predicted_parameters``
+reads n, k, d from; it is compared codeword-for-codeword against the
+enumerated code by the sweep here and by the test suite.  The table,
+the conditions, the optimality rule and both exact decisions below depend
+on the size class (family, m, |L|, |M|, |N|) alone.  The table is cached
+by it in an LRU of 1024 entries (one family's (m + 1)^3 classes up to
+m = 9), as :func:`griesmer_sum` is by (k, d), and the rest in one record
+per class (:func:`_size_class`), read once per report or sweep row body.
+Neither holds an enumerated result, so every relabelling meets them with
+its own code.
 
 Also implemented: the Griesmer bound (sum of ceil(d / 2^i)), the
 Ashikhmin-Barg sufficient condition for minimality (2 * wmin > wmax for
@@ -55,6 +57,7 @@ from .codegen import (
     DefiningSetSpec,
     DegenerateConfigurationError,
     InvariantError,
+    _cosets,
     _d1_record,
     _slot_record,
     _weigh_records,
@@ -204,37 +207,36 @@ def _table_rows(family: int, m: int, sl: int, sm: int, sn: int):
 
 @lru_cache(maxsize=1024)
 def _instantiate(family: int, m: int, sl: int, sm: int, sn: int):
-    """Normalized predicted table: returns (n, k, {weight: count})."""
+    """Normalized predicted table: returns (n, k, {weight: count}).
+
+    The rows of :func:`_table_rows` and the zero codeword are merged into
+    one doubled-weight histogram of 2^k nominal messages, which
+    :func:`~r2subfield.codegen._cosets` divides by its kernel, as it does
+    the enumerated code's.
+    """
     _check_sizes(family, m, sl, sm, sn)
     rows, n, nominal_k = _table_rows(family, m, sl, sm, sn)
-    merged = {0: 1}
+    merged = Counter({0: 1})
     for dw, count in rows:
         if count < 0:
             raise InvariantError("table counts must be non-negative")
         if count == 0:
             continue
-        if dw < 0 or dw % 2:
-            raise InvariantError("positive-count row with fractional weight")
-        merged[dw] = merged.get(dw, 0) + count
-    total = sum(merged.values())
-    if total != 1 << nominal_k:
+        if dw < 0:
+            raise InvariantError("positive-count row with negative weight")
+        merged[dw] += count
+    total = 1 << nominal_k
+    if merged.total() != total:
         raise InvariantError("table counts must sum to 2^k")
-    kappa = merged[0]
-    if kappa & (kappa - 1):
-        raise InvariantError("kernel multiplicity must be a 2-power")
-    if n == 0 or total == kappa:
+    k, table = _cosets(merged, total)
+    if n == 0 or k == 0:
         raise DegenerateConfigurationError(
             f"family {family} with |L|,|M|,|N| = {sl},{sm},{sn} at m = {m} "
             "yields an empty or trivial code"
         )
-    table = {}
-    for dw, count in sorted(merged.items()):
-        if count % kappa:
-            raise InvariantError("counts must be divisible by the kernel multiplicity")
-        table[dw >> 1] = count // kappa
     if max(table) > n:
         raise InvariantError("predicted weight exceeds length")
-    return n, (total // kappa).bit_length() - 1, table
+    return n, k, table
 
 
 def predicted_parameters(family: int, m: int, sl: int, sm: int, sn: int) -> tuple[int, int, int]:

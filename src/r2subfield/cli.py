@@ -59,7 +59,7 @@ from .analysis import (
     predicted_weight_table,
     sweep_tasks,
 )
-from .codegen import DefiningSetSpec
+from .codegen import CodeSummary, DefiningSetSpec
 from .simplicial import ComplexSpec, Subset
 
 __all__ = ["BUNDLED_MANIFEST", "TABLES_M_CAP", "main"]
@@ -69,9 +69,12 @@ __all__ = ["BUNDLED_MANIFEST", "TABLES_M_CAP", "main"]
 # their decimal output) small enough that bad input cannot exhaust memory.
 TABLES_M_CAP = 256
 
+# One manifest row: (family, m, L, M, N, n, k, d)
+_ManifestRow = tuple[int, int, str, str, str, int, int, int]
+
 # Expected parameters of the distance-optimal reference codes, one row per
 # (family, m, L, M, N, n, k, d).  `scan` recomputes every row from scratch.
-BUNDLED_MANIFEST: tuple[tuple[int, int, str, str, str, int, int, int], ...] = (
+BUNDLED_MANIFEST: tuple[_ManifestRow, ...] = (
     (2, 3, "1", "1,2", "1,2,3", 192, 8, 96),
     (2, 4, "1", "-", "2,3,4", 112, 7, 56),
     (2, 5, "2", "1", "3,5", 240, 8, 120),
@@ -344,9 +347,14 @@ def cmd_verify(args) -> int:
 # ---------------------------------------------------------------- scan
 
 
-def _load_manifest(path: str | None) -> list[tuple[int, int, str, str, str, int, int, int]]:
+def _load_manifest(path: str | None) -> list[tuple[int, _ManifestRow]]:
+    """The manifest's rows, each with its line number.
+
+    The bundled rows are numbered as the lines they would have in a file,
+    under the header.
+    """
     if path is None:
-        return list(BUNDLED_MANIFEST)
+        return list(enumerate(BUNDLED_MANIFEST, 2))
     with open(path, newline="", encoding="utf-8") as handle:
         reader = csv.DictReader(handle)
         rows = []
@@ -370,7 +378,8 @@ def _load_manifest(path: str | None) -> list[tuple[int, int, str, str, str, int,
                     )
                 except ValueError as exc:
                     raise ValueError(f"manifest line {reader.line_num}: {exc}") from None
-                rows.append((family, m, record["L"], record["M"], record["N"], n, k, d))
+                row = (family, m, record["L"], record["M"], record["N"], n, k, d)
+                rows.append((reader.line_num, row))
         except csv.Error as exc:
             # DictReader copies line_num only once a row parses; its reader counts every line
             raise ValueError(f"manifest line {reader.reader.line_num}: {exc}") from None
@@ -386,7 +395,7 @@ _SCAN_FIELDS = (
 _SCAN_TRIPLES = ("expected", "computed")
 
 
-def _scan_result(row: tuple[int, int, str, str, str, int, int, int]) -> dict:
+def _scan_result(row: _ManifestRow) -> dict:
     family, m, l_text, m_text, n_text, n, k, d = row
     _check_m(m)
     report = code_report(
@@ -454,8 +463,12 @@ def _scan_csv(results: Sequence[dict]):
 
 
 def cmd_scan(args) -> int:
-    manifest = _load_manifest(args.manifest)
-    results = [_scan_result(row) for row in manifest]
+    results = []
+    for line, row in _load_manifest(args.manifest):
+        try:
+            results.append(_scan_result(row))
+        except ValueError as exc:
+            raise ValueError(f"manifest line {line}: {exc}") from None
     _render(args, _report_pieces(args.format, results, _scan_csv, _scan_md))
     return 0 if all(r["result"] == "PASS" for r in results) else 1
 
@@ -487,16 +500,12 @@ def cmd_tables(args) -> int:
     _check_family(args.family)
     if args.m > TABLES_M_CAP:
         raise ValueError(f"tables are capped at m <= {TABLES_M_CAP}, got m = {args.m}")
-    table = predicted_weight_table(args.family, args.m, args.sL, args.sM, args.sN)
-    n, k, d = predicted_parameters(args.family, args.m, args.sL, args.sM, args.sN)
+    key = (args.family, args.m, args.sL, args.sM, args.sN)
     payload = {
         "family": args.family,
         "m": args.m,
         "sizes": {"L": args.sL, "M": args.sM, "N": args.sN},
-        "n": n,
-        "k": k,
-        "d": d,
-        "weights": [{"w": w, "count": c} for w, c in sorted(table.items())],
+        **CodeSummary(*predicted_parameters(*key), predicted_weight_table(*key)).as_dict(),
     }
     _render(args, _report_pieces(args.format, payload, _tables_csv, _tables_md))
     return 0

@@ -41,14 +41,16 @@ One code is weighed in two stages, both by :func:`weigh`:
   of them.
 * The weight distribution (:func:`_summarize`): the histogram of the
   doubled weights n -+ F[alpha] * G[sigma] is the product of the value
-  histograms of F and G, each of a few values, and dividing it by the
-  kernel size gives the distribution of the code.
+  histograms of F and G, each of a few values.  :func:`_cosets` divides it
+  by the kernel into k and the distribution of the code; the predicted
+  table (``analysis._instantiate``) is normalized by the same step.
 
 F depends on D1 alone and G on (D2, D3) alone, so :func:`weigh` (and the
 sweep, through :func:`_weigh_records`) reads both stages and the character-sum
-check below from two LRU records: one per D1 (:class:`~.simplicial.ComplexSpec`),
-2 * 2^5 = 64 entries, and one per (D2, D3), 4 * 4^5 = 4,096 entries, which
-is every factor and every pair at m <= :data:`BRUTE_FORCE_M_CAP`.  A record
+check below from two LRU records: one per D1 (:class:`~.simplicial.ComplexSpec`)
+and one per (D2, D3).  Their bounds are the 2 * 2^m factors and the
+4 * 4^m pairs summed over m <= :data:`BRUTE_FORCE_M_CAP`, 124 and 5,456
+entries, so each holds every factor or pair up to the cap.  A record
 holds the value histogram of its transform as (value, count) pairs, the
 value at 0 and whether the transform equals the spectra, and no list of
 2^m or 2^(2m) values.  The transforms come only from the member lists and
@@ -212,14 +214,14 @@ def _slot_transform(d2: ComplexSpec, d3: ComplexSpec) -> list[int]:
 _Histogram = tuple[tuple[int, int], ...]
 
 
-@lru_cache(maxsize=2 << BRUTE_FORCE_M_CAP)
+@lru_cache(maxsize=sum(2 << m for m in range(1, BRUTE_FORCE_M_CAP + 1)))
 def _d1_record(part: ComplexSpec) -> tuple[_Histogram, int, bool]:
     """(value histogram of F, F[0], F == S1) for one D1: every factor at m <= the cap."""
     f = _d1_transform(part)
     return _histogram(f), f[0], _d1_matches(part, f)
 
 
-@lru_cache(maxsize=4 << 2 * BRUTE_FORCE_M_CAP)
+@lru_cache(maxsize=sum(4 << 2 * m for m in range(1, BRUTE_FORCE_M_CAP + 1)))
 def _slot_record(d2: ComplexSpec, d3: ComplexSpec) -> tuple[_Histogram, int, bool]:
     """(value histogram of G, G[0], G == S2 o S3) for one (D2, D3): every pair at m <= the cap."""
     g = _slot_transform(d2, d3)
@@ -328,10 +330,8 @@ def _summarize(
     """The code from the value histograms of F and G and zero = F[0] * G[0].
 
     The doubled-weight histogram is their product, each of a few values,
-    with one count moved from n + zero to 0 for a global complement.  Every
-    codeword has the same number of preimages (the kernel size, read off as
-    the multiplicity of weight 0), so dividing each count by it gives the
-    distribution of the code itself and k = 3m - log2(kernel).
+    with one count moved from n + zero to 0 for a global complement, and
+    :func:`_cosets` divides it by the kernel into k and the distribution.
 
     A pure function of its arguments, so it is memoised on them: a full
     m = 5 sweep has 670 distinct keys, well under the bound.  Errors are
@@ -348,12 +348,26 @@ def _summarize(
         doubled[n + zero] -= 1
         doubled[0] += 1
     total = sum(count for _, count in f_counts) * sum(count for _, count in g_counts)
-    kernel = doubled[0]
-    if not kernel or total % kernel or kernel & (kernel - 1):
-        raise InvariantError("kernel must be a 2-power")
-    k = (total // kernel).bit_length() - 1
+    k, dist = _cosets(doubled, total)
     if k == 0:
         raise DegenerateConfigurationError("trivial code: every message maps to 0")
+    return CodeSummary(n=n, k=k, d=min_distance(dist), weights=dist)
+
+
+def _cosets(doubled: Mapping[int, int], total: int) -> tuple[int, dict[int, int]]:
+    """k and the weight distribution of a code from its doubled-weight histogram.
+
+    ``doubled`` counts the ``total`` messages by twice the weight of their
+    codeword; zero counts are allowed and dropped.  Every codeword has the
+    same number of preimages, the kernel (the messages of weight 0), so each
+    weight class must be a union of kernel cosets, and dividing its count by
+    the kernel size gives the codewords of that weight, with
+    k = log2(total / kernel).  The enumerated code (:func:`_summarize`) and
+    the predicted table (``analysis._instantiate``) both end here.
+    """
+    kernel = doubled.get(0, 0)
+    if not kernel or total % kernel or kernel & (kernel - 1):
+        raise InvariantError("kernel must be a 2-power")
     dist = {}
     for w, count in sorted(doubled.items()):
         if w & 1:
@@ -362,7 +376,7 @@ def _summarize(
             raise InvariantError("weight class not a union of kernel cosets")
         if count:
             dist[w >> 1] = count // kernel
-    return CodeSummary(n=n, k=k, d=min_distance(dist), weights=dist)
+    return (total // kernel).bit_length() - 1, dist
 
 
 def _d1_matches(part: ComplexSpec, f: Sequence[int]) -> bool:

@@ -83,6 +83,28 @@ def test_predicted_table_collapses_kernel():
     assert predicted_weight_table(5, 2, 1, 1, 0) == {0: 1, 2: 6, 4: 1}
 
 
+@pytest.mark.parametrize(
+    "rows, nominal_k, message",
+    [
+        # one codeword of weight 3/2
+        ([(3, 1)], 1, "doubled weight must be even"),
+        # a kernel of two, but three messages of each nonzero weight
+        ([(0, 1), (2, 3), (4, 3)], 3, "weight class not a union of kernel cosets"),
+        # three messages of weight 0 among eight: no kernel size
+        ([(0, 2), (2, 5)], 3, "kernel must be a 2-power"),
+        ([(-2, 1)], 1, "positive-count row with negative weight"),
+    ],
+    ids=["odd-weight", "not-cosets", "kernel-not-2-power", "negative-weight"],
+)
+def test_predicted_table_keeps_the_kernel_coset_checks(monkeypatch, rows, nominal_k, message):
+    # The prediction is normalized by the enumeration's kernel-coset step
+    # (codegen._cosets), so a table that no code has fails with the message
+    # the enumerated side gives (tests/test_codegen.py pins the same texts).
+    monkeypatch.setattr(analysis, "_table_rows", lambda *key: (rows, 4, nominal_k))
+    with pytest.raises(InvariantError, match=message):
+        analysis._instantiate.__wrapped__(5, 2, 0, 0, 2)
+
+
 def test_predicted_table_conservation():
     for family in FAMILIES:
         for sl in range(3):

@@ -20,8 +20,8 @@ CODE_M5 = "code --m 5 --family 5 --L 1,2 --M 3,4 --N 1,3,5"
 TABLES_SMALL = "tables --family 5 --m 2 --sL 0 --sM 0 --sN 2"
 TABLES_M40 = "tables --family 7 --m 40 --sL 3 --sM 5 --sN 7"
 
-# (argv, exit code, sha256 of stdout, stderr); {wrong} and {bad_header} are
-# manifest files that the fixture below writes
+# (argv, exit code, sha256 of stdout, stderr); {wrong}, {bad_header}, {m6}
+# and {bad_member} are manifest files that the fixture below writes
 CASES = {
     "code-m2-json": (
         f"{CODE_M2} --format json", 0,
@@ -194,6 +194,16 @@ CASES = {
         "error: manifest header must be family,m,L,M,N,n,k,d, "
         "got ['family', 'm', 'L', 'M', 'N', 'n', 'k']\n",
     ),
+    "scan-m-out-of-range": (
+        "scan --manifest {m6}", 2,
+        EMPTY_SHA256,
+        "error: manifest line 2: m must be in 1..5, got 6\n",
+    ),
+    "scan-bad-member": (
+        "scan --manifest {bad_member}", 2,
+        EMPTY_SHA256,
+        "error: manifest line 3: member 7 outside ground set 1..3\n",
+    ),
     "tables-above-cap": (
         "tables --family 9 --m 257 --sL 0 --sM 0 --sN 0", 2,
         EMPTY_SHA256,
@@ -211,7 +221,14 @@ def manifests(tmp_path_factory):
     )
     bad_header = folder / "bad_header.csv"
     bad_header.write_text("family,m,L,M,N,n,k\n", encoding="utf-8")
-    return {"wrong": wrong, "bad_header": bad_header}
+    m6 = folder / "m6.csv"
+    m6.write_text(",".join(MANIFEST_HEADER) + "\n" + "5,6,-,-,1,1,1,1\n", encoding="utf-8")
+    bad_member = folder / "bad_member.csv"
+    bad_member.write_text(
+        ",".join(MANIFEST_HEADER) + "\n" + "5,2,-,-,\"1,2\",36,6,16\n" + "2,3,7,1,1,1,1,1\n",
+        encoding="utf-8",
+    )
+    return {"wrong": wrong, "bad_header": bad_header, "m6": m6, "bad_member": bad_member}
 
 
 def run(capsys, manifests, argv):

@@ -212,6 +212,25 @@ def test_summarize_rejects_broken_kernel_counts():
         codegen._summarize(4, ((2, 1), (4, 1)), ((0, 2), (1, 1), (2, 1)), 4, False)
 
 
+def test_factor_records_hold_every_factor_up_to_the_cap():
+    # 2 * 2^m factors D1 and (2 * 2^m)^2 pairs (D2, D3) at each m <= the cap:
+    # a second read of every D1 record is all hits, and the pair bound is as large
+    codegen._d1_record.cache_clear()
+    parts = [
+        ComplexSpec(Subset.from_mask(m, mask), complemented)
+        for m in range(1, BRUTE_FORCE_M_CAP + 1)
+        for mask in range(1 << m)
+        for complemented in (False, True)
+    ]
+    for _ in range(2):
+        for part in parts:
+            codegen._d1_record(part)
+    info = codegen._d1_record.cache_info()
+    assert (info.misses, info.hits) == (len(parts), len(parts)) == (124, 124)
+    pairs = sum((2 << m) ** 2 for m in range(1, BRUTE_FORCE_M_CAP + 1))
+    assert codegen._slot_record.cache_info().maxsize >= pairs == 5456
+
+
 # One code per (family, |L|, |M|, |N|) of the m = 5 benchmark reports: every
 # family, n from 224 to 32767, both global complements.
 REPORT_CLASSES_M5 = (
