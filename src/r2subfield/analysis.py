@@ -23,11 +23,13 @@ reads n, k, d from; it is compared codeword-for-codeword against the
 enumerated code by the sweep here and by the test suite.  The table,
 the conditions, the optimality rule and both exact decisions below depend
 on the size class (family, m, |L|, |M|, |N|) alone.  The table is cached
-by it in an LRU of 1024 entries (one family's (m + 1)^3 classes up to
-m = 9), as :func:`griesmer_sum` is by (k, d), and the rest in one record
+by it, as :func:`griesmer_sum` is by (k, d), and the rest in one record
 per class (:func:`_size_class`), read once per report or sweep row body.
-Neither holds an enumerated result, so every relabelling meets them with
-its own code.
+Both class caches hold the 9 * (m + 1)^3 classes of every m up to
+:data:`~r2subfield.codegen.BRUTE_FORCE_M_CAP`, 3,960 entries, so a sweep
+over every m reads each class once however often it repeats.  Neither
+holds an enumerated result, so every relabelling meets them with its own
+code.
 
 Also implemented: the Griesmer bound (sum of ceil(d / 2^i)), the
 Ashikhmin-Barg sufficient condition for minimality (2 * wmin > wmax for
@@ -92,6 +94,9 @@ __all__ = [
 ]
 
 FAMILIES = tuple(range(1, 10))
+
+# The size classes (family, m, |L|, |M|, |N|) of every m up to the cap
+_CLASSES = len(FAMILIES) * sum((m + 1) ** 3 for m in range(1, BRUTE_FORCE_M_CAP + 1))
 
 MINIMALITY_CAP = 1 << 14
 
@@ -205,7 +210,7 @@ def _table_rows(family: int, m: int, sl: int, sm: int, sn: int):
     return rows, a[0] * a[1] * a[2], 3 * m
 
 
-@lru_cache(maxsize=1024)
+@lru_cache(maxsize=_CLASSES)
 def _instantiate(family: int, m: int, sl: int, sm: int, sn: int):
     """Normalized predicted table: returns (n, k, {weight: count}).
 
@@ -448,7 +453,7 @@ def table10_conditions(family: int, m: int, sl: int, sm: int, sn: int) -> Suffic
     return SufficiencyConditions(minimal, self_orthogonal)
 
 
-@lru_cache(maxsize=1024)
+@lru_cache(maxsize=_CLASSES)
 def _size_class(family: int, m: int, sl: int, sm: int, sn: int) -> tuple:
     """Everything read off a size class but its predicted table.
 
@@ -481,22 +486,26 @@ def _decisions(m: int, factors: tuple, n: int, sign: int, whole: int) -> tuple[b
     return minimal, all((wa + wb - wab) % 8 == 0 for wa, wb, wab in triples)
 
 
-def _predict(key: tuple[int, ...]) -> CodeSummary:
-    """The predicted :class:`~r2subfield.codegen.CodeSummary` of size class ``key``.
+def _predict(key: tuple[int, ...]) -> tuple[int, int, dict[int, int]]:
+    """The predicted (n, k, table) of size class ``key`` (:func:`_instantiate`).
 
     Only called for a code that enumeration found nontrivial, so a
     prediction of degeneracy is a program fault (:class:`InvariantError`).
-    The table is read through :func:`_instantiate` on every call; its
-    ``min_distance`` still raises :class:`DegenerateConfigurationError` for
-    a table with no nonzero weight.
+    The table is read through :func:`_instantiate` on every call.  Its
+    ``min_distance``, which the callers take, still raises
+    :class:`DegenerateConfigurationError` for a table with no nonzero weight.
     """
     try:
-        pn, pk, ptable = _instantiate(*key)
+        return _instantiate(*key)
     except DegenerateConfigurationError:
         raise InvariantError(
             "prediction says degenerate but enumeration found a nontrivial code"
         ) from None
-    return CodeSummary(n=pn, k=pk, d=min_distance(ptable), weights=ptable)
+
+
+def _summary(n: int, k: int, table: dict[int, int]) -> CodeSummary:
+    """The :class:`~r2subfield.codegen.CodeSummary` of a predicted (n, k, table)."""
+    return CodeSummary(n=n, k=k, d=min_distance(table), weights=table)
 
 
 def _evaluate(key: tuple[int, ...], measured: CodeSummary):
@@ -511,7 +520,7 @@ def _evaluate(key: tuple[int, ...], measured: CodeSummary):
     of the class but its table is read through its record (:func:`_size_class`).
     """
     params = (measured.n, measured.k, measured.d)
-    predicted = _predict(key)
+    predicted = _summary(*_predict(key))
     minimal, self_orth, table10_minimal, table10_self_orth, opt, _ = _size_class(*key)
     minimal_exact = minimal if (1 << measured.k) <= MINIMALITY_CAP else None
     flags = {
@@ -566,26 +575,31 @@ def _row_body(key: tuple[int, ...], d1_record, slot_record, global_complement: b
     """A row's fields after ``N``, from its size class ``key`` and its two factor records.
 
     The records of D1 and (D2, D3) are weighed by
-    :func:`~r2subfield.codegen._weigh_records` and the class predicted by
-    :func:`_predict`, both inside the catch that makes a row degenerate.
-    The body is then one dict of the fields a row prints, read off the
-    measured code, the prediction and the class record (:func:`_size_class`):
-    the values :func:`_evaluate` would flag, computed only where a field
-    reads them.  A code below the Griesmer bound is still a ``ValueError``
-    (:func:`_griesmer_checked`).  Exact minimality is known only for codes
-    of at most :data:`MINIMALITY_CAP` codewords, so at m = 5 a code with
-    k > 14 checks no minimality claim.
+    :func:`~r2subfield.codegen._weigh_records`, and the class's predicted
+    (n, k, table) read by :func:`_predict` with the ``min_distance`` of its
+    table, all inside the catch that makes a row degenerate.  The row
+    matches when n, k and the weights are equal, since d is the smallest
+    nonzero weight on both sides; a predicted
+    :class:`~r2subfield.codegen.CodeSummary` is built only for the detail of
+    a mismatch.  The body is then one dict of the fields a row prints, read
+    off the measured code, the prediction and the class record
+    (:func:`_size_class`): the values :func:`_evaluate` would flag, computed
+    only where a field reads them.  A code below the Griesmer bound is still
+    a ``ValueError`` (:func:`_griesmer_checked`).  Exact minimality is known
+    only for codes of at most :data:`MINIMALITY_CAP` codewords, so at m = 5 a
+    code with k > 14 checks no minimality claim.
     """
     try:
         measured, charsum_ok = _weigh_records(key[1], d1_record, slot_record, global_complement)
         predicted = _predict(key)
+        min_distance(predicted[2])
     except DegenerateConfigurationError as exc:
         return {**dict.fromkeys(SWEEP_ROW_FIELDS[5:]), "status": "degenerate", "detail": str(exc)}
     n, k, d, weights = measured.n, measured.k, measured.d, measured.weights
     minimal, self_orth, table10_minimal, table10_self_orth, _, griesmer_claim = _size_class(*key)
     griesmer_equal = _griesmer_checked(n, k, d) == n
     minimal_exact = minimal if (1 << k) <= MINIMALITY_CAP else None
-    match = predicted == measured
+    match = predicted == (n, k, weights)
     return {
         "status": "ok" if match else "mismatch",
         "n": n,
@@ -601,32 +615,42 @@ def _row_body(key: tuple[int, ...], d1_record, slot_record, global_complement: b
         ),
         "detail": "" if match else "; ".join(
             f"{name} [n,k,d]=[{c.n},{c.k},{c.d}] weights={dict(sorted(c.weights.items()))}"
-            for name, c in (("predicted", predicted), ("measured", measured))
+            for name, c in (("predicted", _summary(*predicted)), ("measured", measured))
         ),
     }
 
 
-def _slot_table(m: int, c2: bool, c3: bool) -> tuple[list[tuple], list[int]]:
+def _slot_table(m: int, c2: bool, c3: bool) -> tuple[list[tuple], list[int], list[int]]:
     """The slot classes of every (M, N) at m, D2 and D3 complemented as ``c2`` and ``c3``.
 
-    Returns (classes, slot_of): ``classes`` lists each distinct
+    Returns (classes, slot_of, counts): ``classes`` lists each distinct
     (|M|, |N|, slot record) once, in order of first appearance over the 4^m
-    (M, N) by mask, and ``slot_of`` the class number of the (M, N) at
-    M << m | N.  Each :func:`~r2subfield.codegen._slot_record` is read once.
+    (M, N) by mask, ``slot_of`` the class number of the (M, N) at
+    M << m | N, and ``counts`` the number of (M, N) in each class.  Each
+    :func:`~r2subfield.codegen._slot_record` is read once, by masks.
     """
-    subsets = [Subset.from_mask(m, mask) for mask in range(1 << m)]
-    d2s, d3s = ([ComplexSpec(s, c) for s in subsets] for c in (c2, c3))
+    full = range(1 << m)
+    sizes = [mask.bit_count() for mask in full]
     classes = {}
     slot_of = [
-        classes.setdefault((mset.size, nset.size, _slot_record(d2, d3)), len(classes))
-        for mset, d2 in zip(subsets, d2s)
-        for nset, d3 in zip(subsets, d3s)
+        classes.setdefault((sm, sizes[nmask], _slot_record(m, mmask, c2, nmask, c3)), len(classes))
+        for mmask, sm in enumerate(sizes)
+        for nmask in full
     ]
-    return list(classes), slot_of
+    counts = [0] * len(classes)
+    for number in slot_of:
+        counts[number] += 1
+    return list(classes), slot_of, counts
 
 
-def _sweep_task(family: int, m: int, slot_table: tuple | None = None) -> tuple:
-    """The rows of one (family, m) as the task (family, m, labels, bodies, index).
+@cache
+def _labels(m: int) -> tuple[str, ...]:
+    """The subset labels of F2^m by mask."""
+    return tuple(str(Subset.from_mask(m, mask)) for mask in range(1 << m))
+
+
+def _sweep_task(family: int, m: int, slot_table: tuple | None = None) -> tuple[tuple, list[int]]:
+    """The rows of one (family, m) as the task (family, m, labels, bodies, index), with its counts.
 
     ``labels`` holds the subset labels by mask, ``bodies`` each distinct row
     body (the fields after ``N``) once, and ``index`` one body number per
@@ -637,16 +661,17 @@ def _sweep_task(family: int, m: int, slot_table: tuple | None = None) -> tuple:
     classes (|M|, |N|, slot record) of the 4^m (M, N) from ``slot_table``
     (:func:`_slot_table` of m and the family's complements of D2 and D3,
     built here if not given; :class:`SweepTasks` passes one per sweep), and
-    keys each L on (|L|, D1 record): the first L of a D1 class builds one
-    body per slot class (:func:`_row_body`) and the class's index row, which
-    every L of it appends.  A wrong record is a class, with bodies, of its own.
+    keys each L mask on (|L|, D1 record): the first L of a D1 class builds
+    one body per slot class (:func:`_row_body`) and the class's index row,
+    which every L of it appends.  A wrong record is a class, with bodies, of
+    its own.  The counts are the rows of each body, the L of its D1 class
+    times the (M, N) of its slot class, for :func:`_tally`.
     """
     c1, c2, c3, global_c = _PATTERNS[family]
-    slot_classes, slot_of = slot_table or _slot_table(m, c2, c3)
-    subsets = [Subset.from_mask(m, mask) for mask in range(1 << m)]
-    rows_of, bodies, index = {}, [], []
-    for lset in subsets:
-        key = lset.size, _d1_record(ComplexSpec(lset, c1))
+    slot_classes, slot_of, slot_counts = slot_table or _slot_table(m, c2, c3)
+    rows_of, l_counts, bodies, index = {}, Counter(), [], []
+    for lmask in range(1 << m):
+        key = lmask.bit_count(), _d1_record(m, lmask, c1)
         if key not in rows_of:
             sl, d1_record = key
             rows_of[key] = [len(bodies) + slot for slot in slot_of]
@@ -655,7 +680,9 @@ def _sweep_task(family: int, m: int, slot_table: tuple | None = None) -> tuple:
                 for sm, sn, record in slot_classes
             )
         index += rows_of[key]
-    return family, m, [str(s) for s in subsets], bodies, index
+        l_counts[key] += 1
+    counts = [l_counts[key] * slots for key in rows_of for slots in slot_counts]
+    return (family, m, list(_labels(m)), bodies, index), counts
 
 
 def _task_rows(task) -> list[dict]:
@@ -709,8 +736,8 @@ class SweepTasks:
             pattern = (m, *_PATTERNS[family][1:3])
             if pattern not in tables:
                 tables[pattern] = _slot_table(*pattern)
-            task = _sweep_task(family, m, tables[pattern])
-            self._tallies.append(_tally(task))
+            task, counts = _sweep_task(family, m, tables[pattern])
+            self._tallies.append(_tally(task, counts))
             yield task
 
     def summary(self) -> dict:
@@ -743,21 +770,21 @@ _COUNTS = (
 )
 
 
-def _tally(task) -> dict:
+def _tally(task, counts: list[int]) -> dict:
     """The summary counts and family-8 findings of one task, without the verdict.
 
-    Each distinct body is read once, counted once per row that holds it; the
-    findings are read row by row.  Tallies add up key by key
-    (:func:`fold_tallies`), the findings lists in order.
+    ``counts`` holds the number of rows of each body (:func:`_sweep_task`), so
+    each distinct body is read once, counted once per row that holds it, and
+    the index is not read; the findings are read row by row.  Tallies add up
+    key by key (:func:`fold_tallies`), the findings lists in order.
     """
     family, m, labels, bodies, index = task
     tally = dict.fromkeys(_COUNTS, 0)
     tally["total"] = len(index)
-    for number, rows in Counter(index).items():
-        body = bodies[number]
-        tally[body["status"]] += rows
+    for body, count in zip(bodies, counts, strict=True):
+        tally[body["status"]] += count
         for key, field in zip(_COUNTS[5:], SWEEP_ROW_FIELDS[10:15]):
-            tally[key] += rows * (body[field] is False)
+            tally[key] += count * (body[field] is False)
     tally["mismatch_outside_family_8"] = tally["mismatch"] if family != 8 else 0
     tally["findings"] = [
         {key: row[key] for key in ("m", "family", "L", "M", "N", "detail")}

@@ -47,14 +47,17 @@ One code is weighed in two stages, both by :func:`weigh`:
 
 F depends on D1 alone and G on (D2, D3) alone, so :func:`weigh` (and the
 sweep, through :func:`_weigh_records`) reads both stages and the character-sum
-check below from two LRU records: one per D1 (:class:`~.simplicial.ComplexSpec`)
-and one per (D2, D3).  Their bounds are the 2 * 2^m factors and the
-4 * 4^m pairs summed over m <= :data:`BRUTE_FORCE_M_CAP`, 124 and 5,456
-entries, so each holds every factor or pair up to the cap.  A record
-holds the value histogram of its transform as (value, count) pairs, the
-value at 0 and whether the transform equals the spectra, and no list of
-2^m or 2^(2m) values.  The transforms come only from the member lists and
-the spectra only from :func:`~.simplicial.char_sum`, and every
+check below from two LRU records, keyed on ints: one per D1, on
+(m, mask, complemented), and one per (D2, D3), on
+(m, mask2, complemented2, mask3, complemented3).  Their bounds are the
+2 * 2^m factors and the 4 * 4^m pairs summed over
+m <= :data:`BRUTE_FORCE_M_CAP`, 124 and 5,456 entries, so each holds every
+factor or pair up to the cap.  A record holds the value histogram of its
+transform as (value, count) pairs, counted straight from the transform's
+biased fields, the value at 0 and whether the transform equals the
+spectra, and no list of 2^m or 2^(2m) values.  The transforms come only
+from the member lists and the spectra only from
+:func:`~.simplicial.char_sum`, and every
 configuration is summarized and checked from its own two records.  The
 summary is a pure function of the contents of those two records, so it is
 memoised on them (:func:`_summarize`): the 4,608 configurations at m = 3
@@ -87,7 +90,14 @@ from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .simplicial import ComplexSpec, enumerate_members, spectrum
+from .simplicial import (
+    _FACTORS,
+    BRUTE_FORCE_M_CAP,
+    ComplexSpec,
+    Subset,
+    enumerate_members,
+    spectrum,
+)
 
 __all__ = [
     "BRUTE_FORCE_M_CAP",
@@ -98,8 +108,6 @@ __all__ = [
     "weigh",
     "min_distance",
 ]
-
-BRUTE_FORCE_M_CAP = 5
 
 # :func:`_indicator_transform` packs one value per field of an int and reads
 # the fields back as native array items.  Every partial sum of the transform
@@ -163,7 +171,8 @@ def weigh(spec: DefiningSetSpec) -> tuple[CodeSummary, bool]:
     or 2^(3m) minus that for a global complement.
 
     F and G are read from the two per-factor records (:func:`_d1_record` and
-    :func:`_slot_record`) and weighed by :func:`_weigh_records`.
+    :func:`_slot_record`), keyed on the parts' masks and complement flags,
+    and weighed by :func:`_weigh_records`.
 
     Raises :class:`DegenerateConfigurationError` for an empty defining set or
     a trivial code, and ``ValueError`` above :data:`BRUTE_FORCE_M_CAP`.
@@ -172,8 +181,12 @@ def weigh(spec: DefiningSetSpec) -> tuple[CodeSummary, bool]:
         raise ValueError(
             f"exhaustive enumeration is capped at m <= {BRUTE_FORCE_M_CAP}, got m = {spec.m}"
         )
+    m, (d1, d2, d3) = spec.m, spec.parts
     return _weigh_records(
-        spec.m, _d1_record(spec.d1), _slot_record(spec.d2, spec.d3), spec.global_complement
+        m,
+        _d1_record(m, d1.generator.mask, d1.complemented),
+        _slot_record(m, d2.generator.mask, d2.complemented, d3.generator.mask, d3.complemented),
+        spec.global_complement,
     )
 
 
@@ -192,13 +205,13 @@ def _weigh_records(m: int, d1_record, slot_record, global_complement: bool):
     return _summarize(n, f_counts, g_counts, f0 * g0, global_complement), f_ok and g_ok
 
 
-def _d1_transform(part: ComplexSpec) -> list[int]:
-    """F, the transform of the indicator of D1 (2^m entries), from its member list."""
+def _d1_transform(part: ComplexSpec) -> array:
+    """F, the transform of the indicator of D1 (2^m biased fields), from its member list."""
     return _indicator_transform(enumerate_members(part), part.m)
 
 
-def _slot_transform(d2: ComplexSpec, d3: ComplexSpec) -> list[int]:
-    """G, the transform of the slot indicator (2^(2m) entries), from the member lists.
+def _slot_transform(d2: ComplexSpec, d3: ComplexSpec) -> array:
+    """G, the transform of the slot indicator (2^(2m) biased fields), from the member lists.
 
     The slot of (d2, d3) is s = (d2 + d3) | d2 << m, and (d2, d3) -> s is
     injective, so the indicator has one 1 per pair.  It is not factored
@@ -214,35 +227,53 @@ def _slot_transform(d2: ComplexSpec, d3: ComplexSpec) -> list[int]:
 _Histogram = tuple[tuple[int, int], ...]
 
 
-@lru_cache(maxsize=sum(2 << m for m in range(1, BRUTE_FORCE_M_CAP + 1)))
-def _d1_record(part: ComplexSpec) -> tuple[_Histogram, int, bool]:
+def _part(m: int, mask: int, complemented: bool) -> ComplexSpec:
+    """The factor Delta_X, or its complement, for X the subset of F2^m with ``mask``."""
+    return ComplexSpec(Subset.from_mask(m, mask), complemented)
+
+
+@lru_cache(maxsize=_FACTORS)
+def _d1_record(m: int, mask: int, complemented: bool) -> tuple[_Histogram, int, bool]:
     """(value histogram of F, F[0], F == S1) for one D1: every factor at m <= the cap."""
+    part = _part(m, mask, complemented)
     f = _d1_transform(part)
-    return _histogram(f), f[0], _d1_matches(part, f)
+    return (*_histogram(f), _d1_matches(part, f))
 
 
 @lru_cache(maxsize=sum(4 << 2 * m for m in range(1, BRUTE_FORCE_M_CAP + 1)))
-def _slot_record(d2: ComplexSpec, d3: ComplexSpec) -> tuple[_Histogram, int, bool]:
+def _slot_record(
+    m: int, mask2: int, c2: bool, mask3: int, c3: bool
+) -> tuple[_Histogram, int, bool]:
     """(value histogram of G, G[0], G == S2 o S3) for one (D2, D3): every pair at m <= the cap."""
+    d2, d3 = _part(m, mask2, c2), _part(m, mask3, c3)
     g = _slot_transform(d2, d3)
-    return _histogram(g), g[0], _slots_match(d2, d3, g)
+    return (*_histogram(g), _slots_match(d2, d3, g))
 
 
-def _histogram(values: Sequence[int]) -> _Histogram:
-    """The distinct values with their multiplicities, as (value, count) pairs by value.
+def _bias(biased: array) -> int:
+    """The bias 2^(8w - 1) that every w-byte field of a transform carries."""
+    return 1 << 8 * biased.itemsize - 1
 
-    Sorted, so that equal histograms are equal keys of :func:`_summarize`
-    whatever order the values came in.
+
+def _histogram(biased: array) -> tuple[_Histogram, int]:
+    """The distinct values of a transform with their multiplicities, and its value at 0.
+
+    Counted straight from the biased fields.  The pairs are sorted by value,
+    so that equal histograms are equal keys of :func:`_summarize` whatever
+    order the values came in.
     """
-    return tuple(sorted(Counter(values).items()))
+    bias = _bias(biased)
+    counts = tuple((value - bias, count) for value, count in sorted(Counter(biased).items()))
+    return counts, biased[0] - bias
 
 
-def _indicator_transform(points: Sequence[int], bits: int) -> list[int]:
+def _indicator_transform(points: Sequence[int], bits: int) -> array:
     """The Walsh-Hadamard transform of the 0/1 indicator of distinct ``points`` in F2^bits.
 
     The indicator is packed in fields of the narrowest width whose bias
     exceeds the number of points (:func:`_field_typecode`), and transformed
-    by :func:`_walsh_hadamard`.
+    by :func:`_walsh_hadamard`.  Field v of the returned ``array`` holds
+    H[v] plus the bias (:func:`_bias`).
     """
     typecode = _field_typecode(len(points))
     width = array(typecode).itemsize
@@ -257,8 +288,7 @@ def _indicator_transform(points: Sequence[int], bits: int) -> list[int]:
         fields,
         width,
     )
-    biased = array(typecode, packed.to_bytes(width * fields, sys.byteorder))
-    return [value - bias for value in biased]
+    return array(typecode, packed.to_bytes(width * fields, sys.byteorder))
 
 
 def _field_typecode(t: int) -> str:
@@ -379,16 +409,32 @@ def _cosets(doubled: Mapping[int, int], total: int) -> tuple[int, dict[int, int]
     return (total // kernel).bit_length() - 1, dist
 
 
-def _d1_matches(part: ComplexSpec, f: Sequence[int]) -> bool:
-    """Whether F equals the spectrum S1 of D1."""
-    return f == spectrum(part)
+def _d1_matches(part: ComplexSpec, f: array) -> bool:
+    """Whether F, in biased fields, equals the spectrum S1 of D1."""
+    bias = _bias(f)
+    return [value - bias for value in f] == spectrum(part)
 
 
-def _slots_match(d2: ComplexSpec, d3: ComplexSpec, g: Sequence[int]) -> bool:
-    """Whether G[beta | gamma << m] = S2[beta + gamma] * S3[beta] for every beta, gamma."""
+def _slots_match(d2: ComplexSpec, d3: ComplexSpec, g: array) -> bool:
+    """Whether G[beta | gamma << m] = S2[beta + gamma] * S3[beta] for every beta, gamma.
+
+    The products are written, biased, into an array of G's field width,
+    only where both spectrum values are nonzero, and the two arrays are
+    compared field for field.  A product outside the field's range cannot
+    equal G there, so it is a mismatch.
+    """
     s2, s3 = spectrum(d2), spectrum(d3)
-    full = range(1 << d2.m)
-    return g == [s2[beta ^ gamma] * s3[beta] for gamma in full for beta in full]
+    m, bias = d2.m, _bias(g)
+    expected = array(g.typecode, [bias]) * len(g)
+    nonzero2 = [(x, value) for x, value in enumerate(s2) if value]
+    try:
+        for beta, value3 in enumerate(s3):
+            if value3:
+                for x, value2 in nonzero2:
+                    expected[beta | (beta ^ x) << m] = value2 * value3 + bias
+    except OverflowError:
+        return False
+    return expected == g
 
 
 def min_distance(weights: Mapping[int, int]) -> int:

@@ -18,9 +18,10 @@ coordinate 1 is the least significant bit.  Every module of the package
 uses this convention.
 
 A sweep meets each factor many times, so the member list and spectrum
-are cached by the :class:`ComplexSpec`, at most 128 entries (all 126
-factors at m <= 5), kept as tuples and handed out as lists.
-A subset is frozen, so its text is built once, on first use.
+are cached by the factor's (m, mask, complemented), kept as tuples and
+handed out as lists.  The cache holds the 2 * 2^m factors at every m up to
+:data:`BRUTE_FORCE_M_CAP`, the largest m that ``codegen`` enumerates: 124
+entries.  A subset is frozen, so its text is built once, on first use.
 """
 
 from __future__ import annotations
@@ -38,6 +39,13 @@ __all__ = [
     "spectrum",
     "complex_size",
 ]
+
+# The largest m whose codes are enumerated exhaustively (``codegen`` reads it
+# from here); the factor caches are sized to hold every factor up to it.
+BRUTE_FORCE_M_CAP = 5
+
+# Delta_X and its complement for each of the 2^m subsets X, at each m <= the cap
+_FACTORS = sum(2 << m for m in range(1, BRUTE_FORCE_M_CAP + 1))
 
 
 @dataclass(frozen=True)
@@ -111,7 +119,7 @@ class ComplexSpec:
 
 def enumerate_members(spec: ComplexSpec) -> list[int]:
     """Members of the complex (or its complement) in increasing bitmask order."""
-    return list(_factor(spec)[0])
+    return list(_factor(spec.m, spec.generator.mask, spec.complemented)[0])
 
 
 def complex_size(spec: ComplexSpec) -> int:
@@ -145,13 +153,13 @@ def char_sum(spec: ComplexSpec, w: int) -> int:
 
 def spectrum(spec: ComplexSpec) -> list[int]:
     """The character sum of the complex at every w in F2^m, indexed by w."""
-    return list(_factor(spec)[1])
+    return list(_factor(spec.m, spec.generator.mask, spec.complemented)[1])
 
 
-@lru_cache(maxsize=128)
-def _factor(spec: ComplexSpec) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """The member list and the spectrum of one factor."""
-    lmask, full = spec.generator.mask, range(1 << spec.m)
-    members = tuple(v for v in full if bool(v & ~lmask) == spec.complemented)
+@lru_cache(maxsize=_FACTORS)
+def _factor(m: int, mask: int, complemented: bool) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The member list and the spectrum of the factor Delta_X, or its complement, X = ``mask``."""
+    spec, full = ComplexSpec(Subset.from_mask(m, mask), complemented), range(1 << m)
+    members = tuple(v for v in full if bool(v & ~mask) == complemented)
     return members, tuple(char_sum(spec, w) for w in full)
 

@@ -24,7 +24,9 @@ with the paper's closed-form tables past the enumeration cap.  The library
 builds a sweep task's bodies once per pair of factor classes, each as one
 dict of the fields a row prints; :func:`sweep_task_by_rows` builds the same
 task with one memo lookup per row, and :func:`row_body_by_flags` each body
-from the nine flags of a report.  It tallies a sweep once per distinct row body; :func:`tally_rows`
+from the nine flags of a report.  The library counts a slot record's
+histogram and checks it against the spectra in biased packed fields;
+:func:`slot_record_by_lists` builds the same record from lists of ints.  It tallies a sweep once per distinct row body; :func:`tally_rows`
 tallies flat rows one by one, and :func:`shift_predictions` makes every prediction
 wrong, so that the sweep has mismatches to tally and render.  It is a plain
 module, not a test file; the tests import it as ``from reference import
@@ -63,6 +65,7 @@ from r2subfield.codegen import (
     DegenerateConfigurationError,
     InvariantError,
     _indicator_transform,
+    _slot_transform,
     min_distance,
 )
 from r2subfield.simplicial import ComplexSpec, Subset, enumerate_members, spectrum
@@ -344,7 +347,27 @@ def message_weights(spec: DefiningSetSpec) -> tuple[int, list[int]]:
     n = len(product)
     if not n:
         raise DegenerateConfigurationError("empty defining set")
-    return n, [(n - h) >> 1 for h in _indicator_transform(product, 3 * m)]
+    return n, [(n - h) >> 1 for h in transform_values(_indicator_transform(product, 3 * m))]
+
+
+def transform_values(biased) -> list[int]:
+    """The values of a library transform, whose fields each carry the bias 2^(8w - 1)."""
+    bias = 1 << 8 * biased.itemsize - 1
+    return [value - bias for value in biased]
+
+
+def slot_record_by_lists(d2: ComplexSpec, d3: ComplexSpec) -> tuple:
+    """The record of :func:`~r2subfield.codegen._slot_record`, through lists of Python ints.
+
+    G is unbiased into a list, its histogram counted from that list, and
+    the list compared with S2[beta + gamma] * S3[beta] listed at every one
+    of the 4^m slots.  The library counts and compares the biased fields.
+    """
+    g = transform_values(_slot_transform(d2, d3))
+    s2, s3 = spectrum(d2), spectrum(d3)
+    full = range(1 << d2.m)
+    expected = [s2[beta ^ gamma] * s3[beta] for gamma in full for beta in full]
+    return tuple(sorted(Counter(g).items())), g[0], g == expected
 
 
 def charsum_message_weights(spec: DefiningSetSpec) -> list[int]:
@@ -596,8 +619,9 @@ def _unit_messages(m: int) -> frozenset[int]:
 def _unit_message_weights(n: int, f, g, global_complement: bool, m: int) -> dict[int, int]:
     """W(v) = (n -+ F[alpha] * G[sigma]) / 2 at the unit messages and their pairs.
 
-    F and G are the factor transforms :func:`~r2subfield.codegen._d1_transform`
-    and :func:`~r2subfield.codegen._slot_transform`.  None of these messages
+    F and G are the values (:func:`transform_values`) of the factor transforms
+    :func:`~r2subfield.codegen._d1_transform` and
+    :func:`~r2subfield.codegen._slot_transform`.  None of these messages
     is the zero message, so family 9 needs no correction.
     """
     sign = 1 if global_complement else -1
@@ -657,8 +681,8 @@ def sweep_task_by_rows(family: int, m: int, row_body=None) -> tuple:
     subsets = [Subset.from_mask(m, mask) for mask in range(1 << m)]
     numbers, bodies, index = {}, [], []
     for lset, mset, nset in product(subsets, repeat=3):
-        d1_record = analysis._d1_record(ComplexSpec(lset, c1))
-        slot_record = analysis._slot_record(ComplexSpec(mset, c2), ComplexSpec(nset, c3))
+        d1_record = analysis._d1_record(m, lset.mask, c1)
+        slot_record = analysis._slot_record(m, mset.mask, c2, nset.mask, c3)
         key = lset.size, mset.size, nset.size, d1_record, slot_record
         if key not in numbers:
             numbers[key] = len(bodies)

@@ -38,7 +38,7 @@ from r2subfield.analysis import (
     table10_conditions,
 )
 from r2subfield.cli import _verify_json, main
-from r2subfield.codegen import DegenerateConfigurationError, InvariantError
+from r2subfield.codegen import BRUTE_FORCE_M_CAP, DegenerateConfigurationError, InvariantError
 from r2subfield.simplicial import ComplexSpec, Subset, subset
 from reference import (
     _self_orthogonal,
@@ -770,12 +770,12 @@ def test_slot_tables_are_read_once_per_sweep(monkeypatch):
     # was.  A table kept from the clean sweep would hide the poison, and one
     # keyed without m would serve the m = 2 table to the m = 3 tasks.
     clean = run_sweep([2, 3])
-    target = tuple(ComplexSpec(Subset.from_mask(3, x), False) for x in (0b110, 1))
+    target = (3, 0b110, False, 1, False)  # (m, mask of M, c2, mask of N, c3)
     record = analysis._slot_record
 
-    def wrong(*parts):
-        counts, zero, ok = record(*parts)
-        return counts, zero, ok and parts != target
+    def wrong(*key):
+        counts, zero, ok = record(*key)
+        return counts, zero, ok and key != target
 
     clear_factor_records()
     monkeypatch.setattr(analysis, "_slot_record", wrong)
@@ -807,7 +807,7 @@ def test_row_bodies_equal_the_flags_route(monkeypatch, shifted, family):
         shift_predictions(monkeypatch)
     statuses = Counter()
     for m in (1, 2, 3):
-        task = analysis._sweep_task(family, m)
+        task, _ = analysis._sweep_task(family, m)
         assert task == sweep_task_by_rows(family, m, row_body_by_flags)
         statuses.update(
             "by prediction" if body["detail"] == "trivial code has no nonzero codeword"
@@ -838,12 +838,16 @@ def test_a_code_below_the_griesmer_bound_is_a_value_error(monkeypatch, capsys):
 def test_sweep_task_equals_the_row_by_row_route(family):
     # The task numbers its factor classes once and appends one index row per
     # L; the reference looks up each row's sizes and both records.  Labels,
-    # bodies in order and index must be equal.  The records of a factor
-    # depend on its size alone, so a task has one body per size class.
+    # bodies in order and index must be equal, and the row count of each
+    # body, taken from the class tables, must be the rows the index gives
+    # it.  The records of a factor depend on its size alone, so a task has
+    # one body per size class.
     for m in (1, 2, 3):
-        task = analysis._sweep_task(family, m)
+        task, rows = analysis._sweep_task(family, m)
         assert task == sweep_task_by_rows(family, m)
         assert len(task[3]) == (m + 1) ** 3
+        by_index = Counter(task[4])
+        assert rows == [by_index[number] for number in range(len(task[3]))]
 
 
 @pytest.mark.parametrize("family", FAMILIES)
@@ -857,26 +861,27 @@ def test_a_poisoned_record_gets_its_own_bodies_in_exactly_its_rows(monkeypatch, 
     m = 3
     c1, c2, c3, _ = analysis._PATTERNS[family]
     if poisoned == "_d1_record":
-        target = (ComplexSpec(Subset.from_mask(m, 0b101), c1),)
+        target = (m, 0b101, c1)
 
         def hit(row):
             return row >> 2 * m == 0b101
     else:
-        target = tuple(ComplexSpec(Subset.from_mask(m, x), c) for x, c in ((0b110, c2), (1, c3)))
+        target = (m, 0b110, c2, 1, c3)
 
         def hit(row):
             return row & (1 << 2 * m) - 1 == 0b110 << m | 1
     record = getattr(analysis, poisoned)
 
-    def wrong(*parts):
-        counts, zero, ok = record(*parts)
-        return counts, zero, ok and parts != target
+    def wrong(*key):
+        counts, zero, ok = record(*key)
+        return counts, zero, ok and key != target
 
-    *_, clean_bodies, clean_index = analysis._sweep_task(family, m)
+    (*_, clean_bodies, clean_index), _ = analysis._sweep_task(family, m)
     monkeypatch.setattr(analysis, poisoned, wrong)
-    task = analysis._sweep_task(family, m)
+    task, counts = analysis._sweep_task(family, m)
     assert task == sweep_task_by_rows(family, m)
     *_, bodies, index = task
+    assert counts == [index.count(number) for number in range(len(bodies))]
     rows = range(len(index))
     assert sum(map(hit, rows)) == (64 if poisoned == "_d1_record" else 8)
     own = {index[row] for row in rows if hit(row)}
@@ -952,6 +957,38 @@ def test_summary_memo_cannot_hide_a_wrong_record(monkeypatch):
         else:
             assert row == clean_row, row
     assert changed > 0
+
+
+def test_class_records_hold_every_class_up_to_the_cap():
+    # 9 * (m + 1)^3 size classes at each m <= the cap, 3,960 in all: a second
+    # read of every class record misses nothing.  A degenerate class raises
+    # and is never stored, so its predicted table is read once.
+    classes = [
+        (family, m, *sizes)
+        for m in range(1, BRUTE_FORCE_M_CAP + 1)
+        for family in FAMILIES
+        for sizes in itertools.product(range(m + 1), repeat=3)
+    ]
+    assert len(classes) == 3960
+    analysis._size_class.cache_clear()
+    analysis._instantiate.cache_clear()
+    tables = []
+    for key in classes:
+        analysis._size_class(*key)
+        try:
+            analysis._instantiate(*key)
+        except DegenerateConfigurationError:
+            continue
+        tables.append(key)
+    for key in classes:
+        analysis._size_class(*key)
+    for key in tables:
+        analysis._instantiate(*key)
+    records = analysis._size_class, analysis._instantiate
+    assert [record.cache_info() for record in records] == [
+        # (hits, misses, maxsize, entries)
+        (3960, 3960, 3960, 3960), (len(tables), 3960, 3960, len(tables))
+    ]
 
 
 def test_one_pair_walk_per_size_class(monkeypatch):
@@ -1037,7 +1074,7 @@ def test_task_tally_flags_family8_findings():
         },
     ]
     task = [8, 1, ["-", "1"], bodies, [0] + [1] * 7]
-    summary = fold_tallies([analysis._tally(task)])
+    summary = fold_tallies([analysis._tally(task, [1, 7])])
     assert (summary["total"], summary["ok"], summary["mismatch"]) == (8, 7, 1)
     assert summary["griesmer_failures"] == 7
     assert summary["mismatch_outside_family_8"] == 0
@@ -1047,7 +1084,7 @@ def test_task_tally_flags_family8_findings():
     assert summary["passed"] is True
 
     task[0] = 7
-    summary = fold_tallies([analysis._tally(task)])
+    summary = fold_tallies([analysis._tally(task, [1, 7])])
     assert summary["mismatch_outside_family_8"] == 1
     assert summary["findings"] == []
     assert summary["passed"] is False

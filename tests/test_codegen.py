@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from r2subfield import analysis, codegen
+from r2subfield import analysis, codegen, simplicial
 from r2subfield.analysis import FAMILIES, spec_for_family
 from r2subfield.codegen import (
     BRUTE_FORCE_M_CAP,
@@ -40,10 +40,12 @@ from reference import (
     production_vectors,
     r2_dot,
     row_message_weights,
+    slot_record_by_lists,
     subfield_defining_set,
     subfield_generator_rows,
     summarize_message_weights,
     trace,
+    transform_values,
 )
 
 
@@ -214,19 +216,24 @@ def test_summarize_rejects_broken_kernel_counts():
 
 def test_factor_records_hold_every_factor_up_to_the_cap():
     # 2 * 2^m factors D1 and (2 * 2^m)^2 pairs (D2, D3) at each m <= the cap:
-    # a second read of every D1 record is all hits, and the pair bound is as large
+    # a second read of every D1 record is all hits, a second read of every
+    # factor's member list and spectrum misses nothing, and the pair bound
+    # is as large
     codegen._d1_record.cache_clear()
-    parts = [
-        ComplexSpec(Subset.from_mask(m, mask), complemented)
+    simplicial._factor.cache_clear()
+    keys = [
+        (m, mask, complemented)
         for m in range(1, BRUTE_FORCE_M_CAP + 1)
         for mask in range(1 << m)
         for complemented in (False, True)
     ]
     for _ in range(2):
-        for part in parts:
-            codegen._d1_record(part)
+        for key in keys:
+            codegen._d1_record(*key)
+            simplicial._factor(*key)
     info = codegen._d1_record.cache_info()
-    assert (info.misses, info.hits) == (len(parts), len(parts)) == (124, 124)
+    assert (info.misses, info.hits) == (len(keys), len(keys)) == (124, 124)
+    assert simplicial._factor.cache_info().misses == 124
     pairs = sum((2 << m) ** 2 for m in range(1, BRUTE_FORCE_M_CAP + 1))
     assert codegen._slot_record.cache_info().maxsize >= pairs == 5456
 
@@ -287,7 +294,10 @@ def test_factored_route_matches_the_full_table():
         assert (measured.n, measured.k, measured.d) == (n, k, min_distance(expected)), s
         # the unit-pair check on the full table and on F and G at the unit messages
         exact = _self_orthogonal(table, s.m)
-        f, g = codegen._d1_transform(s.d1), codegen._slot_transform(s.d2, s.d3)
+        f, g = (
+            transform_values(transform)
+            for transform in (codegen._d1_transform(s.d1), codegen._slot_transform(s.d2, s.d3))
+        )
         units = _unit_message_weights(n, f, g, s.global_complement, s.m)
         assert flags["self_orth_exact"] == exact == _self_orthogonal(units, s.m), s
         full_tables_agree = charsum_message_weights(s) == table
@@ -308,7 +318,9 @@ def test_indicator_transform_per_field_width(bits, without_zero, typecode):
     assert codegen._field_typecode(len(points)) == typecode
     low = (1 << bits) - 1
     expected = [(0 if w & low else 1 << bits) - without_zero for w in range(1 << 16)]
-    assert codegen._indicator_transform(points, 16) == expected
+    transform = codegen._indicator_transform(points, 16)
+    assert transform.typecode == typecode
+    assert transform_values(transform) == expected
 
 
 def test_summarize_trivial_code():
@@ -501,13 +513,54 @@ def test_charsum_check_rejects_corrupted_table():
         f, g = codegen._d1_transform(s.d1), codegen._slot_transform(s.d2, s.d3)
         assert codegen._d1_matches(s.d1, f) and codegen._slots_match(s.d2, s.d3, g), s
         for v in (0, 1, len(f) - 1):
-            corrupted = list(f)
+            corrupted = f[:]
             corrupted[v] += 1
             assert not codegen._d1_matches(s.d1, corrupted), (s, v)
         for v in (0, 1, len(g) - 1):
-            corrupted = list(g)
+            corrupted = g[:]
             corrupted[v] += 1
             assert not codegen._slots_match(s.d2, s.d3, corrupted), (s, v)
+
+
+def test_slot_record_equals_the_list_route():
+    # The record counts G's histogram from its biased fields and compares
+    # them with S2 o S3 written only where both spectra are nonzero; the
+    # reference unbiases G into a list and lists S2 o S3 at every slot.
+    # Every (D2, D3) at m <= 4, in all four complement patterns.
+    records = 0
+    for m in range(1, 5):
+        for c2, c3 in itertools.product((False, True), repeat=2):
+            for mask2, mask3 in itertools.product(range(1 << m), repeat=2):
+                d2, d3 = codegen._part(m, mask2, c2), codegen._part(m, mask3, c3)
+                record = codegen._slot_record.__wrapped__(m, mask2, c2, mask3, c3)
+                assert record == slot_record_by_lists(d2, d3), (m, mask2, c2, mask3, c3)
+                assert record[2] is True
+                records += 1
+    assert records == 4 * (4 + 16 + 64 + 256)
+
+
+@pytest.mark.parametrize("forged", [1 << 40, -(1 << 40), 128])
+def test_a_product_outside_the_field_is_a_mismatch(monkeypatch, forged):
+    # D2 = Delta_{1}, D3 = Delta_{2} at m = 2: 16 slots, 1-byte fields of
+    # bias 128.  A forged S3[0] makes each nonzero product S2[x] * S3[0]
+    # 2 * forged, which no field holds: the check reads a mismatch and
+    # raises nothing.
+    target = codegen._part(2, 0b10, False)
+    real = codegen.spectrum
+
+    def forged_spectrum(part):
+        values = real(part)
+        if part == target:
+            values[0] = forged
+        return values
+
+    assert codegen._slot_transform(codegen._part(2, 0b01, False), target).typecode == "B"
+    monkeypatch.setattr(codegen, "spectrum", forged_spectrum)
+    assert codegen._slot_record.__wrapped__(2, 0b01, False, 0b10, False)[2] is False
+    for name in ("_d1_record", "_slot_record"):
+        monkeypatch.setattr(codegen, name, getattr(codegen, name).__wrapped__)
+    s = spec(1, 2, (1,), (1,), (2,))
+    assert weigh(s)[1] is False
 
 
 def with_wrong_entry(i, j, delta):
